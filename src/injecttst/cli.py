@@ -13,6 +13,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .checkpoint import apply_checkpoint, load_checkpoint
+from .errors import ConfigError
 from .harness import (BASELINE_VARIANT, ResultRecord, append_record,
                       config_digest, format_table, load_config, load_table,
                       model_config, run_ablation, run_single, schedule,
@@ -152,7 +153,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _run(args)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -86,7 +86,13 @@ def load_csv(path: str) -> SeriesTable:
                 raise DataError(f"{path}: row {lineno} contains a non-numeric cell") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float32)
+    with np.errstate(over="ignore"):    # cells beyond float32 range become inf
+        values = np.asarray(rows, dtype=np.float32)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(f"{path}: row {r + 2} has a non-finite value in channel "
+                        f"column {names[c]!r}")
     return SeriesTable(timestamps=timestamps, values=values, channel_names=names)
 
 

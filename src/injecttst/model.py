@@ -66,11 +66,6 @@ class ForwardTrace:
     attn: list[np.ndarray] = field(default_factory=list)
 
 
-def _encoder_param_names(prefix: str) -> list[tuple[str, str]]:
-    return [(f"{prefix}attn.w{k}", f"{prefix}attn.b{k}") for k in "qkvo"] + \
-           [(f"{prefix}ffn.w1", f"{prefix}ffn.b1"), (f"{prefix}ffn.w2", f"{prefix}ffn.b2")]
-
-
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Tensor]:
     """Create every learnable tensor, uniquely named for checkpointing.
 

@@ -9,7 +9,8 @@ and a vector-Jacobian closure; the graph is rebuilt on every forward pass and
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -111,6 +112,25 @@ def constant(data, dtype=None) -> Tensor:
 
 def parameter(data, name: str, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=True, name=name)
+
+
+@contextmanager
+def frozen(tensors: Iterable[Tensor]) -> Iterator[None]:
+    """Treat the given leaves as constants for the duration of the block.
+
+    Ops whose operands are all frozen or constant build no parents and no vjp
+    closure, so no graph is kept for them. On exit ``requires_grad`` is set
+    back on exactly the tensors this block switched off, also when the block
+    raises; leaves that were already off stay off.
+    """
+    flipped = [t for t in tensors if t.requires_grad]
+    for t in flipped:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t in flipped:
+            t.requires_grad = True
 
 
 def _node(data: np.ndarray, op: str, parents: tuple, vjp: Callable) -> Tensor:

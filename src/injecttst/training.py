@@ -178,8 +178,22 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
     lr = {"pretrain": sched.pretrain_lr, "head": sched.head_lr,
           "finetune": sched.finetune_lr}[stage]
     trainable = ["forecast_head"] if stage == "head" else list(params)
+    # the head stage's frozen trunk stays off the graph: its loss graph is
+    # the head matmul and the loss ops alone
+    fixed = [p for k, p in params.items() if k not in trainable]
     opt = OptimState(lr=lr)
     code = _STAGE_CODE[stage]
+
+    def batch_loss(batch: WindowBatch, mask_seed, rng=None) -> Tensor:
+        if stage == "pretrain":
+            return _pretrain_batch_loss(batch, params, cfg, sched.mask_ratio, mask_seed, rng)
+        return _forecast_batch_loss(batch, params, cfg, rng)
+
+    def finite(loss: Tensor, what: str) -> float:
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise TrainingDiverged(f"{what} diverged in stage {stage}, epoch {epoch}")
+        return value
 
     log: list[dict] = []
     best_val = np.inf
@@ -189,30 +203,19 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
         shuffle_rng = np.random.default_rng([sched.seed, code, epoch])
         train_rng = np.random.default_rng([sched.seed, code, epoch, 7])
         train_losses = []
-        for b, batch in enumerate(make_windows(data.train, cfg.L, cfg.T,
-                                               sched.batch_size, shuffle=True,
-                                               rng=shuffle_rng)):
-            if stage == "pretrain":
-                loss = _pretrain_batch_loss(batch, params, cfg, sched.mask_ratio,
-                                            [sched.seed, code, epoch, b], train_rng)
-            else:
-                loss = _forecast_batch_loss(batch, params, cfg, train_rng)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDiverged(f"loss diverged in stage {stage}, epoch {epoch}")
-            grads = nm.grad_table(loss, {k: params[k] for k in trainable})
-            adam_step(params, grads, opt)
-            train_losses.append(value)
+        with nm.frozen(fixed):
+            for b, batch in enumerate(make_windows(data.train, cfg.L, cfg.T,
+                                                   sched.batch_size, shuffle=True,
+                                                   rng=shuffle_rng)):
+                loss = batch_loss(batch, [sched.seed, code, epoch, b], train_rng)
+                train_losses.append(finite(loss, "loss"))
+                grads = nm.grad_table(loss, {k: params[k] for k in trainable})
+                adam_step(params, grads, opt)
 
-        val_losses = []
-        for b, batch in enumerate(make_windows(data.val_ext, cfg.L, cfg.T,
-                                               sched.batch_size)):
-            if stage == "pretrain":
-                loss = _pretrain_batch_loss(batch, params, cfg, sched.mask_ratio,
-                                            [sched.seed, 9, b])
-            else:
-                loss = _forecast_batch_loss(batch, params, cfg)
-            val_losses.append(float(loss.data))
+        with nm.frozen(params.values()):
+            val_losses = [finite(batch_loss(batch, [sched.seed, 9, b]), "validation loss")
+                          for b, batch in enumerate(make_windows(data.val_ext, cfg.L, cfg.T,
+                                                                 sched.batch_size))]
 
         record = {"stage": stage, "epoch": epoch,
                   "train_loss": float(np.mean(train_losses)),
@@ -311,7 +314,10 @@ def evaluate(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
 
     def pairs():
         for batch in make_windows(data.test_ext, cfg.L, cfg.T, batch_size):
-            pred = forward_forecast(batch, params, cfg).data
+            # closed before the yield, so an abandoned generator leaves no
+            # parameter frozen
+            with nm.frozen(params.values()):
+                pred = forward_forecast(batch, params, cfg).data
             yield pred, batch.target.transpose(0, 2, 1)
 
     return _aggregate(pairs(), destats)

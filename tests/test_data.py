@@ -55,6 +55,14 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(str(p))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e39"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    p = tmp_path / "d.csv"
+    p.write_text(f"date,a,b\n1,1.0,2.0\n2,3.0,{cell}\n")
+    with pytest.raises(DataError, match="row 3 .*'b'"):
+        load_csv(str(p))
+
+
 def test_load_csv_requires_date_column(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("time,a\n1,1.0\n")

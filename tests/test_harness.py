@@ -233,6 +233,19 @@ def test_cli_unknown_flag_exits_2(tmp_path, capsys):
     assert cli_main(["baseline", "--config", _write_cfg(tmp_path), "--frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("case", ["unknown-key", "unknown-variant"])
+def test_cli_config_errors_exit_2(tmp_path, capsys, case):
+    cfg_path = _write_cfg(tmp_path)
+    if case == "unknown-key":
+        with open(cfg_path, "a") as fh:
+            fh.write("model.bogus = 1\n")
+        argv = ["baseline", "--config", cfg_path]
+    else:
+        argv = ["pretrain", "--config", cfg_path, "--variant", "bogus"]
+    assert cli_main(argv) == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
 def test_cli_baseline_and_evaluate_happy_path(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     assert cli_main(["baseline", "--config", cfg_path]) == 0

@@ -176,6 +176,40 @@ def test_attention_capture_rows_sum_to_one(rng):
 
 
 # ---------------------------------------------------------------------------
+# frozen
+
+def test_frozen_ops_build_no_graph():
+    w = t([[1.0, 2.0]], req=True)
+    v = t([[1.0]], req=True)
+    with nm.frozen([w]):
+        out = nm.matmul(w, t([[3.0], [4.0]]))
+        mixed = nm.mul(out, v)
+    assert out.parents == () and out._vjp is None and not out.requires_grad
+    np.testing.assert_array_equal(out.data, [[11.0]])
+    # a frozen input next to a trainable one still lets gradients reach it
+    backward(nm.sum_(mixed))
+    np.testing.assert_array_equal(v.grad, [[11.0]])
+    assert w.grad is None
+
+
+def test_frozen_restores_after_exit_exception_and_nesting():
+    a, b, c = t([1.0], req=True), t([2.0], req=True), t([3.0])
+    with nm.frozen([a, c]):
+        assert not a.requires_grad
+    assert a.requires_grad and not c.requires_grad      # a constant stays constant
+    with pytest.raises(KeyError):
+        with nm.frozen([a, b]):
+            raise KeyError("boom")
+    assert a.requires_grad and b.requires_grad
+    with nm.frozen([a]):
+        with nm.frozen([a, b]):
+            assert not a.requires_grad and not b.requires_grad
+        # the inner block restores only what it switched off
+        assert not a.requires_grad and b.requires_grad
+    assert a.requires_grad and b.requires_grad
+
+
+# ---------------------------------------------------------------------------
 # backward
 
 def test_backward_sum_of_squares():

@@ -1,5 +1,6 @@
 """Losses, optimizer, stage runner, evaluation."""
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -134,6 +135,67 @@ def test_head_stage_freezes_trunk():
     assert not np.array_equal(params["forecast_head"].data, head_before)
 
 
+def _reachable_params(loss, params):
+    names = {id(p): k for k, p in params.items()}
+    seen, stack, found = {id(loss)}, [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in names:
+            found.add(names[id(node)])
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return found
+
+
+def test_head_stage_graph_reaches_only_the_head(monkeypatch):
+    data = _splits()
+    params = init_params(TINY, seed=0)
+    reached = []
+    grad_table = nm.grad_table
+
+    def spy(loss, wanted):
+        reached.append(_reachable_params(loss, params))
+        return grad_table(loss, wanted)
+
+    monkeypatch.setattr(nm, "grad_table", spy)
+    run_stage("head", params, TINY, data, StageSchedule(head_epochs=1, batch_size=32, seed=0))
+    assert reached and all(r == {"forecast_head"} for r in reached)
+    assert all(p.requires_grad for p in params.values())
+
+
+def test_frozen_head_stage_matches_full_graph(monkeypatch):
+    data = _splits()
+    sched = StageSchedule(head_epochs=2, batch_size=32, seed=0)
+
+    def run():
+        params = init_params(TINY, seed=0)
+        log = run_stage("head", params, TINY, data, sched)
+        report = evaluate(params, TINY, data)
+        return (params["forecast_head"].data.tobytes(),
+                [(r["train_loss"], r["val_loss"]) for r in log], report.mse)
+
+    frozen_run = run()
+    monkeypatch.setattr(nm, "frozen", contextlib.nullcontext)
+    assert run() == frozen_run
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "head", "finetune"])
+def test_nan_validation_loss_raises(monkeypatch, stage):
+    monkeypatch.setattr(nm, "_debug_checks", False)     # let the NaN reach the loss
+    data = _splits()
+    values = data.val_ext.values.copy()
+    values[-1 - TINY.T, 0] = np.nan                      # last history row of the last window
+    data = replace(data, val_ext=replace(data.val_ext, values=values))
+    params = init_params(TINY, seed=0)
+    sched = StageSchedule(pretrain_epochs=2, head_epochs=2, finetune_epochs=2,
+                          batch_size=32, seed=0)
+    with pytest.raises(TrainingDiverged, match=f"stage {stage}, epoch 1"):
+        run_stage(stage, params, TINY, data, sched)
+    assert all(p.requires_grad for p in params.values())
+
+
 def test_pretrain_loss_decreases_on_sine_data():
     data = _splits(rows=200)
     params = init_params(TINY, seed=0)
@@ -257,6 +319,7 @@ def test_evaluate_destandardized_flag(rng):
     std_report = evaluate(params, TINY, data)
     de_report = evaluate(params, TINY, data, destandardized=True)
     assert std_report.mse != de_report.mse
+    assert all(p.requires_grad for p in params.values())
 
 
 def test_dropout_training_runs_and_is_seeded():
