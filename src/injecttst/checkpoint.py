@@ -14,6 +14,8 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import zlib
 
@@ -27,7 +29,11 @@ FORMAT_VERSION = 1
 
 
 def save_checkpoint(params: dict, path: str) -> None:
-    """Write tensors sorted by name; values accept Tensor or ndarray."""
+    """Write tensors sorted by name; values accept Tensor or ndarray.
+
+    The bytes go to a temporary file beside `path` that is then renamed over
+    it, so a reader never sees a partly written checkpoint.
+    """
     chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(params))]
     for name in sorted(params):
         value = params[name]
@@ -40,13 +46,23 @@ def save_checkpoint(params: dict, path: str) -> None:
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         chunks.append(arr.tobytes(order="C"))
     blob = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Read a checkpoint; verifies magic, version and the trailing CRC."""
+    """Read a checkpoint; verifies magic, version and the trailing CRC.
+
+    Every field is bounds-checked against the body, so a truncated or crafted
+    file raises CheckpointError even when its CRC matches.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 12:
@@ -61,19 +77,34 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     offset = 12
+
+    def take(nbytes: int, what: str) -> int:
+        nonlocal offset
+        if nbytes > len(body) - offset:
+            raise CheckpointError(f"{path}: {what} runs past the end of the file "
+                                  f"({nbytes} bytes at offset {offset})")
+        start, offset = offset, offset + nbytes
+        return start
+
+    # every tensor record holds at least its name length and its rank
+    if count > (len(body) - offset) // 8:
+        raise CheckpointError(f"{path}: tensor count {count} does not fit the file")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        name = body[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}Q", body, offset)
-        offset += 8 * rank
-        n = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(body, dtype="<f4", count=n, offset=offset).reshape(shape)
-        offset += 4 * n
+        (name_len,) = struct.unpack_from("<I", body, take(4, "name length"))
+        start = take(name_len, "tensor name")
+        raw_name = body[start:offset]
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8: {raw_name[:32]!r}") from exc
+        if name in tensors:
+            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+        (rank,) = struct.unpack_from("<I", body, take(4, f"rank of {name!r}"))
+        shape = struct.unpack_from(f"<{rank}Q", body, take(8 * rank, f"shape of {name!r}"))
+        n = math.prod(shape)
+        start = take(4 * n, f"data of {name!r} {shape}")
+        arr = np.frombuffer(body, dtype="<f4", count=n, offset=start).reshape(shape)
         tensors[name] = arr.astype(np.float32)
     if offset != len(body):
         raise CheckpointError(f"{path}: trailing bytes after tensor data")

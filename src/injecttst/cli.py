@@ -17,9 +17,9 @@ from .errors import ConfigError
 from .harness import (BASELINE_VARIANT, ResultRecord, append_record,
                       config_digest, format_table, load_config, load_table,
                       model_config, run_ablation, run_single, schedule,
-                      sweep_history)
+                      sweep_history, variant_flags)
 from .model import init_params
-from .training import evaluate, prepare_data, run_stage
+from .training import evaluate, prepare_data, run_stage, train_log_sink
 
 _COMMON_FLAGS = (
     ("--config", dict(metavar="PATH", required=True, help="run config file")),
@@ -60,7 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> "RunConfig":
     overrides = {"seed": args.seed, "variant": args.variant,
                  "T": args.pred_len, "out": args.out}
-    return load_config(args.config, profile=args.profile, overrides=overrides)
+    rc = load_config(args.config, profile=args.profile, overrides=overrides)
+    if rc.variant != BASELINE_VARIANT:
+        variant_flags(rc.variant)       # an unknown variant is a ConfigError
+    return rc
 
 
 def _results_path(rc) -> str:
@@ -79,7 +82,8 @@ def _run(args) -> int:
         cfg = model_config(rc, table.channels)
         params = init_params(cfg, rc.seed)
         out_dir = os.path.join(rc.out, f"{rc.variant}-T{rc.T}-s{rc.seed}-{config_digest(rc)}")
-        log = run_stage("pretrain", params, cfg, data, schedule(rc), out_dir)
+        log = run_stage("pretrain", params, cfg, data, schedule(rc), out_dir,
+                        train_log_sink(out_dir))
         print(f"pretrain: {len(log)} epochs, checkpoint in {out_dir}")
         return 0
 
@@ -92,8 +96,9 @@ def _run(args) -> int:
             apply_checkpoint(params, load_checkpoint(args.checkpoint))
         out_dir = os.path.join(rc.out, f"{rc.variant}-T{rc.T}-s{rc.seed}-{config_digest(rc)}")
         sched = schedule(rc)
+        sink = train_log_sink(out_dir)
         for stage in ("head", "finetune"):
-            run_stage(stage, params, cfg, data, sched, out_dir)
+            run_stage(stage, params, cfg, data, sched, out_dir, sink)
         report = evaluate(params, cfg, data, rc.batch_size)
         record = ResultRecord(digest=config_digest(rc), variant=rc.variant,
                               L=rc.L, T=rc.T, seed=rc.seed, mse=report.mse,

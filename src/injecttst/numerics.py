@@ -183,7 +183,8 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _node(data, "add", (a, b), vjp)
 
@@ -193,7 +194,8 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                -_unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _node(data, "sub", (a, b), vjp)
 
@@ -203,8 +205,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _node(data, "mul", (a, b), vjp)
 
@@ -219,8 +221,15 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def vjp(g):
-        ga = _unbroadcast_batch(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast_batch(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast_batch(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        if b.requires_grad:
+            if b.data.ndim == 2:
+                # a weight shared by every stacked row: one GEMM over all rows
+                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast_batch(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return ga, gb
 
     return _node(data, "matmul", (a, b), vjp)
@@ -384,8 +393,26 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _as_grad(g: np.ndarray, like: np.ndarray) -> np.ndarray:
+    # numpy reduces a strided array in a different order than a compact one,
+    # so a gradient keeps the dtype and memory layout of the value it belongs
+    # to; it is copied only when the vjp returned another layout or dtype
+    if g.dtype == like.dtype and g.strides == like.strides:
+        return g
+    out = np.empty_like(like)
+    out[...] = g
+    return out
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse-mode pass from a scalar loss; fills ``grad`` on reachable nodes."""
+    """Reverse-mode pass from a scalar loss; fills ``grad`` on reachable leaves.
+
+    A parent's first gradient is kept as the vjp returned it, copied only
+    when its layout or dtype differs from the parent's value; later ones are
+    summed into a new array, never in place, since a stored gradient may be a
+    view shared with another node. Interior gradients are dropped once their
+    vjp has run, so after the pass only leaves hold ``grad``.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     topo = _toposort(loss)
@@ -396,12 +423,14 @@ def backward(loss: Tensor) -> None:
         if node._vjp is None or node.grad is None:
             continue
         grads = node._vjp(node.grad)
+        node.grad = None
         for parent, g in zip(node.parents, grads):
             if not parent.requires_grad or g is None:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+                parent.grad = _as_grad(g, parent.data)
+            else:
+                parent.grad = np.add(parent.grad, g, out=np.empty_like(parent.data))
 
 
 def grad_table(loss: Tensor, params: dict) -> dict:

@@ -237,19 +237,24 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
     return log
 
 
+def train_log_sink(out_dir: str) -> Callable[[dict], None]:
+    """A `run_stage` log sink appending each epoch record to
+    `out_dir/train_log.ndjson`."""
+    os.makedirs(out_dir, exist_ok=True)
+    log_path = os.path.join(out_dir, "train_log.ndjson")
+
+    def sink(record: dict) -> None:
+        with open(log_path, "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+
+    return sink
+
+
 def train_pipeline(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
                    sched: StageSchedule, out_dir: Optional[str] = None) -> list[dict]:
     """Run pretrain -> head -> finetune, appending logs to train_log.ndjson
     when an output directory is given."""
-    sink = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        log_path = os.path.join(out_dir, "train_log.ndjson")
-
-        def sink(record: dict) -> None:
-            with open(log_path, "a") as fh:
-                fh.write(json.dumps(record) + "\n")
-
+    sink = None if out_dir is None else train_log_sink(out_dir)
     log: list[dict] = []
     for stage in STAGES:
         log.extend(run_stage(stage, params, cfg, data, sched, out_dir, sink))

@@ -246,6 +246,28 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case):
     assert "ConfigError" in capsys.readouterr().err
 
 
+def test_cli_baseline_rejects_unknown_variant(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    assert cli_main(["baseline", "--config", cfg_path, "--variant", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "'bogus'" in err
+    assert not os.path.exists(os.path.join(str(tmp_path / "runs"), "results.ndjson"))
+
+
+def test_cli_pretrain_and_finetune_write_one_log_line_per_epoch(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, pretrain_epochs=2, head_epochs=1, finetune_epochs=2)
+    assert cli_main(["pretrain", "--config", cfg_path]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    log_path = run_dir / "train_log.ndjson"
+    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert [(r["stage"], r["epoch"]) for r in records] == [("pretrain", 1), ("pretrain", 2)]
+    assert cli_main(["finetune", "--config", cfg_path]) == 0
+    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert [(r["stage"], r["epoch"]) for r in records][2:] == [
+        ("head", 1), ("finetune", 1), ("finetune", 2)]
+    assert all(np.isfinite(r["train_loss"]) and np.isfinite(r["val_loss"]) for r in records)
+
+
 def test_cli_baseline_and_evaluate_happy_path(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     assert cli_main(["baseline", "--config", cfg_path]) == 0

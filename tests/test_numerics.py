@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import injecttst.numerics as nm
+from injecttst.data import WindowBatch, mask_patches, patchify
 from injecttst.errors import ContractError, ShapeError
+from injecttst.model import ModelConfig, forward_forecast, forward_pretrain, init_params
 from injecttst.numerics import Tensor, backward, grad_check, grad_table
+from injecttst.training import forecast_loss, masked_mse
 
 
 def t(data, req=False):
@@ -252,6 +255,67 @@ def test_forward_deterministic_bitwise(rng):
     assert np.array_equal(pipeline(), pipeline())
 
 
+def test_backward_frees_interior_gradients(rng):
+    x = t(rng.normal(size=(3, 4)), req=True)
+    w = t(rng.normal(size=(4, 2)), req=True)
+    h = nm.matmul(x, w)
+    y = nm.gelu(h)
+    loss = nm.sum_(y * y)
+    backward(loss)
+    assert h.grad is None and y.grad is None and loss.grad is None
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+@pytest.mark.parametrize("op", [nm.matmul, nm.add, nm.mul])
+def test_constant_operand_gets_no_gradient(op, rng):
+    w = t(rng.normal(size=(2, 3, 3)), req=True)
+    c = t(rng.normal(size=(3, 3)))
+    for operands, const_at in (((w, c), 1), ((c, w), 0)):
+        out = op(*operands)
+        grads = out._vjp(np.ones_like(out.data))
+        assert grads[const_at] is None and grads[1 - const_at].shape == w.shape
+        backward(nm.sum_(out))
+        assert c.grad is None and w.grad is not None
+
+
+def test_scalar_constant_factor_gets_no_gradient(rng):
+    scores = t(rng.normal(size=(2, 4, 4)), req=True)
+    out = nm.mul(scores, 0.5)
+    grads = out._vjp(np.ones_like(out.data))
+    assert grads[1] is None
+    np.testing.assert_array_equal(grads[0], np.full(scores.shape, 0.5, dtype=np.float32))
+
+
+def test_parameter_used_twice_gets_exactly_twice_the_gradient(rng):
+    x = t(rng.normal(size=(2, 5, 4)))
+    c = t(rng.normal(size=(2, 5, 3)))
+    w = t(rng.normal(size=(4, 3)), req=True)
+    backward(nm.sum_(nm.matmul(x, w) * c))
+    once = w.grad
+    backward(nm.sum_((nm.matmul(x, w) + nm.matmul(x, w)) * c))
+    np.testing.assert_array_equal(w.grad, 2 * once)
+
+
+@pytest.mark.parametrize("mix_mode", ["pat", "cat"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grad_table_matches_parameter_shape_and_dtype(dtype, mix_mode, rng):
+    cfg = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2, ci_layers=1,
+                      mix_layers=1, mix_mode=mix_mode)
+    params = init_params(cfg, 0, dtype=dtype)
+    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype)
+    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype),
+                        last_values=hist[:, -1, :].copy())
+    ps = patchify(hist, cfg.PL, cfg.S)
+    masked = mask_patches(ps, 0.5, seed=0)
+    losses = (forecast_loss(forward_forecast(batch, params, cfg), batch.target.transpose(0, 2, 1)),
+              masked_mse(forward_pretrain(masked, params, cfg), ps.patches, masked.mask))
+    for loss in losses:
+        grads = grad_table(loss, params)
+        for name, p in params.items():
+            assert grads[name].shape == p.data.shape, name
+            assert grads[name].dtype == p.data.dtype, name
+
+
 # ---------------------------------------------------------------------------
 # grad_check
 
@@ -271,6 +335,21 @@ def test_grad_check_cross_attention_composition(rng):
     def f(p):
         out = nm.scaled_dot_attention(p["q"], p["k"], p["v"])
         return nm.sum_(out * out)
+
+    assert grad_check(f, params, h=1e-3) < 1e-5
+
+
+def test_grad_check_weight_shared_by_3d_and_4d_stacks(rng):
+    params = {
+        "x3": Tensor(rng.normal(size=(2, 5, 4)).astype(np.float32), requires_grad=True),
+        "x4": Tensor(rng.normal(size=(3, 2, 5, 4)).astype(np.float32), requires_grad=True),
+        "w": Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True),
+    }
+
+    def f(p):
+        y3 = nm.matmul(p["x3"], p["w"])
+        y4 = nm.matmul(p["x4"], p["w"])
+        return nm.sum_(y3 * y3) + nm.sum_(nm.gelu(y4))
 
     assert grad_check(f, params, h=1e-3) < 1e-5
 
