@@ -14,12 +14,10 @@ from typing import Optional
 
 from .checkpoint import apply_checkpoint, load_checkpoint
 from .errors import ConfigError
-from .harness import (BASELINE_VARIANT, ResultRecord, append_record,
-                      config_digest, format_table, load_config, load_table,
-                      model_config, run_ablation, run_single, schedule,
-                      sweep_history, variant_flags)
-from .model import init_params
-from .training import evaluate, prepare_data, run_stage, train_log_sink
+from .harness import (BASELINE_VARIANT, append_records, format_table,
+                      load_config, result_record, run_ablation, run_single,
+                      schedule, setup_experiment, sweep_history, variant_flags)
+from .training import evaluate, run_stage, train_log_sink
 
 _COMMON_FLAGS = (
     ("--config", dict(metavar="PATH", required=True, help="run config file")),
@@ -66,8 +64,12 @@ def _load(args) -> "RunConfig":
     return rc
 
 
-def _results_path(rc) -> str:
-    return os.path.join(rc.out, "results.ndjson")
+def _report(rc, records: list) -> int:
+    """Append the records to `<out>/results.ndjson` and print their table;
+    the exit code is 1 when any of them failed."""
+    append_records(os.path.join(rc.out, "results.ndjson"), records)
+    print(format_table(records))
+    return 0 if all(r.status == "ok" for r in records) else 1
 
 
 def _run(args) -> int:
@@ -77,73 +79,39 @@ def _run(args) -> int:
     rc = _load(args)
 
     if args.command == "pretrain":
-        table = load_table(rc)
-        data = prepare_data(table, rc.L, rc.split_mode, rc.standardize)
-        cfg = model_config(rc, table.channels)
-        params = init_params(cfg, rc.seed)
-        out_dir = os.path.join(rc.out, f"{rc.variant}-T{rc.T}-s{rc.seed}-{config_digest(rc)}")
+        cfg, params, data, out_dir = setup_experiment(rc)
         log = run_stage("pretrain", params, cfg, data, schedule(rc), out_dir,
                         train_log_sink(out_dir))
         print(f"pretrain: {len(log)} epochs, checkpoint in {out_dir}")
         return 0
 
-    if args.command == "finetune":
-        table = load_table(rc)
-        data = prepare_data(table, rc.L, rc.split_mode, rc.standardize)
-        cfg = model_config(rc, table.channels)
-        params = init_params(cfg, rc.seed)
-        if args.checkpoint:
+    if args.command in ("finetune", "evaluate"):
+        cfg, params, data, out_dir = setup_experiment(rc)
+        if args.checkpoint is not None:
             apply_checkpoint(params, load_checkpoint(args.checkpoint))
-        out_dir = os.path.join(rc.out, f"{rc.variant}-T{rc.T}-s{rc.seed}-{config_digest(rc)}")
-        sched = schedule(rc)
-        sink = train_log_sink(out_dir)
-        for stage in ("head", "finetune"):
-            run_stage(stage, params, cfg, data, sched, out_dir, sink)
+        log = []
+        checkpoint = args.checkpoint
+        if args.command == "finetune":
+            sched, sink = schedule(rc), train_log_sink(out_dir)
+            for stage in ("head", "finetune"):
+                log += run_stage(stage, params, cfg, data, sched, out_dir, sink)
+            checkpoint = os.path.join(out_dir, "stage-finetune-best.ckpt")
         report = evaluate(params, cfg, data, rc.batch_size)
-        record = ResultRecord(digest=config_digest(rc), variant=rc.variant,
-                              L=rc.L, T=rc.T, seed=rc.seed, mse=report.mse,
-                              mae=report.mae,
-                              epochs_run=rc.head_epochs + rc.finetune_epochs,
-                              seconds=report.seconds,
-                              checkpoint=os.path.join(out_dir, "stage-finetune-best.ckpt"))
-        append_record(_results_path(rc), record)
-        print(format_table([record]))
-        return 0
-
-    if args.command == "evaluate":
-        table = load_table(rc)
-        data = prepare_data(table, rc.L, rc.split_mode, rc.standardize)
-        cfg = model_config(rc, table.channels)
-        params = init_params(cfg, rc.seed)
-        apply_checkpoint(params, load_checkpoint(args.checkpoint))
-        report = evaluate(params, cfg, data, rc.batch_size)
-        record = ResultRecord(digest=config_digest(rc), variant=rc.variant,
-                              L=rc.L, T=rc.T, seed=rc.seed, mse=report.mse,
-                              mae=report.mae, epochs_run=0,
-                              seconds=report.seconds, checkpoint=args.checkpoint)
-        append_record(_results_path(rc), record)
-        print(format_table([record]))
-        return 0
+        return _report(rc, [result_record(rc, report, log, checkpoint)])
 
     if args.command == "ablate":
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
         horizons = ([int(h) for h in args.horizons.split(",")]
                     if args.horizons else [rc.T])
-        records = run_ablation(variants, horizons, rc, _results_path(rc))
-        print(format_table(records))
-        return 0 if all(r.status == "ok" for r in records) else 1
+        return _report(rc, run_ablation(variants, horizons, rc))
 
     if args.command == "sweep-history":
         lengths = [int(x) for x in args.lengths.split(",") if x.strip()]
-        records = sweep_history(lengths, rc, _results_path(rc))
-        print(format_table(records))
-        return 0 if all(r.status == "ok" for r in records) else 1
+        return _report(rc, sweep_history(lengths, rc))
 
     if args.command == "baseline":
         record, _ = run_single(replace(rc, variant=BASELINE_VARIANT))
-        append_record(_results_path(rc), record)
-        print(format_table([record]))
-        return 0
+        return _report(rc, [record])
 
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -13,7 +13,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .data import SeriesTable, load_csv
 from .errors import ConfigError
 from .model import ModelConfig, init_params
 from .synthetic import dataset_from_spec
-from .training import (DataSplits, EvalReport, StageSchedule, evaluate,
+from .training import (STAGES, DataSplits, EvalReport, StageSchedule, evaluate,
                        evaluate_persistence, prepare_data, train_pipeline)
 
 VARIANT_FLAGS: dict[str, dict] = {
@@ -62,8 +62,6 @@ class RunConfig:
     mix_layers: int = 1
     ffn_mult: int = 2
     dropout: float = 0.0
-    pre_norm: bool = False
-    share_cid: bool = True
     pretrain_epochs: int = 20
     head_epochs: int = 10
     finetune_epochs: int = 100
@@ -93,8 +91,6 @@ _FIELD_KEYS = {
     "mix_layers": ("model.mix_layers", int),
     "ffn_mult": ("model.ffn_mult", int),
     "dropout": ("model.dropout", float),
-    "pre_norm": ("model.pre_norm", None),
-    "share_cid": ("model.share_cid", None),
     "pretrain_epochs": ("train.pretrain_epochs", int),
     "head_epochs": ("train.head_epochs", int),
     "finetune_epochs": ("train.finetune_epochs", int),
@@ -132,8 +128,8 @@ def serialize_config(rc: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse dotted-key text; unknown keys are rejected."""
+def _parse_fields(text: str) -> dict[str, object]:
+    """Dotted-key text -> {RunConfig field: value}; unknown keys are rejected."""
     values: dict[str, object] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -148,7 +144,12 @@ def parse_config(text: str) -> RunConfig:
         field, conv = _KEY_FIELDS[key]
         raw = raw.strip()
         values[field] = _parse_bool(raw) if conv is None else conv(raw)
-    return RunConfig(**values)
+    return values
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse dotted-key text; unknown keys are rejected."""
+    return RunConfig(**_parse_fields(text))
 
 
 def load_config(path: str, profile: Optional[str] = None,
@@ -156,33 +157,15 @@ def load_config(path: str, profile: Optional[str] = None,
     """Load a run config, layering profile defaults under the file's values
     and CLI overrides on top."""
     with open(path) as fh:
-        rc = parse_config(fh.read())
-    chosen = profile or rc.profile
+        values = _parse_fields(fh.read())
+    chosen = profile or values.get("profile", RunConfig.profile)
     if chosen not in PROFILES:
         raise ConfigError(f"unknown profile {chosen!r}; choices: {sorted(PROFILES)}")
     # profile supplies schedule defaults; explicit file/flag values win
-    file_keys = _explicit_keys(path)
-    updates: dict[str, object] = {"profile": chosen}
-    for field, value in PROFILES[chosen].items():
-        if field not in file_keys:
-            updates[field] = value
-    rc = replace(rc, **updates)
+    rc = RunConfig(**{**PROFILES[chosen], **values, "profile": chosen})
     if overrides:
         rc = replace(rc, **{k: v for k, v in overrides.items() if v is not None})
     return rc
-
-
-def _explicit_keys(path: str) -> set[str]:
-    fields = set()
-    with open(path) as fh:
-        for raw_line in fh:
-            line = raw_line.split("#", 1)[0].strip()
-            if not line or "=" not in line:
-                continue
-            key = line.partition("=")[0].strip()
-            if key in _KEY_FIELDS:
-                fields.add(_KEY_FIELDS[key][0])
-    return fields
 
 
 def config_digest(rc: RunConfig) -> str:
@@ -200,8 +183,7 @@ def model_config(rc: RunConfig, M: int) -> ModelConfig:
     return ModelConfig(L=rc.L, T=rc.T, M=M, PL=rc.PL, S=rc.S, D=rc.D,
                        heads=rc.heads, ci_layers=rc.ci_layers,
                        mix_layers=rc.mix_layers, ffn_mult=rc.ffn_mult,
-                       dropout=rc.dropout, pre_norm=rc.pre_norm,
-                       share_cid=rc.share_cid, **variant_flags(rc.variant))
+                       dropout=rc.dropout, **variant_flags(rc.variant))
 
 
 def schedule(rc: RunConfig) -> StageSchedule:
@@ -238,11 +220,26 @@ class ResultRecord:
         return json.dumps(dataclasses.asdict(self))
 
 
-def append_record(path: str, record: ResultRecord) -> None:
+def result_record(rc: RunConfig, report: Optional[EvalReport] = None,
+                  log: Sequence[dict] = (), checkpoint: str = "",
+                  error: str = "") -> ResultRecord:
+    """The record of one run: `log` holds its training epochs, whose seconds
+    count toward the wall time together with the evaluation's. A run without
+    a report failed with `error`."""
+    nan = float("nan")
+    seconds = sum(rec["seconds"] for rec in log) + (report.seconds if report else 0.0)
+    return ResultRecord(digest=config_digest(rc), variant=rc.variant, L=rc.L, T=rc.T,
+                        seed=rc.seed, mse=report.mse if report else nan,
+                        mae=report.mae if report else nan, epochs_run=len(log),
+                        seconds=round(seconds, 3), checkpoint=checkpoint,
+                        status="ok" if report else "failed", error=error)
+
+
+def append_records(path: str, records: list[ResultRecord]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "a") as fh:
-        fh.write(record.to_json() + "\n")
-        fh.flush()
+        for record in records:
+            fh.write(record.to_json() + "\n")
 
 
 def format_table(records: list[ResultRecord]) -> str:
@@ -256,44 +253,49 @@ def format_table(records: list[ResultRecord]) -> str:
 
 
 def _final_checkpoint(out_dir: str, sched: StageSchedule) -> str:
-    for stage, epochs in (("finetune", sched.finetune_epochs),
-                          ("head", sched.head_epochs),
-                          ("pretrain", sched.pretrain_epochs)):
-        if epochs > 0:
+    for stage in reversed(STAGES):
+        if getattr(sched, f"{stage}_epochs") > 0:
             return os.path.join(out_dir, f"stage-{stage}-best.ckpt")
     return ""
 
 
-def run_single(rc: RunConfig, table: Optional[SeriesTable] = None,
-               data: Optional[DataSplits] = None,
-               out_dir: Optional[str] = None) -> tuple[ResultRecord, EvalReport]:
-    """Train and evaluate one variant under one config."""
+def run_dir(rc: RunConfig) -> str:
+    """The directory a run's checkpoints and training log go to."""
+    return os.path.join(rc.out, f"{rc.variant}-T{rc.T}-s{rc.seed}-{config_digest(rc)}")
+
+
+def _splits(rc: RunConfig, table: Optional[SeriesTable],
+            data: Optional[DataSplits]) -> DataSplits:
+    if data is not None:
+        return data
     if table is None:
         table = load_table(rc)
-    if data is None:
-        data = prepare_data(table, rc.L, rc.split_mode, rc.standardize)
-    digest = config_digest(rc)
-    if out_dir is None:
-        out_dir = os.path.join(rc.out, f"{rc.variant}-T{rc.T}-s{rc.seed}-{digest}")
+    return prepare_data(table, rc.L, rc.split_mode, rc.standardize)
 
+
+def setup_experiment(rc: RunConfig, table: Optional[SeriesTable] = None,
+                     data: Optional[DataSplits] = None
+                     ) -> tuple[ModelConfig, dict, DataSplits, str]:
+    """Model config, freshly initialised params, data splits and run
+    directory of a config. Given splits are used as they are; otherwise they
+    are prepared from `table`, loaded from `rc.data_path` when absent."""
+    data = _splits(rc, table, data)
+    cfg = model_config(rc, data.train.channels)
+    return cfg, init_params(cfg, rc.seed), data, run_dir(rc)
+
+
+def run_single(rc: RunConfig, table: Optional[SeriesTable] = None,
+               data: Optional[DataSplits] = None) -> tuple[ResultRecord, EvalReport]:
+    """Train and evaluate one variant under one config."""
     if rc.variant == BASELINE_VARIANT:
-        report = evaluate_persistence(data, rc.L, rc.T, rc.batch_size)
-        record = ResultRecord(digest=digest, variant=rc.variant, L=rc.L, T=rc.T,
-                              seed=rc.seed, mse=report.mse, mae=report.mae,
-                              epochs_run=0, seconds=report.seconds, checkpoint="")
-        return record, report
+        report = evaluate_persistence(_splits(rc, table, data), rc.L, rc.T, rc.batch_size)
+        return result_record(rc, report), report
 
-    cfg = model_config(rc, table.channels)
+    cfg, params, data, out_dir = setup_experiment(rc, table, data)
     sched = schedule(rc)
-    params = init_params(cfg, rc.seed)
     log = train_pipeline(params, cfg, data, sched, out_dir)
     report = evaluate(params, cfg, data, rc.batch_size)
-    seconds = round(sum(rec["seconds"] for rec in log) + report.seconds, 3)
-    record = ResultRecord(digest=digest, variant=rc.variant, L=rc.L, T=rc.T,
-                          seed=rc.seed, mse=report.mse, mae=report.mae,
-                          epochs_run=len(log), seconds=seconds,
-                          checkpoint=_final_checkpoint(out_dir, sched))
-    return record, report
+    return result_record(rc, report, log, _final_checkpoint(out_dir, sched)), report
 
 
 def _ablation_entry(args: tuple) -> ResultRecord:
@@ -301,16 +303,12 @@ def _ablation_entry(args: tuple) -> ResultRecord:
     try:
         record, _ = run_single(rc, table, data)
     except Exception as exc:  # record the failure, keep the matrix running
-        record = ResultRecord(digest=config_digest(rc), variant=rc.variant,
-                              L=rc.L, T=rc.T, seed=rc.seed,
-                              mse=float("nan"), mae=float("nan"), epochs_run=0,
-                              seconds=0.0, checkpoint="", status="failed",
-                              error=f"{type(exc).__name__}: {exc}")
+        record = result_record(rc, error=f"{type(exc).__name__}: {exc}")
     return record
 
 
-def run_ablation(variants: list[str], horizons: list[int], base: RunConfig,
-                 results_path: Optional[str] = None) -> list[ResultRecord]:
+def run_ablation(variants: list[str], horizons: list[int],
+                 base: RunConfig) -> list[ResultRecord]:
     """Train/evaluate every (variant, horizon) cell under the base config.
 
     The data pipeline is shared across variants; per-cell failures become
@@ -332,23 +330,16 @@ def run_ablation(variants: list[str], horizons: list[int], base: RunConfig,
     for T in horizons:
         data = prepare_data(table, base.L, base.split_mode, base.standardize)
         for tag in variants:
-            tasks.append((replace(base, variant=tag, T=T), table, data))
+            tasks.append((replace(base, variant=tag, T=T), None, data))
 
     workers = int(os.environ.get("INJECTTST_THREADS", "1"))
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            records = list(pool.map(_ablation_entry, tasks))
-    else:
-        records = [_ablation_entry(task) for task in tasks]
-
-    if results_path:
-        for record in records:
-            append_record(results_path, record)
-    return records
+            return list(pool.map(_ablation_entry, tasks))
+    return [_ablation_entry(task) for task in tasks]
 
 
-def sweep_history(lengths: list[int], base: RunConfig,
-                  results_path: Optional[str] = None) -> list[ResultRecord]:
+def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
     """One full pipeline per history length; the patch count follows L."""
     if not lengths:
         raise ConfigError("sweep requires at least one history length")
@@ -360,7 +351,4 @@ def sweep_history(lengths: list[int], base: RunConfig,
     for L in lengths:
         rc = replace(base, L=L)
         records.append(_ablation_entry((rc, table, None)))
-    if results_path:
-        for record in records:
-            append_record(results_path, record)
     return records

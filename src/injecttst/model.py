@@ -36,10 +36,8 @@ class ModelConfig:
     sca_residual: bool = False
     use_channel_identifier: bool = True
     use_global_injection: bool = True
-    share_cid: bool = True          # reuse the channel identifier in the cat mixer
     ffn_mult: int = 2
     dropout: float = 0.0
-    pre_norm: bool = False
 
     def __post_init__(self):
         if self.D % self.heads != 0:
@@ -103,8 +101,6 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Tens
     normal("chan_embed", (cfg.M, cfg.D))
     mix_rows = cfg.L if cfg.mix_mode == "cat" else cfg.M * cfg.PL
     uniform("mix_proj", mix_rows, cfg.D)
-    if cfg.mix_mode == "cat" and not cfg.share_cid:
-        normal("mix_chan_embed", (cfg.M, cfg.D))
     for i in range(cfg.ci_layers):
         encoder_layer(f"ci.{i}.")
     for i in range(cfg.mix_layers):
@@ -140,11 +136,18 @@ def _merge_heads(x: Tensor) -> Tensor:
     return nm.reshape(nm.transpose(x, perm), (*lead, s, h * dh))
 
 
-def _self_attention(x: Tensor, params: dict, prefix: str, cfg: ModelConfig,
-                    capture: Optional[list]) -> Tensor:
-    q = _split_heads(_linear(x, params, f"{prefix}attn.wq", f"{prefix}attn.bq"), cfg.heads)
-    k = _split_heads(_linear(x, params, f"{prefix}attn.wk", f"{prefix}attn.bk"), cfg.heads)
-    v = _split_heads(_linear(x, params, f"{prefix}attn.wv", f"{prefix}attn.bv"), cfg.heads)
+def _attention(x_q: Tensor, x_kv: Tensor, params: dict, prefix: str, cfg: ModelConfig,
+               capture: Optional[list]) -> Tensor:
+    """Multi-head attention of the `x_q` tokens over the `x_kv` tokens. A
+    context with fewer leading axes than the queries (the global tokens in
+    the injection block) gets broadcast axes after its batch axis."""
+    q = _split_heads(_linear(x_q, params, f"{prefix}attn.wq", f"{prefix}attn.bq"), cfg.heads)
+    k = _split_heads(_linear(x_kv, params, f"{prefix}attn.wk", f"{prefix}attn.bk"), cfg.heads)
+    v = _split_heads(_linear(x_kv, params, f"{prefix}attn.wv", f"{prefix}attn.bv"), cfg.heads)
+    extra = (1,) * (q.data.ndim - k.data.ndim)
+    if extra:
+        k = nm.reshape(k, k.shape[:1] + extra + k.shape[1:])
+        v = nm.reshape(v, v.shape[:1] + extra + v.shape[1:])
     out = nm.scaled_dot_attention(q, k, v, capture=capture)
     return _linear(_merge_heads(out), params, f"{prefix}attn.wo", f"{prefix}attn.bo")
 
@@ -158,19 +161,16 @@ def _norm(x: Tensor, params: dict, name: str) -> Tensor:
     return nm.layer_norm(x, params[f"{name}.g"], params[f"{name}.b"])
 
 
+def _drop(t: Tensor, cfg: ModelConfig, rng) -> Tensor:
+    # rng present = training mode; evaluation runs with dropout disabled
+    return nm.dropout(t, cfg.dropout, rng) if rng is not None else t
+
+
 def _encoder_layer(x: Tensor, params: dict, prefix: str, cfg: ModelConfig,
                    capture: Optional[list], rng) -> Tensor:
-    # rng present = training mode; evaluation runs with dropout disabled
-    def drop(t: Tensor) -> Tensor:
-        return nm.dropout(t, cfg.dropout, rng) if rng is not None else t
-
-    if cfg.pre_norm:
-        x = x + drop(_self_attention(_norm(x, params, f"{prefix}norm1"), params, prefix, cfg, capture))
-        x = x + drop(_ffn(_norm(x, params, f"{prefix}norm2"), params, prefix))
-        return x
-    x = _norm(x + drop(_self_attention(x, params, prefix, cfg, capture)), params, f"{prefix}norm1")
-    x = _norm(x + drop(_ffn(x, params, prefix)), params, f"{prefix}norm2")
-    return x
+    x = _norm(x + _drop(_attention(x, x, params, prefix, cfg, capture), cfg, rng),
+              params, f"{prefix}norm1")
+    return _norm(x + _drop(_ffn(x, params, prefix), cfg, rng), params, f"{prefix}norm2")
 
 
 def _encoder(x: Tensor, params: dict, group: str, layers: int, cfg: ModelConfig,
@@ -215,8 +215,7 @@ def global_mix_cat(history: np.ndarray, params: dict, cfg: ModelConfig,
     x = nm.constant(history.transpose(0, 2, 1), params_dtype(params))   # (B, M, L)
     mixed = nm.matmul(x, params["mix_proj"])                            # (B, M, D)
     if cfg.use_channel_identifier:
-        cid = params["chan_embed"] if cfg.share_cid else params["mix_chan_embed"]
-        mixed = mixed + cid
+        mixed = mixed + params["chan_embed"]
     capture = trace.attn if trace is not None else None
     return _encoder(mixed, params, "mix", cfg.mix_layers, cfg, capture, rng)
 
@@ -249,21 +248,10 @@ def sca_inject(z_ci: Tensor, z_glb: Tensor, params: dict, cfg: ModelConfig,
         raise ConfigError(f"global tokens {z_glb.shape} do not match mix_mode="
                           f"{cfg.mix_mode!r} (expected {(B, expected_ctx, D)})")
 
-    def drop(t: Tensor) -> Tensor:
-        return nm.dropout(t, cfg.dropout, rng) if rng is not None else t
-
-    q = _split_heads(_linear(z_ci, params, "sca.attn.wq", "sca.attn.bq"), cfg.heads)
-    k = _split_heads(_linear(z_glb, params, "sca.attn.wk", "sca.attn.bk"), cfg.heads)
-    v = _split_heads(_linear(z_glb, params, "sca.attn.wv", "sca.attn.bv"), cfg.heads)
-    # insert a channel axis so the (B, H, ctx, dh) context broadcasts per channel
-    k = nm.reshape(k, (B, 1) + k.shape[1:])
-    v = nm.reshape(v, (B, 1) + v.shape[1:])
     capture = trace.attn if trace is not None else None
-    attended = nm.scaled_dot_attention(q, k, v, capture=capture)
-    attended = drop(_linear(_merge_heads(attended), params, "sca.attn.wo", "sca.attn.bo"))
-
+    attended = _drop(_attention(z_ci, z_glb, params, "sca.", cfg, capture), cfg, rng)
     h = _norm(z_ci + attended if cfg.sca_residual else attended, params, "sca.norm1")
-    return _norm(h + drop(_ffn(h, params, "sca.")), params, "sca.norm2")
+    return _norm(h + _drop(_ffn(h, params, "sca."), cfg, rng), params, "sca.norm2")
 
 
 def forecast_head(z_out: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
@@ -285,6 +273,35 @@ def _trace_set(trace: Optional[ForwardTrace], **kv) -> None:
         setattr(trace, key, val.data if isinstance(val, Tensor) else val)
 
 
+def normalize_last_value(batch: WindowBatch, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract each window's final history value per channel; returns the
+    normalized (B, L, M) history and the (B, M) last values."""
+    history = batch.history.astype(dtype, copy=False)
+    last = batch.last_values.astype(dtype, copy=False)
+    return history - last[:, None, :], last
+
+
+def _trunk(ps: PatchSet, seq: Optional[np.ndarray], params: dict, cfg: ModelConfig,
+           trace: Optional[ForwardTrace], rng) -> Tensor:
+    """Patch embedding, channel-independent encoding, then global mixing and
+    injection when enabled. `seq` is the (B, L, M) sequence behind `ps`,
+    consumed only by the cat mixer; None rebuilds it from the patches."""
+    tokens = embed_patches(ps, params, cfg)
+    z_ci = ci_encode(tokens, params, cfg, trace, rng)
+    z_out = z_ci
+    if cfg.use_global_injection:
+        if cfg.mix_mode == "cat":
+            if seq is None:
+                seq = sequence_from_patches(ps, cfg.L)
+            z_glb = global_mix_cat(seq, params, cfg, trace, rng)
+        else:
+            z_glb = global_mix_pat(ps, params, cfg, trace, rng)
+        z_out = sca_inject(z_ci, z_glb, params, cfg, trace, rng)
+        _trace_set(trace, z_glb=z_glb)
+    _trace_set(trace, tokens=tokens, z_ci=z_ci, z_out=z_out)
+    return z_out
+
+
 def forward_forecast(batch: WindowBatch, params: dict, cfg: ModelConfig,
                      trace: Optional[ForwardTrace] = None, rng=None) -> Tensor:
     """Full forecasting pass with last-value normalization.
@@ -297,25 +314,9 @@ def forward_forecast(batch: WindowBatch, params: dict, cfg: ModelConfig,
     if (L, M) != (cfg.L, cfg.M):
         raise ShapeError(f"batch history {batch.history.shape} inconsistent with "
                          f"config (L={cfg.L}, M={cfg.M})")
-    dtype = params_dtype(params)
-    history = batch.history.astype(dtype, copy=False)
-    last = batch.last_values.astype(dtype, copy=False)
-    history_n = history - last[:, None, :]
-
+    history_n, last = normalize_last_value(batch, params_dtype(params))
     ps = patchify(history_n, cfg.PL, cfg.S)
-    tokens = embed_patches(ps, params, cfg)
-    z_ci = ci_encode(tokens, params, cfg, trace, rng)
-    if cfg.use_global_injection:
-        if cfg.mix_mode == "cat":
-            z_glb = global_mix_cat(history_n, params, cfg, trace, rng)
-        else:
-            z_glb = global_mix_pat(ps, params, cfg, trace, rng)
-        z_out = sca_inject(z_ci, z_glb, params, cfg, trace, rng)
-        _trace_set(trace, z_glb=z_glb)
-    else:
-        z_out = z_ci
-    _trace_set(trace, tokens=tokens, z_ci=z_ci, z_out=z_out)
-    pred = forecast_head(z_out, params, cfg)
+    pred = forecast_head(_trunk(ps, history_n, params, cfg, trace, rng), params, cfg)
     return pred + nm.constant(last[:, :, None])                         # (B, M, T)
 
 
@@ -324,17 +325,5 @@ def forward_pretrain(masked: PatchSet, params: dict, cfg: ModelConfig,
     """Reconstruction pass over a masked PatchSet (already last-value
     normalized). The global branch consumes the same masked inputs; for the
     cat mixer the masked sequence is rebuilt from the patches."""
-    tokens = embed_patches(masked, params, cfg)
-    z_ci = ci_encode(tokens, params, cfg, trace, rng)
-    if cfg.use_global_injection:
-        if cfg.mix_mode == "cat":
-            masked_seq = sequence_from_patches(masked, cfg.L)
-            z_glb = global_mix_cat(masked_seq, params, cfg, trace, rng)
-        else:
-            z_glb = global_mix_pat(masked, params, cfg, trace, rng)
-        z_out = sca_inject(z_ci, z_glb, params, cfg, trace, rng)
-        _trace_set(trace, z_glb=z_glb)
-    else:
-        z_out = z_ci
-    _trace_set(trace, tokens=tokens, z_ci=z_ci, z_out=z_out)
+    z_out = _trunk(masked, None, params, cfg, trace, rng)
     return pretrain_head(z_out, params, cfg)                            # (B, M, PN, PL)

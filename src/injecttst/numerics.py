@@ -166,18 +166,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _unbroadcast_batch(g: np.ndarray, shape: tuple) -> np.ndarray:
-    # matmul variant: the trailing two axes always match, only stacked
-    # batch axes may have been broadcast.
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i in range(g.ndim - 2) if shape[i] == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
     data = a.data + b.data
@@ -223,13 +211,13 @@ def matmul(a, b) -> Tensor:
     def vjp(g):
         ga = gb = None
         if a.requires_grad:
-            ga = _unbroadcast_batch(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
         if b.requires_grad:
             if b.data.ndim == 2:
                 # a weight shared by every stacked row: one GEMM over all rows
                 gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = _unbroadcast_batch(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return ga, gb
 
     return _node(data, "matmul", (a, b), vjp)

@@ -17,11 +17,11 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import save_checkpoint
-from .data import (SeriesTable, WindowBatch, make_windows, mask_patches,
-                   patchify, split, standardize, with_history)
+from .data import (SeriesTable, WindowBatch, destandardize, make_windows,
+                   mask_patches, patchify, split, standardize, with_history)
 from .errors import ContractError, SizingError, TrainingDiverged
 from .model import (ModelConfig, forward_forecast, forward_pretrain,
-                    params_dtype)
+                    normalize_last_value, params_dtype)
 from .numerics import Tensor
 
 STAGES = ("pretrain", "head", "finetune")
@@ -145,9 +145,7 @@ def _target_bmt(batch: WindowBatch, dtype) -> np.ndarray:
 
 def _pretrain_batch_loss(batch: WindowBatch, params: dict, cfg: ModelConfig,
                          ratio: float, mask_seed, rng=None) -> Tensor:
-    dtype = params_dtype(params)
-    history = batch.history.astype(dtype, copy=False)
-    history_n = history - batch.last_values.astype(dtype, copy=False)[:, None, :]
+    history_n, _ = normalize_last_value(batch, params_dtype(params))
     ps = patchify(history_n, cfg.PL, cfg.S)
     masked = mask_patches(ps, ratio, mask_seed)
     reconstruction = forward_pretrain(masked, params, cfg, rng=rng)
@@ -171,12 +169,10 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
     epoch. Returns the per-epoch log records."""
     if stage not in STAGES:
         raise ContractError(f"unknown stage {stage!r}")
-    epochs = {"pretrain": sched.pretrain_epochs, "head": sched.head_epochs,
-              "finetune": sched.finetune_epochs}[stage]
+    epochs = getattr(sched, f"{stage}_epochs")
     if epochs == 0:
         return []
-    lr = {"pretrain": sched.pretrain_lr, "head": sched.head_lr,
-          "finetune": sched.finetune_lr}[stage]
+    lr = getattr(sched, f"{stage}_lr")
     trainable = ["forecast_head"] if stage == "head" else list(params)
     # the head stage's frozen trunk stays off the graph: its loss graph is
     # the head matmul and the loss ops alone
@@ -288,8 +284,8 @@ def _aggregate(pred_target_pairs, destats=None) -> EvalReport:
     for pred, target in pred_target_pairs:                    # both (B, M, T)
         if destats is not None:
             mean, std = destats
-            pred = pred * std[None, :, None] + mean[None, :, None]
-            target = target * std[None, :, None] + mean[None, :, None]
+            pred = destandardize(pred, mean[:, None], std[:, None])
+            target = destandardize(target, mean[:, None], std[:, None])
         err = (pred.astype(np.float64) - target.astype(np.float64))
         if sq_sum is None:
             M, T = err.shape[1], err.shape[2]

@@ -331,8 +331,7 @@ def test_criterion_9_ablation_matrix(tmp_path):
                      ci_layers=1, mix_layers=1,
                      pretrain_epochs=1, head_epochs=1, finetune_epochs=1,
                      batch_size=64, seed=0, out=str(tmp_path))
-    records = run_ablation(variants, horizons, base,
-                           str(tmp_path / "results.ndjson"))
+    records = run_ablation(variants, horizons, base)
     cells = {(r.variant, r.T) for r in records}
     complete = (len(records) == len(variants) * len(horizons)
                 and all(r.status == "ok" for r in records)

@@ -10,7 +10,7 @@ import pytest
 from injecttst.cli import main as cli_main
 from injecttst.errors import ConfigError
 from injecttst.harness import (BASELINE_VARIANT, VARIANT_FLAGS, RunConfig,
-                               config_digest, load_config, model_config,
+                               append_records, config_digest, load_config, model_config,
                                parse_config, run_ablation, run_single,
                                serialize_config, sweep_history, variant_flags)
 from injecttst.model import ModelConfig
@@ -39,9 +39,12 @@ def test_config_digest_ignores_key_order():
     assert config_digest(parse_config(text)) == config_digest(parse_config(reordered))
 
 
-def test_config_rejects_unknown_key():
+@pytest.mark.parametrize("line", ["model.depth = 4", "model.pre_norm = true",
+                                  "model.share_cid = false"],
+                         ids=["depth", "pre_norm", "share_cid"])
+def test_config_rejects_unknown_key(line):
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_config("model.depth = 4\n")
+        parse_config(line + "\n")
 
 
 def test_config_comments_and_blanks():
@@ -148,7 +151,8 @@ def test_ablation_rejects_duplicates_and_unknown():
 def test_ablation_matrix_records(tmp_path):
     rc = RunConfig(**{**FAST, "out": str(tmp_path)})
     results = str(tmp_path / "results.ndjson")
-    records = run_ablation(["pat", "no-gi"], [4, 5], rc, results)
+    records = run_ablation(["pat", "no-gi"], [4, 5], rc)
+    append_records(results, records)
     assert len(records) == 4
     assert {(r.variant, r.T) for r in records} == {("pat", 4), ("no-gi", 4),
                                                    ("pat", 5), ("no-gi", 5)}
@@ -268,6 +272,18 @@ def test_cli_pretrain_and_finetune_write_one_log_line_per_epoch(tmp_path, capsys
     assert all(np.isfinite(r["train_loss"]) and np.isfinite(r["val_loss"]) for r in records)
 
 
+def test_cli_finetune_record_counts_training_time(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, head_epochs=2, finetune_epochs=2)
+    assert cli_main(["finetune", "--config", cfg_path]) == 0
+    (run_dir,) = [p for p in (tmp_path / "runs").iterdir() if p.is_dir()]
+    log = [json.loads(line) for line in (run_dir / "train_log.ndjson").read_text().splitlines()]
+    trained = sum(r["seconds"] for r in log if r["stage"] in ("head", "finetune"))
+    results = os.path.join(str(tmp_path / "runs"), "results.ndjson")
+    record = json.loads(open(results).read().splitlines()[-1])
+    assert record["epochs_run"] == 4
+    assert record["seconds"] >= round(trained, 3)
+
+
 def test_cli_baseline_and_evaluate_happy_path(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     assert cli_main(["baseline", "--config", cfg_path]) == 0
@@ -283,6 +299,14 @@ def test_cli_baseline_and_evaluate_happy_path(tmp_path, capsys):
     assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 0
     lines = open(results).read().splitlines()
     assert len(lines) == 3
+
+
+def test_cli_evaluate_empty_checkpoint_fails(tmp_path, capsys):
+    # an empty path names no weights: scoring fresh parameters would be a
+    # silent wrong answer
+    cfg_path = _write_cfg(tmp_path)
+    assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ""]) != 0
+    assert not os.path.exists(os.path.join(str(tmp_path / "runs"), "results.ndjson"))
 
 
 def test_cli_ablate_enumeration(tmp_path, capsys):
