@@ -90,12 +90,14 @@ def _run(args) -> int:
         if args.checkpoint is not None:
             apply_checkpoint(params, load_checkpoint(args.checkpoint))
         log = []
-        checkpoint = args.checkpoint
+        checkpoint = args.checkpoint or ""
         if args.command == "finetune":
             sched, sink = schedule(rc), train_log_sink(out_dir)
             for stage in ("head", "finetune"):
-                log += run_stage(stage, params, cfg, data, sched, out_dir, sink)
-            checkpoint = os.path.join(out_dir, "stage-finetune-best.ckpt")
+                stage_log = run_stage(stage, params, cfg, data, sched, out_dir, sink)
+                if stage_log:       # a stage with no epochs writes no checkpoint
+                    log += stage_log
+                    checkpoint = os.path.join(out_dir, f"stage-{stage}-best.ckpt")
         report = evaluate(params, cfg, data, rc.batch_size)
         return _report(rc, [result_record(rc, report, log, checkpoint)])
 

@@ -311,9 +311,9 @@ def run_ablation(variants: list[str], horizons: list[int],
                  base: RunConfig) -> list[ResultRecord]:
     """Train/evaluate every (variant, horizon) cell under the base config.
 
-    The data pipeline is shared across variants; per-cell failures become
-    failed records instead of aborting the matrix. INJECTTST_THREADS > 1
-    runs cells in parallel worker processes.
+    The data splits are prepared once and shared by every cell; per-cell
+    failures become failed records instead of aborting the matrix.
+    INJECTTST_THREADS > 1 runs cells in parallel worker processes.
     """
     if not variants:
         raise ConfigError("ablation requires at least one variant")
@@ -325,12 +325,10 @@ def run_ablation(variants: list[str], horizons: list[int],
     if not horizons:
         raise ConfigError("ablation requires at least one horizon")
 
-    table = load_table(base)
-    tasks = []
-    for T in horizons:
-        data = prepare_data(table, base.L, base.split_mode, base.standardize)
-        for tag in variants:
-            tasks.append((replace(base, variant=tag, T=T), None, data))
+    # the splits depend on L, not on the horizon T
+    data = prepare_data(load_table(base), base.L, base.split_mode, base.standardize)
+    tasks = [(replace(base, variant=tag, T=T), None, data)
+             for T in horizons for tag in variants]
 
     workers = int(os.environ.get("INJECTTST_THREADS", "1"))
     if workers > 1 and len(tasks) > 1:

@@ -277,13 +277,16 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def softmax(x) -> Tensor:
     """Row softmax over the last axis, computed with max subtraction."""
     x = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
+        dx = g * y
+        dot = dx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=dx)
+        dx *= y
+        return (dx,)
 
     return _node(y, "softmax", (x,), vjp)
 
@@ -291,19 +294,24 @@ def softmax(x) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
+    xhat = xd - xd.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
-    xhat = (xd - mu) * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def vjp(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=reduce_axes)
+        tmp = g * xhat
+        dgain = tmp.sum(axis=reduce_axes)
         dbias = g.sum(axis=reduce_axes)
-        gg = g * gain.data
-        dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        dx = g * gain.data
+        np.multiply(dx, xhat, out=tmp)
+        proj = tmp.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, proj, out=tmp)
+        dx *= inv
         return dx, dgain, dbias
 
     return _node(data, "layer_norm", (x, gain, bias), vjp)
@@ -314,16 +322,36 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
+    """Tanh-form GELU (Hendrycks & Gimpel, arXiv 1606.08415)."""
     xd = x.data
-    inner = _GELU_C * (xd + _GELU_A * xd * xd * xd)
-    t = np.tanh(inner)
-    data = 0.5 * xd * (1.0 + t)
+    t = xd * _GELU_A                        # tanh(C (x + A x^3)), built in place
+    t *= xd
+    t *= xd
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = t + 1.0                          # 0.5 x (1 + t)
+    data *= xd
+    data *= 0.5
 
     def vjp(g):
-        d = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-        return (g * d,)
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 A x^2), times g
+        poly = xd * (3.0 * _GELU_A)
+        poly *= xd
+        poly += 1.0
+        tmp = t * t
+        np.subtract(1.0, tmp, out=tmp)
+        dx = xd * 0.5
+        dx *= tmp
+        dx *= _GELU_C
+        dx *= poly
+        np.add(t, 1.0, out=tmp)
+        tmp *= 0.5
+        dx += tmp
+        dx *= g
+        return (dx,)
 
-    return _node(data.astype(xd.dtype, copy=False), "gelu", (x,), vjp)
+    return _node(data, "gelu", (x,), vjp)
 
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
@@ -353,10 +381,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ShapeError(f"attention key width mismatch: {q.data.shape} vs {k.data.shape}")
     if k.data.shape[-2] != v.data.shape[-2]:
         raise ShapeError(f"attention key/value count mismatch: {k.data.shape} vs {v.data.shape}")
-    d = q.data.shape[-1]
+    # scaling q costs one pass over nq*d values instead of nq*nk scores
+    q = mul(q, 1.0 / math.sqrt(q.data.shape[-1]))
     kt = transpose(k, tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2))
-    scores = mul(matmul(q, kt), 1.0 / math.sqrt(d))
-    attn = softmax(scores)
+    attn = softmax(matmul(q, kt))
     if capture is not None:
         capture.append(attn.data)
     return matmul(attn, v)

@@ -207,6 +207,8 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
                 train_losses.append(finite(loss, "loss"))
                 grads = nm.grad_table(loss, {k: params[k] for k in trainable})
                 adam_step(params, grads, opt)
+                # free this step's graph before the next forward builds its own
+                del loss, grads
 
         with nm.frozen(params.values()):
             val_losses = [finite(batch_loss(batch, [sched.seed, 9, b]), "validation loss")

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from injecttst import harness
 from injecttst.cli import main as cli_main
 from injecttst.errors import ConfigError
 from injecttst.harness import (BASELINE_VARIANT, VARIANT_FLAGS, RunConfig,
@@ -15,6 +16,7 @@ from injecttst.harness import (BASELINE_VARIANT, VARIANT_FLAGS, RunConfig,
                                serialize_config, sweep_history, variant_flags)
 from injecttst.model import ModelConfig
 from injecttst.synthetic import dataset_from_spec, lead_lag
+from injecttst.training import prepare_data
 
 FAST = dict(data_path="synthetic:sines:rows=260,channels=2,seed=4",
             L=24, T=4, PL=8, S=8, D=8, heads=2, ci_layers=1, mix_layers=1,
@@ -168,6 +170,26 @@ def test_single_variant_matrix_matches_direct_run(tmp_path):
     assert records[0].mse == direct.mse and records[0].mae == direct.mae
 
 
+def test_ablation_prepares_the_splits_once(tmp_path, monkeypatch):
+    rc = RunConfig(**{**FAST, "out": str(tmp_path)})
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return prepare_data(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "prepare_data", counting)
+    records = run_ablation(["pat", "no-gi"], [4, 6], rc)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # each cell equals a run that prepares its own splits
+    for r in records:
+        direct, _ = run_single(replace(rc, variant=r.variant, T=r.T))
+        assert (r.digest, r.mse, r.mae, r.epochs_run, r.checkpoint, r.status) == (
+            direct.digest, direct.mse, direct.mae, direct.epochs_run,
+            direct.checkpoint, direct.status)
+
+
 def test_ablation_failure_becomes_failed_record(tmp_path):
     # history too short for one window makes that cell fail, not the matrix
     rc = RunConfig(**{**FAST, "out": str(tmp_path),
@@ -282,6 +304,29 @@ def test_cli_finetune_record_counts_training_time(tmp_path, capsys):
     record = json.loads(open(results).read().splitlines()[-1])
     assert record["epochs_run"] == 4
     assert record["seconds"] >= round(trained, 3)
+
+
+def _last_record(tmp_path) -> dict:
+    results = os.path.join(str(tmp_path / "runs"), "results.ndjson")
+    return json.loads(open(results).read().splitlines()[-1])
+
+
+def test_cli_finetune_records_the_last_checkpoint_written(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, head_epochs=1, finetune_epochs=0)
+    assert cli_main(["finetune", "--config", cfg_path]) == 0
+    record = _last_record(tmp_path)
+    assert os.path.basename(record["checkpoint"]) == "stage-head-best.ckpt"
+    assert os.path.isfile(record["checkpoint"]) and record["epochs_run"] == 1
+
+
+def test_cli_finetune_without_epochs_records_the_given_checkpoint(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, pretrain_epochs=1, head_epochs=0, finetune_epochs=0)
+    assert cli_main(["pretrain", "--config", cfg_path]) == 0
+    (run_dir,) = [p for p in (tmp_path / "runs").iterdir() if p.is_dir()]
+    given = str(run_dir / "stage-pretrain-best.ckpt")
+    assert cli_main(["finetune", "--config", cfg_path, "--checkpoint", given]) == 0
+    record = _last_record(tmp_path)
+    assert record["checkpoint"] == given and record["epochs_run"] == 0
 
 
 def test_cli_baseline_and_evaluate_happy_path(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 import injecttst.numerics as nm
 from injecttst.data import WindowBatch, mask_patches, patchify
 from injecttst.errors import ContractError, ShapeError
-from injecttst.model import ModelConfig, forward_forecast, forward_pretrain, init_params
+from injecttst.model import (ForwardTrace, ModelConfig, forward_forecast,
+                             forward_pretrain, init_params)
 from injecttst.numerics import Tensor, backward, grad_check, grad_table
 from injecttst.training import forecast_loss, masked_mse
 
@@ -176,6 +177,76 @@ def test_attention_capture_rows_sum_to_one(rng):
                             capture=cap)
     assert len(cap) == 1
     np.testing.assert_allclose(cap[0].sum(axis=-1), 1.0, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# ops that build their outputs and gradients in place
+
+_IN_PLACE_OPS = {
+    "gelu": lambda x, p: nm.gelu(x),
+    "softmax": lambda x, p: nm.softmax(x),
+    "layer_norm": lambda x, p: nm.layer_norm(x, p["gain"], p["bias"]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(_IN_PLACE_OPS))
+def test_in_place_op_writes_only_its_own_buffers(name, dtype, rng):
+    x = Tensor(rng.normal(size=(3, 4, 5)).astype(dtype), requires_grad=True)
+    p = {k: Tensor(rng.normal(size=5).astype(dtype), requires_grad=True)
+         for k in ("gain", "bias")}
+    inputs = {k: v.data.copy() for k, v in {"x": x, **p}.items()}
+    out = _IN_PLACE_OPS[name](x, p)
+    data = out.data.copy()
+    g = rng.normal(size=out.shape).astype(dtype)
+    g_before = g.copy()
+    first, second = out._vjp(g), out._vjp(g)
+    assert out.data.dtype == dtype
+    for a, b in zip(first, second):
+        assert a.dtype == dtype
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(g, g_before)
+    np.testing.assert_array_equal(out.data, data)
+    for k, v in {"x": x, **p}.items():
+        np.testing.assert_array_equal(v.data, inputs[k])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_backward_keeps_captured_map_and_gradients(dtype, rng):
+    q, k, v = (Tensor(rng.normal(size=(2, 3, 4, 6)).astype(dtype), requires_grad=True)
+               for _ in range(3))
+    c = Tensor(rng.normal(size=(2, 3, 4, 6)).astype(dtype))
+    cap = []
+    out = nm.scaled_dot_attention(q, k, v, capture=cap)
+    attn, data = cap[0].copy(), out.data.copy()
+    loss = nm.sum_(out * c)
+    grads = []
+    for _ in range(2):
+        backward(loss)
+        grads.append([p.grad for p in (q, k, v)])
+    assert out.data.dtype == dtype and cap[0].dtype == dtype
+    for a, b in zip(*grads):
+        assert a.dtype == dtype
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(cap[0], attn)
+    np.testing.assert_array_equal(out.data, data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_trace_attention_maps_survive_backward(dtype, rng):
+    cfg = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=12, heads=2, ci_layers=1, mix_layers=1)
+    params = init_params(cfg, 0, dtype=dtype)
+    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype)
+    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype),
+                        last_values=hist[:, -1, :].copy())
+    trace = ForwardTrace()
+    pred = forward_forecast(batch, params, cfg, trace=trace)
+    maps = [a.copy() for a in trace.attn]
+    backward(forecast_loss(pred, batch.target.transpose(0, 2, 1)))
+    assert len(maps) == 3
+    for got, want in zip(trace.attn, maps):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

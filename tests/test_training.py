@@ -1,12 +1,14 @@
 """Losses, optimizer, stage runner, evaluation."""
 
 import contextlib
+import gc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import injecttst.numerics as nm
+from injecttst import training
 from injecttst.data import SeriesTable, make_windows, mask_patches, patchify
 from injecttst.errors import ContractError, SizingError, TrainingDiverged
 from injecttst.model import ModelConfig, forward_forecast, init_params
@@ -194,6 +196,33 @@ def test_nan_validation_loss_raises(monkeypatch, stage):
     with pytest.raises(TrainingDiverged, match=f"stage {stage}, epoch 1"):
         run_stage(stage, params, TINY, data, sched)
     assert all(p.requires_grad for p in params.values())
+
+
+def _live_graph_nodes() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if isinstance(obj, nm.Tensor) and obj.op != "leaf")
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "head", "finetune"])
+def test_run_stage_frees_each_step_graph(monkeypatch, stage):
+    counts = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            counts.append(_live_graph_nodes())
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("_pretrain_batch_loss", "_forecast_batch_loss"):
+        monkeypatch.setattr(training, name, counting(getattr(training, name)))
+    params = init_params(TINY, seed=0)
+    sched = StageSchedule(pretrain_epochs=2, head_epochs=2, finetune_epochs=2,
+                          batch_size=32, seed=0)
+    run_stage(stage, params, TINY, _splits(), sched)
+    # training and validation batches of both epochs: no graph of an earlier
+    # step survives into the next batch's forward
+    assert len(counts) > 4 and counts[1:] == [0] * (len(counts) - 1)
 
 
 def test_pretrain_loss_decreases_on_sine_data():
