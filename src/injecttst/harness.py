@@ -10,8 +10,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -74,6 +74,28 @@ class RunConfig:
     seed: int = 0
     out: str = "runs"
     profile: str = "paper"
+
+    def __post_init__(self):
+        """Reject out-of-range values as config errors naming their key."""
+        def out_of_range(name: str, rule: str) -> ConfigError:
+            return ConfigError(f"{_FIELD_KEYS[name][0]} must be {rule}, got {getattr(self, name)}")
+
+        if self.split_mode not in ("ratio", "ett"):
+            raise out_of_range("split_mode", "'ratio' or 'ett'")
+        for name in ("pretrain_epochs", "head_epochs", "finetune_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise out_of_range(name, ">= 0")
+        if self.batch_size < 1:
+            raise out_of_range("batch_size", ">= 1")
+        for name in ("pretrain_lr", "head_lr", "finetune_lr"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise out_of_range(name, "finite and > 0")
+        if not 0.0 < self.mask_ratio < 1.0:
+            raise out_of_range("mask_ratio", "in (0, 1)")
+        if self.variant != BASELINE_VARIANT:
+            variant_flags(self.variant)
+        # ModelConfig checks the model.* keys; one channel stands in for the data's
+        ModelConfig(M=1, **_model_fields(self))
 
 
 # field name -> (dotted key, parser)
@@ -143,7 +165,10 @@ def _parse_fields(text: str) -> dict[str, object]:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         field, conv = _KEY_FIELDS[key]
         raw = raw.strip()
-        values[field] = _parse_bool(raw) if conv is None else conv(raw)
+        try:
+            values[field] = _parse_bool(raw) if conv is None else conv(raw)
+        except ValueError:
+            raise ConfigError(f"config line {lineno}: bad value for {key}: {raw!r}") from None
     return values
 
 
@@ -161,11 +186,9 @@ def load_config(path: str, profile: Optional[str] = None,
     chosen = profile or values.get("profile", RunConfig.profile)
     if chosen not in PROFILES:
         raise ConfigError(f"unknown profile {chosen!r}; choices: {sorted(PROFILES)}")
-    # profile supplies schedule defaults; explicit file/flag values win
-    rc = RunConfig(**{**PROFILES[chosen], **values, "profile": chosen})
-    if overrides:
-        rc = replace(rc, **{k: v for k, v in overrides.items() if v is not None})
-    return rc
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    # profile supplies schedule defaults; file values win over it, flags over both
+    return RunConfig(**{**PROFILES[chosen], **values, "profile": chosen, **flags})
 
 
 def config_digest(rc: RunConfig) -> str:
@@ -179,11 +202,14 @@ def variant_flags(tag: str) -> dict:
     return dict(VARIANT_FLAGS[tag])
 
 
+def _model_fields(rc: RunConfig) -> dict:
+    return dict(L=rc.L, T=rc.T, PL=rc.PL, S=rc.S, D=rc.D, heads=rc.heads,
+                ci_layers=rc.ci_layers, mix_layers=rc.mix_layers,
+                ffn_mult=rc.ffn_mult, dropout=rc.dropout)
+
+
 def model_config(rc: RunConfig, M: int) -> ModelConfig:
-    return ModelConfig(L=rc.L, T=rc.T, M=M, PL=rc.PL, S=rc.S, D=rc.D,
-                       heads=rc.heads, ci_layers=rc.ci_layers,
-                       mix_layers=rc.mix_layers, ffn_mult=rc.ffn_mult,
-                       dropout=rc.dropout, **variant_flags(rc.variant))
+    return ModelConfig(M=M, **_model_fields(rc), **variant_flags(rc.variant))
 
 
 def schedule(rc: RunConfig) -> StageSchedule:
@@ -298,8 +324,8 @@ def run_single(rc: RunConfig, table: Optional[SeriesTable] = None,
     return result_record(rc, report, log, _final_checkpoint(out_dir, sched)), report
 
 
-def _ablation_entry(args: tuple) -> ResultRecord:
-    rc, table, data = args
+def _ablation_entry(rc: RunConfig, table: Optional[SeriesTable],
+                    data: Optional[DataSplits]) -> ResultRecord:
     try:
         record, _ = run_single(rc, table, data)
     except Exception as exc:  # record the failure, keep the matrix running
@@ -313,28 +339,19 @@ def run_ablation(variants: list[str], horizons: list[int],
 
     The data splits are prepared once and shared by every cell; per-cell
     failures become failed records instead of aborting the matrix.
-    INJECTTST_THREADS > 1 runs cells in parallel worker processes.
     """
     if not variants:
         raise ConfigError("ablation requires at least one variant")
     if len(set(variants)) != len(variants):
         raise ConfigError(f"duplicate variants in {variants}")
-    for tag in variants:
-        if tag != BASELINE_VARIANT:
-            variant_flags(tag)
     if not horizons:
         raise ConfigError("ablation requires at least one horizon")
 
+    # every cell's config is checked before any cell runs
+    cells = [replace(base, variant=tag, T=T) for T in horizons for tag in variants]
     # the splits depend on L, not on the horizon T
     data = prepare_data(load_table(base), base.L, base.split_mode, base.standardize)
-    tasks = [(replace(base, variant=tag, T=T), None, data)
-             for T in horizons for tag in variants]
-
-    workers = int(os.environ.get("INJECTTST_THREADS", "1"))
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            return list(pool.map(_ablation_entry, tasks))
-    return [_ablation_entry(task) for task in tasks]
+    return [_ablation_entry(rc, None, data) for rc in cells]
 
 
 def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
@@ -348,5 +365,5 @@ def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
     records = []
     for L in lengths:
         rc = replace(base, L=L)
-        records.append(_ablation_entry((rc, table, None)))
+        records.append(_ablation_entry(rc, table, None))
     return records

@@ -21,6 +21,11 @@ from .errors import ConfigError, ShapeError
 from .numerics import Tensor
 
 
+# the lowest accepted value of each integer ModelConfig field
+_MINIMUM = {"L": 1, "T": 1, "M": 1, "PL": 1, "S": 1, "D": 1, "heads": 1,
+            "ci_layers": 0, "mix_layers": 0, "ffn_mult": 1}
+
+
 @dataclass
 class ModelConfig:
     L: int                          # history length
@@ -40,13 +45,17 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        for name, low in _MINIMUM.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"model.{name} must be >= {low}, got {getattr(self, name)}")
         if self.D % self.heads != 0:
             raise ConfigError(f"width {self.D} not divisible by heads {self.heads}")
         if self.mix_mode not in ("cat", "pat"):
             raise ConfigError(f"mix_mode must be 'cat' or 'pat', got {self.mix_mode!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        patch_count(self.L, self.PL, self.S)  # validates PL <= L, S >= 1
+        if self.PL > self.L:
+            raise ConfigError(f"model.PL must be <= model.L, got PL={self.PL}, L={self.L}")
 
     @property
     def PN(self) -> int:
@@ -116,7 +125,7 @@ def params_dtype(params: dict[str, Tensor]):
 
 
 def _linear(x: Tensor, params: dict, w: str, b: str) -> Tensor:
-    return nm.matmul(x, params[w]) + params[b]
+    return nm.linear(x, params[w], params[b])
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -188,7 +197,7 @@ def embed_patches(ps: PatchSet, params: dict, cfg: ModelConfig) -> Tensor:
         raise ShapeError(f"patch tensor {ps.patches.shape} inconsistent with "
                          f"config (M={cfg.M}, PN={cfg.PN}, PL={cfg.PL})")
     x = nm.constant(ps.patches, params_dtype(params))
-    tokens = nm.matmul(x, params["patch_proj"]) + params["pos_embed"]
+    tokens = nm.linear(x, params["patch_proj"], params["pos_embed"])
     if cfg.use_channel_identifier:
         tokens = tokens + nm.reshape(params["chan_embed"], (cfg.M, 1, cfg.D))
     return tokens
@@ -227,7 +236,7 @@ def global_mix_pat(ps: PatchSet, params: dict, cfg: ModelConfig,
     B, M, PN, PL = ps.patches.shape
     grouped = ps.patches.transpose(0, 2, 1, 3).reshape(B, PN, M * PL)
     x = nm.constant(grouped, params_dtype(params))
-    mixed = nm.matmul(x, params["mix_proj"]) + params["pos_embed"]      # (B, PN, D)
+    mixed = nm.linear(x, params["mix_proj"], params["pos_embed"])       # (B, PN, D)
     capture = trace.attn if trace is not None else None
     return _encoder(mixed, params, "mix", cfg.mix_layers, cfg, capture, rng)
 

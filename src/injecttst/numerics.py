@@ -199,28 +199,49 @@ def mul(a, b) -> Tensor:
     return _node(data, "mul", (a, b), vjp)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy stacking semantics (operands must be >= 2-D)."""
-    a, b = _pair(a, b)
+def _product(a: Tensor, b: Tensor) -> np.ndarray:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul requires 2-D or higher operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
-    data = a.data @ b.data
+    return a.data @ b.data
+
+
+def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
+    ga = gb = None
+    if a.requires_grad:
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+    if b.requires_grad:
+        if b.data.ndim == 2:
+            # a weight shared by every stacked row: one GEMM over all rows
+            gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+    return ga, gb
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product with numpy stacking semantics (operands must be >= 2-D)."""
+    a, b = _pair(a, b)
+    return _node(_product(a, b), "matmul", (a, b), lambda g: _product_grads(a, b, g))
+
+
+def linear(x, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, with the values and gradients of `matmul`
+    followed by `add`. The bias is added in place into the product, so the
+    graph keeps no separate pre-bias array; it must broadcast to the
+    product's shape."""
+    x, w = _pair(x, w)
+    data = _product(x, w)
+    try:
+        data += b.data
+    except ValueError:
+        raise ShapeError(f"linear bias {b.data.shape} does not broadcast to {data.shape}") from None
 
     def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        if b.requires_grad:
-            if b.data.ndim == 2:
-                # a weight shared by every stacked row: one GEMM over all rows
-                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return ga, gb
+        return (*_product_grads(x, w, g), _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-    return _node(data, "matmul", (a, b), vjp)
+    return _node(data, "linear", (x, w, b), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -8,6 +8,7 @@ and validation losses and retains the best-validation parameters.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -58,36 +59,84 @@ def forecast_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
 
 @dataclass
 class OptimState:
+    """Adam's settings and state. The first step lays every parameter out in
+    one flat array: `layout` maps each name to its shape, in order, and
+    `offsets` holds where each parameter after the first starts. `m` and `v`
+    are the flat moments; `grad` and `work` are scratch arrays of the same
+    size, reused so that no step allocates (and page-faults in) fresh ones."""
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
+    grad: Optional[np.ndarray] = None
+    work: Optional[np.ndarray] = None
+    layout: dict[str, tuple] = field(default_factory=dict)
+    offsets: list[int] = field(default_factory=list)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               opt: OptimState) -> None:
-    """One bias-corrected Adam update, in place, over the names in `grads`."""
+    """One bias-corrected Adam update over the names in `grads`.
+
+    The update is elementwise, so it runs once over all gradients
+    concatenated into one flat array, in the parameters' dtype. Each
+    parameter's ``data`` is then rebound to its slice of one new flat weight
+    array; nothing a caller holds is written in place. A non-finite gradient
+    raises `TrainingDiverged` naming the first such parameter before any
+    state changes. Every call must pass the names, shapes and dtype the
+    first one did.
+    """
+    if opt.m is None:
+        if not grads:
+            raise ContractError("adam_step needs at least one gradient")
+        opt.layout = {name: params[name].data.shape for name in grads}
+        ends = np.cumsum([math.prod(shape) for shape in opt.layout.values()])
+        opt.offsets = [int(e) for e in ends[:-1]]
+        dtype = params[next(iter(grads))].data.dtype
+        opt.m, opt.v, opt.grad, opt.work = (np.zeros(int(ends[-1]), dtype) for _ in range(4))
+    elif grads.keys() != opt.layout.keys():
+        raise ContractError(f"adam_step got parameters {sorted(grads)}, "
+                            f"its state holds {sorted(opt.layout)}")
+    shapes = list(opt.layout.values())
+    ps = [params[name] for name in opt.layout]
+    gs = [grads[name] for name in opt.layout]
+    if [p.data.shape for p in ps] != shapes or [g.shape for g in gs] != shapes:
+        raise ContractError("parameter or gradient shapes differ from the first adam_step")
+    try:
+        g = np.concatenate(gs, axis=None, out=opt.grad, casting="no")
+        w = np.concatenate([p.data for p in ps], axis=None, dtype=opt.m.dtype, casting="no")
+    except TypeError:
+        raise ContractError(f"adam_step needs every parameter and gradient in {opt.m.dtype}") from None
+    if not np.isfinite(g).all():
+        bad = next(name for name, part in zip(opt.layout, np.split(g, opt.offsets))
+                   if not np.isfinite(part).all())
+        raise TrainingDiverged(f"non-finite gradient for parameter {bad!r}")
+
     opt.step += 1
     c1 = 1.0 - opt.beta1 ** opt.step
     c2 = 1.0 - opt.beta2 ** opt.step
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
-        p = params[name]
-        if name not in opt.m:
-            opt.m[name] = np.zeros_like(p.data)
-            opt.v[name] = np.zeros_like(p.data)
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + opt.eps)
-        p.data = p.data - np.asarray(opt.lr, dtype=p.data.dtype) * update.astype(p.data.dtype)
+    # m = b1 m + (1 - b1) g,  v = b2 v + ((1 - b2) g) g,
+    # w -= lr ((m / c1) / (sqrt(v / c2) + eps)),
+    # evaluated in that order, with `work` and then `g` holding the temporaries
+    m, v, work = opt.m, opt.v, opt.work
+    m *= opt.beta1
+    m += np.multiply(g, 1.0 - opt.beta1, out=work)
+    v *= opt.beta2
+    np.multiply(g, 1.0 - opt.beta2, out=work)
+    work *= g
+    v += work
+    np.divide(v, c2, out=work)
+    np.sqrt(work, out=work)
+    work += opt.eps
+    update = np.divide(m, c1, out=g)
+    update /= work
+    update *= opt.lr
+    w -= update                                   # w is this step's own copy
+    for p, part, shape in zip(ps, np.split(w, opt.offsets), shapes):
+        p.data = part.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,15 @@ def test_load_config_profile_layering(tmp_path):
     assert rc2.seed == 42 and rc2.T == rc.T
 
 
+def test_flag_replaces_an_out_of_range_file_value(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("model.T = 0\nrun.variant = bogus\n")
+    with pytest.raises(ConfigError):
+        load_config(str(p))
+    rc = load_config(str(p), overrides={"T": 4, "variant": "cat"})
+    assert rc.T == 4 and rc.variant == "cat"
+
+
 # ---------------------------------------------------------------------------
 # variants
 
@@ -270,6 +279,34 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case):
         argv = ["pretrain", "--config", cfg_path, "--variant", "bogus"]
     assert cli_main(argv) == 2
     assert "ConfigError" in capsys.readouterr().err
+
+
+_OUT_OF_RANGE = [("train.mask_ratio", "0"), ("train.mask_ratio", "1.5"),
+                 ("train.batch_size", "0"), ("train.pretrain_epochs", "-1"),
+                 ("model.heads", "0"), ("model.PL", "0"), ("train.pretrain_lr", "nan"),
+                 ("train.pretrain_lr", "-1"), ("model.T", "0"), ("run.seed", "-1"),
+                 ("train.batch_size", "abc"), ("data.split", "bogus"),
+                 ("model.PL", "100")]
+
+
+@pytest.mark.parametrize("key,value", _OUT_OF_RANGE,
+                         ids=[f"{k}={v}" for k, v in _OUT_OF_RANGE])
+def test_cli_out_of_range_setting_is_a_config_error(tmp_path, capsys, key, value):
+    cfg_path = _write_cfg(tmp_path, pretrain_epochs=1)
+    with open(cfg_path, "a") as fh:
+        fh.write(f"{key} = {value}\n")      # a repeated key: the later line wins
+    assert cli_main(["pretrain", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and key in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_ablate_zero_horizon_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    assert cli_main(["ablate", "--config", cfg_path, "--variants", "pat",
+                     "--horizons", "4,0"]) == 2
+    assert "model.T" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_baseline_rejects_unknown_variant(tmp_path, capsys):

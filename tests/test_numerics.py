@@ -180,6 +180,49 @@ def test_attention_capture_rows_sum_to_one(rng):
 
 
 # ---------------------------------------------------------------------------
+# linear
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias", ["vector", "positional"])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2d", "3d", "4d"])
+def test_linear_equals_matmul_then_add_bitwise(lead, bias, dtype, rng):
+    PN, K, D = 5, 6, 4
+    x = Tensor(rng.normal(size=(*lead, PN, K)).astype(dtype), requires_grad=True)
+    w = Tensor(rng.normal(size=(K, D)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.normal(size=(D,) if bias == "vector" else (PN, D)).astype(dtype),
+               requires_grad=True)
+    weights = nm.constant(rng.normal(size=(*lead, PN, D)).astype(dtype))
+    params = {"x": x, "w": w, "b": b}
+    fused = nm.linear(x, w, b)
+    grads = grad_table(nm.sum_(fused * fused * weights), params)
+    pair = nm.add(nm.matmul(x, w), b)
+    expected = grad_table(nm.sum_(pair * pair * weights), params)
+    assert fused.data.dtype == dtype
+    np.testing.assert_array_equal(fused.data, pair.data)
+    for name in params:
+        assert grads[name].dtype == dtype and grads[name].shape == params[name].shape
+        np.testing.assert_array_equal(grads[name], expected[name])
+
+
+def test_linear_gives_no_gradient_to_constant_or_frozen_operands(rng):
+    x = t(rng.normal(size=(2, 3, 4)))
+    w = t(rng.normal(size=(4, 5)), req=True)
+    b = t(rng.normal(size=5), req=True)
+    with nm.frozen([b]):
+        out = nm.linear(x, w, b)
+        gx, gw, gb = out._vjp(np.ones_like(out.data))
+    assert gx is None and gb is None and gw.shape == w.shape
+    with nm.frozen([w, b]):
+        out = nm.linear(x, w, b)
+    assert not out.requires_grad and out.parents == ()
+
+
+def test_linear_rejects_a_bias_that_does_not_fit():
+    with pytest.raises(ShapeError, match=r"\(2, 5\)"):
+        nm.linear(t(np.zeros((3, 4))), t(np.zeros((4, 5))), t(np.zeros((2, 5))))
+
+
+# ---------------------------------------------------------------------------
 # ops that build their outputs and gradients in place
 
 _IN_PLACE_OPS = {
@@ -450,6 +493,7 @@ _PRIMITIVES = {
     "layer_norm": lambda p: nm.sum_(nm.layer_norm(p["a"], p["g"], p["bias"]) * p["b"]),
     "gelu": lambda p: nm.sum_(nm.gelu(p["a"])),
     "attention": lambda p: nm.sum_(nm.scaled_dot_attention(p["a"], p["b"], p["c2"])),
+    "linear": lambda p: nm.sum_(nm.linear(p["a"], p["c"], p["bias5"]) * nm.linear(p["a"], p["c"], p["bias5"])),
 }
 
 
@@ -463,6 +507,7 @@ def test_every_primitive_passes_grad_check(name, rng):
         "row": Tensor(rng.normal(size=(1, 3)).astype(np.float32), requires_grad=True),
         "g": Tensor(np.ones(3, dtype=np.float32), requires_grad=True),
         "bias": Tensor(np.zeros(3, dtype=np.float32), requires_grad=True),
+        "bias5": Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True),
     }
     assert grad_check(_PRIMITIVES[name], params, h=1e-3) < 1e-4
 

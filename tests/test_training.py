@@ -121,6 +121,102 @@ def test_adam_rejects_nan_gradient():
         adam_step({"weights": p}, {"weights": bad}, OptimState(lr=0.1))
 
 
+def _adam_reference(params, grads, state):
+    """The per-tensor Adam update, one parameter at a time, as the reference
+    for the flat update; `state` holds step and per-name moments."""
+    state["step"] += 1
+    c1 = 1.0 - 0.9 ** state["step"]
+    c2 = 1.0 - 0.999 ** state["step"]
+    for name, g in grads.items():
+        p = params[name]
+        m = state["m"].setdefault(name, np.zeros_like(p.data))
+        v = state["v"].setdefault(name, np.zeros_like(p.data))
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        update = (m / c1) / (np.sqrt(v / c2) + 1e-8)
+        p.data = p.data - np.asarray(state["lr"], dtype=p.data.dtype) * update.astype(p.data.dtype)
+
+
+_ADAM_SHAPES = {"w": (3, 4), "b": (4,), "k": (2, 3, 2), "s": ()}
+
+
+def _adam_params(dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    return {name: nm.parameter(rng.normal(size=shape), name, dtype)
+            for name, shape in _ADAM_SHAPES.items()}
+
+
+def _adam_grads(rng, dtype):
+    return {name: (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 2)).astype(dtype)
+            for name, shape in _ADAM_SHAPES.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_equals_per_tensor_loop_bitwise(dtype):
+    rng = np.random.default_rng(5)
+    flat, loop = _adam_params(dtype), _adam_params(dtype)
+    opt = OptimState(lr=3e-3)
+    state = {"lr": 3e-3, "step": 0, "m": {}, "v": {}}
+    for _ in range(4):
+        grads = _adam_grads(rng, dtype)
+        held = {name: p.data for name, p in flat.items()}
+        before = {name: a.copy() for name, a in held.items()}
+        adam_step(flat, grads, opt)
+        _adam_reference(loop, grads, state)
+        for name in _ADAM_SHAPES:
+            assert flat[name].data.dtype == dtype and flat[name].data.shape == _ADAM_SHAPES[name]
+            np.testing.assert_array_equal(flat[name].data, loop[name].data)
+            # rebound, not written in place: an array held from before keeps its values
+            np.testing.assert_array_equal(held[name], before[name])
+        for moment in ("m", "v"):
+            reference = np.concatenate([state[moment][n].ravel() for n in _ADAM_SHAPES])
+            np.testing.assert_array_equal(getattr(opt, moment), reference)
+    assert opt.step == state["step"] == 4
+
+
+def test_adam_non_finite_gradient_changes_nothing():
+    rng = np.random.default_rng(6)
+    params = _adam_params(np.float32)
+    opt = OptimState(lr=1e-2)
+    adam_step(params, _adam_grads(rng, np.float32), opt)
+    before = {name: p.data.copy() for name, p in params.items()}
+    m, v = opt.m.copy(), opt.v.copy()
+    grads = _adam_grads(rng, np.float32)
+    grads["b"][1] = np.nan
+    grads["k"][0, 0, 0] = np.inf
+    with pytest.raises(TrainingDiverged, match="'b'"):
+        adam_step(params, grads, opt)
+    assert opt.step == 1
+    np.testing.assert_array_equal(opt.m, m)
+    np.testing.assert_array_equal(opt.v, v)
+    for name, p in params.items():
+        np.testing.assert_array_equal(p.data, before[name])
+
+
+@pytest.mark.parametrize("change", ["names", "shape", "dtype"])
+def test_adam_rejects_a_different_layout_on_a_later_step(change):
+    rng = np.random.default_rng(7)
+    params = _adam_params(np.float32)
+    opt = OptimState(lr=1e-2)
+    adam_step(params, _adam_grads(rng, np.float32), opt)
+    grads = _adam_grads(rng, np.float32)
+    # each change keeps the total size, so flat moments would silently misalign
+    if change == "names":
+        params["t"] = params.pop("s")
+        grads["t"] = grads.pop("s")
+    elif change == "shape":
+        params["w"] = nm.parameter(params["w"].data.reshape(4, 3), "w")
+        grads["w"] = grads["w"].reshape(4, 3)
+    else:
+        params["w"] = nm.parameter(params["w"].data, "w", np.float64)
+        grads["w"] = grads["w"].astype(np.float64)
+    with pytest.raises(ContractError):
+        adam_step(params, grads, opt)
+    assert opt.step == 1
+
+
 # ---------------------------------------------------------------------------
 # stage runner
 
