@@ -61,6 +61,19 @@ def _load(args) -> "RunConfig":
     return load_config(args.config, profile=args.profile, overrides=overrides)
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    """The comma-separated integers of a list flag; blank items are skipped."""
+    values = []
+    for item in (part.strip() for part in text.split(",")):
+        if not item:
+            continue
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ConfigError(f"{flag} item {item!r} is not an integer") from None
+    return values
+
+
 def _report(rc, records: list) -> int:
     """Append the records to `<out>/results.ndjson` and print their table;
     the exit code is 1 when any of them failed."""
@@ -100,12 +113,11 @@ def _run(args) -> int:
 
     if args.command == "ablate":
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-        horizons = ([int(h) for h in args.horizons.split(",")]
-                    if args.horizons else [rc.T])
+        horizons = _int_list(args.horizons, "--horizons") if args.horizons else [rc.T]
         return _report(rc, run_ablation(variants, horizons, rc))
 
     if args.command == "sweep-history":
-        lengths = [int(x) for x in args.lengths.split(",") if x.strip()]
+        lengths = _int_list(args.lengths, "--lengths")
         return _report(rc, sweep_history(lengths, rc))
 
     if args.command == "baseline":

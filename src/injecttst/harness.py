@@ -346,6 +346,8 @@ def run_ablation(variants: list[str], horizons: list[int],
         raise ConfigError(f"duplicate variants in {variants}")
     if not horizons:
         raise ConfigError("ablation requires at least one horizon")
+    if len(set(horizons)) != len(horizons):
+        raise ConfigError(f"duplicate horizons in {horizons}")
 
     # every cell's config is checked before any cell runs
     cells = [replace(base, variant=tag, T=T) for T in horizons for tag in variants]
@@ -358,6 +360,8 @@ def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
     """One full pipeline per history length; the patch count follows L."""
     if not lengths:
         raise ConfigError("sweep requires at least one history length")
+    if len(set(lengths)) != len(lengths):
+        raise ConfigError(f"duplicate history lengths in {lengths}")
     for L in lengths:
         if L < base.PL:
             raise ConfigError(f"history length {L} is shorter than the patch length {base.PL}")

@@ -264,10 +264,13 @@ def sca_inject(z_ci: Tensor, z_glb: Tensor, params: dict, cfg: ModelConfig,
 
 
 def forecast_head(z_out: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
-    """Per channel, flatten the PN x D tokens and project to the horizon."""
+    """Per channel, flatten the PN x D tokens and project to the horizon.
+
+    All B*M channel rows go through one 2-D product: numpy's stacked product
+    runs one slow GEMM per batch item for rows this short."""
     B, M, PN, D = z_out.shape
-    flat = nm.reshape(z_out, (B, M, PN * D))
-    return nm.matmul(flat, params["forecast_head"])                     # (B, M, T)
+    flat = nm.reshape(z_out, (B * M, PN * D))
+    return nm.reshape(nm.matmul(flat, params["forecast_head"]), (B, M, -1))  # (B, M, T)
 
 
 def pretrain_head(z_out: Tensor, params: dict, cfg: ModelConfig) -> Tensor:

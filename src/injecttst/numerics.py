@@ -210,7 +210,13 @@ def _product(a: Tensor, b: Tensor) -> np.ndarray:
 def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
     ga = gb = None
     if a.requires_grad:
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        bt = np.swapaxes(b.data, -1, -2)
+        if bt.ndim == 2:
+            # numpy's stacked product is 2-3x slower on a transposed
+            # (F-ordered) 2-D weight than on a compact copy of it; batched
+            # operands ran slower with the copy
+            bt = np.ascontiguousarray(bt)
+        ga = _unbroadcast(g @ bt, a.data.shape)
     if b.requires_grad:
         if b.data.ndim == 2:
             # a weight shared by every stacked row: one GEMM over all rows
@@ -340,39 +346,60 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# gelu's elementwise chains run over blocks of this many values (256 KB of
+# float32), so each of their passes reads a block that is still in cache
+_BLOCK = 1 << 16
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tanh-form GELU (Hendrycks & Gimpel, arXiv 1606.08415)."""
-    xd = x.data
-    t = xd * _GELU_A                        # tanh(C (x + A x^3)), built in place
-    t *= xd
-    t *= xd
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    data = t + 1.0                          # 0.5 x (1 + t)
-    data *= xd
-    data *= 0.5
+    """Tanh-form GELU (Hendrycks & Gimpel, arXiv 1606.08415).
+
+    Forward and vjp run block by block over the flattened values; each value
+    sees the same operations in the same order as a whole-array pass."""
+    xf = np.ascontiguousarray(x.data).reshape(-1)
+    t = np.empty_like(xf)                   # tanh(C (x + A x^3)), kept for the vjp
+    data = np.empty_like(xf)
+    for s in _blocks(xf.size):
+        xb, tb, out = xf[s], t[s], data[s]
+        np.multiply(xb, _GELU_A, out=tb)
+        tb *= xb
+        tb *= xb
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=out)            # 0.5 x (1 + t)
+        out *= xb
+        out *= 0.5
 
     def vjp(g):
         # 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 A x^2), times g
-        poly = xd * (3.0 * _GELU_A)
-        poly *= xd
-        poly += 1.0
-        tmp = t * t
-        np.subtract(1.0, tmp, out=tmp)
-        dx = xd * 0.5
-        dx *= tmp
-        dx *= _GELU_C
-        dx *= poly
-        np.add(t, 1.0, out=tmp)
-        tmp *= 0.5
-        dx += tmp
-        dx *= g
-        return (dx,)
+        gf = np.ascontiguousarray(g).reshape(-1)
+        dx = np.empty_like(xf)
+        width = min(xf.size, _BLOCK)
+        poly, tmp = np.empty(width, xf.dtype), np.empty(width, xf.dtype)
+        for s in _blocks(xf.size):
+            xb, tb, db = xf[s], t[s], dx[s]
+            pb, mb = poly[:xb.size], tmp[:xb.size]
+            np.multiply(xb, 3.0 * _GELU_A, out=pb)
+            pb *= xb
+            pb += 1.0
+            np.multiply(tb, tb, out=mb)
+            np.subtract(1.0, mb, out=mb)
+            np.multiply(xb, 0.5, out=db)
+            db *= mb
+            db *= _GELU_C
+            db *= pb
+            np.add(tb, 1.0, out=mb)
+            mb *= 0.5
+            db += mb
+            db *= gf[s]
+        return (dx.reshape(x.data.shape),)
 
-    return _node(data, "gelu", (x,), vjp)
+    return _node(data.reshape(x.data.shape), "gelu", (x,), vjp)
 
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:

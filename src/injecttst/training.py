@@ -273,7 +273,9 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
             log_sink(record)
         if record["val_loss"] < best_val:
             best_val = record["val_loss"]
-            best_snapshot = {k: p.data.copy() for k, p in params.items()}
+            # adam_step rebinds p.data and never writes into it, so holding
+            # the arrays keeps this epoch's values
+            best_snapshot = {k: p.data for k, p in params.items()}
 
     if best_snapshot is not None:
         for k, p in params.items():

@@ -157,6 +157,8 @@ def test_ablation_rejects_duplicates_and_unknown():
         run_ablation([], [4], rc)
     with pytest.raises(ConfigError):
         run_ablation(["pat"], [], rc)
+    with pytest.raises(ConfigError, match="duplicate horizons"):
+        run_ablation(["pat"], [4, 6, 4], rc)
 
 
 def test_ablation_matrix_records(tmp_path):
@@ -225,6 +227,8 @@ def test_sweep_history_validates_lengths():
         sweep_history([], rc)
     with pytest.raises(ConfigError, match="shorter than the patch"):
         sweep_history([4], rc)
+    with pytest.raises(ConfigError, match="duplicate history lengths"):
+        sweep_history([24, 32, 24], rc)
 
 
 def test_record_reproducible_across_runs(tmp_path):
@@ -306,6 +310,24 @@ def test_cli_ablate_zero_horizon_is_a_config_error(tmp_path, capsys):
     assert cli_main(["ablate", "--config", cfg_path, "--variants", "pat",
                      "--horizons", "4,0"]) == 2
     assert "model.T" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+_BAD_LISTS = [("ablate", "--horizons", "4,x", "--horizons item 'x'"),
+              ("sweep-history", "--lengths", "24,abc", "--lengths item 'abc'"),
+              ("ablate", "--horizons", "4,4", "duplicate horizons"),
+              ("sweep-history", "--lengths", "24,24", "duplicate history lengths")]
+
+
+@pytest.mark.parametrize("command,flag,value,named", _BAD_LISTS,
+                         ids=[f"{c}{f}={v}" for c, f, v, _ in _BAD_LISTS])
+def test_cli_bad_list_flag_is_a_config_error(tmp_path, capsys, command, flag, value, named):
+    argv = [command, "--config", _write_cfg(tmp_path), flag, value]
+    if command == "ablate":
+        argv += ["--variants", "pat"]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and named in err
     assert not (tmp_path / "runs").exists()
 
 

@@ -343,6 +343,26 @@ def test_forecast_head_vs_loop_oracle(rng):
             assert np.max(np.abs(got[b, m] - want)) < 1e-5
 
 
+@pytest.mark.parametrize("B,cfg", [(3, ModelConfig(L=512, T=96, M=7, D=64)),
+                                   (32, ModelConfig(L=48, T=8, M=2, D=32))],
+                         ids=["paper", "desk"])
+def test_forecast_head_equals_stacked_product_bitwise(B, cfg, rng):
+    # the head runs one 2-D product over all B*M channel rows; at these
+    # shapes it gives what numpy's per-batch stacked product gives
+    K = cfg.PN * cfg.D
+    z = nm.Tensor(rng.normal(size=(B, cfg.M, cfg.PN, cfg.D)).astype(np.float32),
+                  requires_grad=True)
+    w = nm.Tensor((rng.normal(size=(K, cfg.T)) / np.sqrt(K)).astype(np.float32),
+                  requires_grad=True)
+    g = rng.normal(size=(B, cfg.M, cfg.T)).astype(np.float32)
+    out = forecast_head(z, {"forecast_head": w}, cfg)
+    nm.backward(nm.sum_(out * nm.constant(g)))
+    flat = z.data.reshape(B, cfg.M, K)
+    np.testing.assert_array_equal(out.data, flat @ w.data)
+    np.testing.assert_array_equal(z.grad, (g @ np.swapaxes(w.data, -1, -2)).reshape(z.shape))
+    np.testing.assert_array_equal(w.grad, flat.reshape(-1, K).T @ g.reshape(-1, cfg.T))
+
+
 def test_pretrain_head_vs_loop_oracle(rng):
     params = _params()
     z = rng.normal(size=(2, CFG.M, CFG.PN, CFG.D)).astype(np.float32)

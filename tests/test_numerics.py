@@ -1,5 +1,7 @@
 """Numeric core: op semantics vs naive oracles, backward pass, grad checking."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,60 @@ def test_linear_rejects_a_bias_that_does_not_fit():
 
 
 # ---------------------------------------------------------------------------
+# gelu in cache-sized blocks
+
+def _whole_array_gelu(xd, g):
+    """The tanh-form GELU and its vjp as whole-array passes."""
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = xd * a
+    t *= xd
+    t *= xd
+    t += xd
+    t *= c
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= xd
+    out *= 0.5
+    poly = xd * (3.0 * a)
+    poly *= xd
+    poly += 1.0
+    tmp = t * t
+    np.subtract(1.0, tmp, out=tmp)
+    dx = xd * 0.5
+    dx *= tmp
+    dx *= c
+    dx *= poly
+    np.add(t, 1.0, out=tmp)
+    tmp *= 0.5
+    dx += tmp
+    dx *= g
+    return out, dx
+
+
+_BLOCK = nm._BLOCK
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK // 2])
+@pytest.mark.parametrize("layout", ["compact", "strided"])
+def test_blocked_gelu_equals_whole_array_passes_bitwise(size, dtype, layout, rng):
+    if layout == "compact":
+        xd = rng.normal(scale=3.0, size=(size,)).astype(dtype)
+    else:
+        # every other row of a (2 size, 3) array, transposed: no flat view exists
+        xd = rng.normal(scale=3.0, size=(2 * size, 3)).astype(dtype)[::2].T
+    x = Tensor(xd, requires_grad=True)
+    out = nm.gelu(x)
+    g = rng.normal(size=xd.shape).astype(dtype)
+    (dx,) = out._vjp(g)
+    want, want_dx = _whole_array_gelu(xd, g)
+    assert out.shape == dx.shape == xd.shape
+    assert out.data.dtype == dx.dtype == dtype
+    np.testing.assert_array_equal(out.data, want)
+    np.testing.assert_array_equal(dx, want_dx)
+
+
+# ---------------------------------------------------------------------------
 # ops that build their outputs and gradients in place
 
 _IN_PLACE_OPS = {
@@ -232,10 +288,8 @@ _IN_PLACE_OPS = {
 }
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("name", sorted(_IN_PLACE_OPS))
-def test_in_place_op_writes_only_its_own_buffers(name, dtype, rng):
-    x = Tensor(rng.normal(size=(3, 4, 5)).astype(dtype), requires_grad=True)
+def _check_writes_only_own_buffers(name, dtype, shape, rng):
+    x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
     p = {k: Tensor(rng.normal(size=5).astype(dtype), requires_grad=True)
          for k in ("gain", "bias")}
     inputs = {k: v.data.copy() for k, v in {"x": x, **p}.items()}
@@ -252,6 +306,18 @@ def test_in_place_op_writes_only_its_own_buffers(name, dtype, rng):
     np.testing.assert_array_equal(out.data, data)
     for k, v in {"x": x, **p}.items():
         np.testing.assert_array_equal(v.data, inputs[k])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(_IN_PLACE_OPS))
+def test_in_place_op_writes_only_its_own_buffers(name, dtype, rng):
+    _check_writes_only_own_buffers(name, dtype, (3, 4, 5), rng)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(_IN_PLACE_OPS))
+def test_in_place_op_writes_only_its_own_buffers_over_many_blocks(name, dtype, rng):
+    _check_writes_only_own_buffers(name, dtype, (2, _BLOCK // 5 + 1, 5), rng)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -341,6 +341,24 @@ def test_zero_epoch_stage_is_noop():
         assert np.array_equal(params[k].data, v)
 
 
+def test_run_stage_leaves_the_best_epochs_parameters():
+    params = init_params(TINY, seed=0)
+    seen = []
+
+    def sink(record):
+        seen.append((record["val_loss"], {k: p.data.copy() for k, p in params.items()}))
+
+    # a learning rate this high makes the validation loss rise again after epoch 3
+    sched = StageSchedule(finetune_epochs=4, finetune_lr=0.1, batch_size=64)
+    run_stage("finetune", params, TINY, _splits(), sched, log_sink=sink)
+    losses = [loss for loss, _ in seen]
+    best = losses.index(min(losses))
+    assert best < len(seen) - 1
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.data, seen[best][1][k])
+    assert not np.array_equal(params["forecast_head"].data, seen[-1][1]["forecast_head"])
+
+
 def test_pipeline_writes_checkpoints_and_log(tmp_path):
     data = _splits()
     params = init_params(TINY, seed=0)
