@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import SeriesTable, load_csv
+from .data import SeriesTable, load_csv, mask_count, patch_count
 from .errors import ConfigError
 from .model import ModelConfig, init_params
 from .synthetic import dataset_from_spec
@@ -96,6 +96,12 @@ class RunConfig:
             variant_flags(self.variant)
         # ModelConfig checks the model.* keys; one channel stands in for the data's
         ModelConfig(M=1, **_model_fields(self))
+        PN = patch_count(self.L, self.PL, self.S)
+        if self.pretrain_epochs > 0 and mask_count(self.mask_ratio, PN) == 0:
+            raise ConfigError(f"train.mask_ratio {self.mask_ratio} masks no patch of the "
+                              f"{PN} patches (model.L={self.L}, model.PL={self.PL}, "
+                              f"model.S={self.S}); pretraining needs at least one "
+                              f"(train.pretrain_epochs = 0 runs without it)")
 
 
 # field name -> (dotted key, parser)
@@ -365,9 +371,7 @@ def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
     for L in lengths:
         if L < base.PL:
             raise ConfigError(f"history length {L} is shorter than the patch length {base.PL}")
+    # every length's config is checked before any cell runs
+    cells = [replace(base, L=L) for L in lengths]
     table = load_table(base)
-    records = []
-    for L in lengths:
-        rc = replace(base, L=L)
-        records.append(_ablation_entry(rc, table, None))
-    return records
+    return [_ablation_entry(rc, table, None) for rc in cells]

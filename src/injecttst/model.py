@@ -128,37 +128,16 @@ def _linear(x: Tensor, params: dict, w: str, b: str) -> Tensor:
     return nm.linear(x, params[w], params[b])
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    # (..., S, D) -> (..., H, S, D/H)
-    *lead, s, d = x.shape
-    x = nm.reshape(x, (*lead, s, heads, d // heads))
-    k = len(lead)
-    perm = tuple(range(k)) + (k + 1, k, k + 2)
-    return nm.transpose(x, perm)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    # (..., H, S, dh) -> (..., S, H*dh)
-    *lead, h, s, dh = x.shape
-    k = len(lead)
-    perm = tuple(range(k)) + (k + 1, k, k + 2)
-    return nm.reshape(nm.transpose(x, perm), (*lead, s, h * dh))
-
-
 def _attention(x_q: Tensor, x_kv: Tensor, params: dict, prefix: str, cfg: ModelConfig,
                capture: Optional[list]) -> Tensor:
     """Multi-head attention of the `x_q` tokens over the `x_kv` tokens. A
-    context with fewer leading axes than the queries (the global tokens in
-    the injection block) gets broadcast axes after its batch axis."""
-    q = _split_heads(_linear(x_q, params, f"{prefix}attn.wq", f"{prefix}attn.bq"), cfg.heads)
-    k = _split_heads(_linear(x_kv, params, f"{prefix}attn.wk", f"{prefix}attn.bk"), cfg.heads)
-    v = _split_heads(_linear(x_kv, params, f"{prefix}attn.wv", f"{prefix}attn.bv"), cfg.heads)
-    extra = (1,) * (q.data.ndim - k.data.ndim)
-    if extra:
-        k = nm.reshape(k, k.shape[:1] + extra + k.shape[1:])
-        v = nm.reshape(v, v.shape[:1] + extra + v.shape[1:])
-    out = nm.scaled_dot_attention(q, k, v, capture=capture)
-    return _linear(_merge_heads(out), params, f"{prefix}attn.wo", f"{prefix}attn.bo")
+    (B, Sk, D) context under (B, M, PN, D) queries (the global tokens in the
+    injection block) is shared by every channel of a batch item."""
+    q = _linear(x_q, params, f"{prefix}attn.wq", f"{prefix}attn.bq")
+    k = _linear(x_kv, params, f"{prefix}attn.wk", f"{prefix}attn.bk")
+    v = _linear(x_kv, params, f"{prefix}attn.wv", f"{prefix}attn.bv")
+    out = nm.scaled_dot_attention(q, k, v, heads=cfg.heads, capture=capture)
+    return _linear(out, params, f"{prefix}attn.wo", f"{prefix}attn.bo")
 
 
 def _ffn(x: Tensor, params: dict, prefix: str) -> Tensor:

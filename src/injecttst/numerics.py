@@ -301,11 +301,26 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(np.asarray(data), "mean", (x,), vjp)
 
 
+# within +-_EXP_SAFE, float32 and float64 exp neither overflows nor leaves
+# the normal range (float32 exp(60) ~ 1e26, exp(-60) ~ 9e-27)
+_EXP_SAFE = 60.0
+
+
 def softmax(x) -> Tensor:
-    """Row softmax over the last axis, computed with max subtraction."""
+    """Row softmax over the last axis.
+
+    When every input lies within +-_EXP_SAFE the rows are exponentiated as
+    they are; otherwise (also for NaN, and always for float16) each row's
+    max is subtracted first. The two whole-array bounds cost less than the
+    row max over short rows."""
     x = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-    y = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
+    xd = x.data
+    if (xd.size and xd.dtype.itemsize >= 4
+            and -_EXP_SAFE <= xd.min() and xd.max() <= _EXP_SAFE):
+        y = np.exp(xd)
+    else:
+        y = xd - xd.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
@@ -419,23 +434,83 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tenso
     return _node(data, "dropout", (x,), vjp)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         capture: Optional[list] = None) -> Tensor:
-    """softmax(q k_T / sqrt(d)) v over the trailing two axes.
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., S, D) as an (..., H, S, D/H) view."""
+    *lead, s, d = x.shape
+    return x.reshape(*lead, s, heads, d // heads).swapaxes(-3, -2)
 
-    `capture`, when given, receives the attention-weight array for inspection.
+
+def _check_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> None:
+    if min(q.ndim, k.ndim, v.ndim) < 2:
+        raise ShapeError(f"attention operands must be at least 2-D, got {q.shape}, {k.shape}, {v.shape}")
+    if not q.shape[-1] == k.shape[-1] == v.shape[-1]:
+        raise ShapeError(f"attention q, k and v widths disagree: {q.shape}, {k.shape}, {v.shape}")
+    if heads < 1 or q.shape[-1] % heads:
+        raise ShapeError(f"attention width {q.shape[-1]} is not divisible by {heads} heads")
+    if k.shape[:-1] != v.shape[:-1]:
+        raise ShapeError(f"attention key/value count mismatch: {k.shape} vs {v.shape}")
+    if k.ndim < q.ndim and k.ndim != 3:
+        raise ShapeError(f"a context with fewer axes than the queries {q.shape} must be "
+                         f"(batch, tokens, width), got {k.shape}")
+    if k.ndim > q.ndim or q.shape[:k.ndim - 2] != k.shape[:-2]:
+        raise ShapeError(f"attention context {k.shape} does not match the queries' "
+                         f"batch axes {q.shape}")
+
+
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
+                         capture: Optional[list] = None) -> Tensor:
+    """Multi-head softmax(q k_T / sqrt(dh)) v as one node.
+
+    q is (..., Sq, D) and k, v are (..., Sk, D) tokens; each of the `heads`
+    heads attends over its own D/heads columns, split and merged as views.
+    A (B, Sk, D) context under (B, ..., Sq, D) queries is shared by all the
+    queries of a batch item: their axes after the batch axis join the token
+    axis, since every query is its own softmax row. The output and the q, k
+    and v gradients are written into compact (..., S, D) arrays. `capture`,
+    when given, receives the (..., H, Sq, Sk) attention weights.
     """
-    if q.data.shape[-1] != k.data.shape[-1]:
-        raise ShapeError(f"attention key width mismatch: {q.data.shape} vs {k.data.shape}")
-    if k.data.shape[-2] != v.data.shape[-2]:
-        raise ShapeError(f"attention key/value count mismatch: {k.data.shape} vs {v.data.shape}")
+    qd, kd, vd = q.data, k.data, v.data
+    _check_attention(qd, kd, vd, heads)
+    flat = (*kd.shape[:-2], -1, qd.shape[-1])
     # scaling q costs one pass over nq*d values instead of nq*nk scores
-    q = mul(q, 1.0 / math.sqrt(q.data.shape[-1]))
-    kt = transpose(k, tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2))
-    attn = softmax(matmul(q, kt))
+    scale = np.asarray(1.0 / math.sqrt(qd.shape[-1] // heads), dtype=qd.dtype)
+    qs = qd.reshape(flat) * scale
+    qh, kh, vh = _heads(qs, heads), _heads(kd, heads), _heads(vd, heads)
+    # the module binding, so that a wrapped softmax sees every call
+    attn = softmax(np.matmul(qh, kh.swapaxes(-1, -2))).data
     if capture is not None:
-        capture.append(attn.data)
-    return matmul(attn, v)
+        # a shared context's (B, H, M*Sq, Sk) weights are shown as (B, M, H, Sq, Sk)
+        lead = attn.shape[:-3]
+        per_query = attn.reshape(*lead, heads, *qd.shape[len(lead):-1], attn.shape[-1])
+        capture.append(np.moveaxis(per_query, len(lead), -3))
+    out = np.empty_like(qs)
+    np.matmul(attn, vh, out=_heads(out, heads))
+
+    def vjp(g):
+        g = g.reshape(flat)
+        gh = _heads(g, heads)
+        # dS = (dP - rowsum(dP * P)) * P with rowsum(dP * P) = dO . O per
+        # head (Dao et al., arXiv 2205.14135): a sum over dh values, not Sk
+        split = (*qs.shape[:-1], heads, -1)
+        dot = np.einsum("...shd,...shd->...hs", g.reshape(split), out.reshape(split))
+        ds = np.matmul(gh, vh.swapaxes(-1, -2))
+        ds -= dot[..., None]
+        ds *= attn
+        dq = dk = dv = None
+        if q.requires_grad:
+            dq = np.empty_like(qs)
+            np.matmul(ds, kh, out=_heads(dq, heads))
+            dq *= scale
+            dq = dq.reshape(qd.shape)
+        if k.requires_grad:
+            dk = np.empty(kd.shape, qs.dtype)
+            np.matmul(ds.swapaxes(-1, -2), qh, out=_heads(dk, heads))
+        if v.requires_grad:
+            dv = np.empty(vd.shape, qs.dtype)
+            np.matmul(attn.swapaxes(-1, -2), gh, out=_heads(dv, heads))
+        return dq, dk, dv
+
+    return _node(out.reshape(qd.shape), "attention", (q, k, v), vjp)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -74,6 +74,15 @@ def test_flag_replaces_an_out_of_range_file_value(tmp_path):
     assert rc.T == 4 and rc.variant == "cat"
 
 
+def test_mask_ratio_that_masks_no_patch_is_rejected_only_with_pretraining():
+    # L=48, PL=S=12: 5 patches, and round(0.05 * 5) = 0
+    small = dict(FAST, L=48, PL=12, S=12, mask_ratio=0.05)
+    with pytest.raises(ConfigError, match=r"train\.mask_ratio .* 5 patches"):
+        RunConfig(**{**small, "pretrain_epochs": 1})
+    assert RunConfig(**small).pretrain_epochs == 0
+    assert RunConfig(**{**small, "pretrain_epochs": 1, "mask_ratio": 0.1}).mask_ratio == 0.1
+
+
 # ---------------------------------------------------------------------------
 # variants
 
@@ -231,6 +240,15 @@ def test_sweep_history_validates_lengths():
         sweep_history([24, 32, 24], rc)
 
 
+def test_sweep_history_checks_every_length_before_training(tmp_path):
+    # 0.08 masks one of L=96's 9 patches but none of L=48's 5
+    rc = RunConfig(**{**FAST, "out": str(tmp_path / "runs"), "L": 96, "PL": 12, "S": 12,
+                      "pretrain_epochs": 1, "mask_ratio": 0.08})
+    with pytest.raises(ConfigError, match="5 patches"):
+        sweep_history([96, 48], rc)
+    assert not (tmp_path / "runs").exists()
+
+
 def test_record_reproducible_across_runs(tmp_path):
     rc = RunConfig(**{**FAST, "out": str(tmp_path)}, variant="pat", seed=5)
     a, _ = run_single(rc)
@@ -303,6 +321,32 @@ def test_cli_out_of_range_setting_is_a_config_error(tmp_path, capsys, key, value
     err = capsys.readouterr().err
     assert "ConfigError" in err and key in err
     assert not (tmp_path / "runs").exists()
+
+
+def test_cli_pretrain_mask_ratio_that_masks_no_patch_exits_2(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, L=48, PL=12, S=12, pretrain_epochs=1)
+    with open(cfg_path, "a") as fh:
+        fh.write("train.mask_ratio = 0.05\n")
+    assert cli_main(["pretrain", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "train.mask_ratio" in err and "5 patches" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_finetune_checks_mask_ratio_unless_pretraining_is_off(tmp_path, capsys):
+    # the config describes the whole run, so finetune rejects it too
+    cfg_path = _write_cfg(tmp_path, L=48, PL=12, S=12, pretrain_epochs=1, mask_ratio=0.1)
+    with open(cfg_path) as fh:
+        text = fh.read().replace("train.mask_ratio = 0.1", "train.mask_ratio = 0.05")
+    with open(cfg_path, "w") as fh:
+        fh.write(text)
+    assert cli_main(["finetune", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "train.mask_ratio" in err and "train.pretrain_epochs = 0" in err
+    assert not (tmp_path / "runs").exists()
+    with open(cfg_path, "w") as fh:
+        fh.write(text.replace("train.pretrain_epochs = 1", "train.pretrain_epochs = 0"))
+    assert cli_main(["finetune", "--config", cfg_path]) == 0
 
 
 def test_cli_ablate_zero_horizon_is_a_config_error(tmp_path, capsys):

@@ -96,6 +96,65 @@ def test_softmax_rows_are_distributions(rng):
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-6)
 
 
+def _shifted_softmax(xd):
+    """Row softmax with the row max always subtracted first."""
+    y = xd - xd.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _shifted_softmax_vjp(y, g):
+    dx = g * y
+    dot = dx.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=dx)
+    dx *= y
+    return dx
+
+
+_UNGUARDED_ROWS = {
+    "large": [[1000.0, 0.0]],
+    "all -200": [[-200.0, -200.0, -200.0], [0.5, -0.5, 0.0]],
+    "straddles the bound": [[1.0, 2.0, 3.0], [0.0, nm._EXP_SAFE * 1.01, -1.0]],
+    "nan": [[0.0, np.nan, 1.0], [1.0, 2.0, 3.0]],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_UNGUARDED_ROWS))
+def test_softmax_outside_the_guard_equals_the_shifted_form_bitwise(case, dtype, rng,
+                                                                   monkeypatch):
+    monkeypatch.setattr(nm, "_debug_checks", False)     # NaN rows stay NaN
+    xd = np.asarray(_UNGUARDED_ROWS[case], dtype=dtype)
+    out = nm.softmax(Tensor(xd, requires_grad=True))
+    want = _shifted_softmax(xd)
+    g = rng.normal(size=xd.shape).astype(dtype)
+    assert out.data.dtype == dtype
+    np.testing.assert_array_equal(out.data, want)
+    np.testing.assert_array_equal(out._vjp(g)[0], _shifted_softmax_vjp(want, g))
+    if case == "all -200" and dtype == np.float32:
+        # without the shift, exp underflows to 0 and the row would be 0/0
+        assert np.exp(xd[0]).sum() == 0.0 and np.all(np.isfinite(out.data))
+
+
+def test_float16_softmax_always_takes_the_shifted_form():
+    # float16 exp(12) overflows, though 12 lies within the float32 guard
+    xd = np.array([[11.0, 12.0], [0.0, 1.0]], dtype=np.float16)
+    got = nm.softmax(Tensor(xd)).data
+    assert got.dtype == np.float16
+    np.testing.assert_array_equal(got, _shifted_softmax(xd))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_inside_the_guard_matches_the_shifted_form(dtype, rng):
+    xd = rng.uniform(-nm._EXP_SAFE, nm._EXP_SAFE, size=(50, 43)).astype(dtype)
+    xd[0, :2] = (-nm._EXP_SAFE, nm._EXP_SAFE)         # the bound itself is inside
+    got = nm.softmax(Tensor(xd)).data
+    assert got.dtype == dtype and np.all(np.isfinite(got))
+    eps = np.finfo(dtype).eps
+    np.testing.assert_allclose(got, _shifted_softmax(xd), rtol=64 * eps, atol=4 * eps)
+
+
 # ---------------------------------------------------------------------------
 # layer_norm
 
@@ -179,6 +238,107 @@ def test_attention_capture_rows_sum_to_one(rng):
                             capture=cap)
     assert len(cap) == 1
     np.testing.assert_allclose(cap[0].sum(axis=-1), 1.0, atol=1e-6)
+
+
+def test_attention_heads_must_divide_the_width():
+    x = t(np.zeros((2, 5, 6)))
+    with pytest.raises(ShapeError, match="not divisible by 4 heads"):
+        nm.scaled_dot_attention(x, x, x, heads=4)
+
+
+def test_attention_value_width_mismatch():
+    with pytest.raises(ShapeError, match="widths disagree"):
+        nm.scaled_dot_attention(t(np.zeros((2, 5, 6))), t(np.zeros((2, 5, 6))),
+                                t(np.zeros((2, 5, 4))))
+
+
+def test_attention_key_value_token_count_mismatch():
+    with pytest.raises(ShapeError, match="key/value count mismatch"):
+        nm.scaled_dot_attention(t(np.zeros((2, 5, 6))), t(np.zeros((2, 5, 6))),
+                                t(np.zeros((2, 4, 6))))
+
+
+@pytest.mark.parametrize("ctx_shape", [(3, 7, 6), (2, 2, 7, 6)], ids=["shared", "same-rank"])
+def test_attention_context_batch_axis_mismatch(ctx_shape):
+    ctx = t(np.zeros(ctx_shape))
+    with pytest.raises(ShapeError, match="batch axes"):
+        nm.scaled_dot_attention(t(np.zeros((2, 4, 5, 6))), ctx, ctx, heads=2)
+
+
+def _split_heads_chain(x, heads):
+    # (..., S, D) -> (..., H, S, D/H)
+    *lead, s, d = x.shape
+    k = len(lead)
+    return nm.transpose(nm.reshape(x, (*lead, s, heads, d // heads)),
+                        tuple(range(k)) + (k + 1, k, k + 2))
+
+
+def _reference_attention(q, k, v, heads, capture):
+    """Multi-head attention as a chain of graph ops: split the heads, give a
+    shared context broadcast axes after its batch axis, scale q, multiply,
+    softmax, multiply and merge the heads."""
+    qh, kh, vh = (_split_heads_chain(x, heads) for x in (q, k, v))
+    extra = (1,) * (qh.data.ndim - kh.data.ndim)
+    if extra:
+        kh = nm.reshape(kh, kh.shape[:1] + extra + kh.shape[1:])
+        vh = nm.reshape(vh, vh.shape[:1] + extra + vh.shape[1:])
+    qh = nm.mul(qh, 1.0 / math.sqrt(qh.shape[-1]))
+    kt = nm.transpose(kh, tuple(range(kh.data.ndim - 2)) + (kh.data.ndim - 1, kh.data.ndim - 2))
+    attn = nm.softmax(nm.matmul(qh, kt))
+    capture.append(attn.data)
+    out = nm.matmul(attn, vh)
+    *lead, h, s, dh = out.shape
+    perm = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
+    return nm.reshape(nm.transpose(out, perm), (*lead, s, h * dh))
+
+
+_ATTENTION_SHAPES = {
+    # (query shape, context shape, heads)
+    "paper ci": ((448, 43, 64), (448, 43, 64), 4),
+    "paper sca pat": ((64, 7, 43, 64), (64, 43, 64), 4),
+    "paper sca cat": ((64, 7, 43, 64), (64, 7, 64), 4),
+    "desk ci": ((64, 5, 32), (64, 5, 32), 4),
+    "desk sca": ((32, 2, 5, 32), (32, 5, 32), 4),
+    "one head": ((3, 4, 6), (3, 5, 6), 1),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(_ATTENTION_SHAPES))
+def test_attention_node_equals_the_op_chain(case, dtype, rng):
+    """Output and weights bitwise; gradients, whose softmax row term the node
+    takes from the output, to roundoff."""
+    qshape, kshape, heads = _ATTENTION_SHAPES[case]
+    q, k, v = (Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+               for shape in (qshape, kshape, kshape))
+    weights = nm.constant(rng.normal(size=qshape).astype(dtype))
+    got_cap, want_cap = [], []
+    got = nm.scaled_dot_attention(q, k, v, heads=heads, capture=got_cap)
+    got_grads = grad_table(nm.sum_(got * weights), {"q": q, "k": k, "v": v})
+    want = _reference_attention(q, k, v, heads, want_cap)
+    want_grads = grad_table(nm.sum_(want * weights), {"q": q, "k": k, "v": v})
+    assert got.data.dtype == dtype and got.data.flags.c_contiguous
+    np.testing.assert_array_equal(got.data, want.data)
+    assert got_cap[0].shape == want_cap[0].shape
+    np.testing.assert_array_equal(got_cap[0], want_cap[0])
+    tol = 100 * np.finfo(dtype).eps
+    for name, g in got_grads.items():
+        assert g.dtype == dtype and g.shape == want_grads[name].shape
+        scale = np.max(np.abs(want_grads[name]))
+        assert np.max(np.abs(g - want_grads[name])) <= tol * scale, name
+
+
+def test_grad_check_multi_head_attention_over_a_shared_context(rng):
+    params = {"q": Tensor(rng.normal(size=(2, 3, 4, 6)), requires_grad=True),
+              "k": Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True),
+              "v": Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)}
+    weights = nm.constant(rng.normal(size=(2, 3, 4, 6)))
+
+    def f(p):
+        return nm.sum_(nm.scaled_dot_attention(p["q"], p["k"], p["v"], heads=2) * weights)
+
+    assert params["q"].data.dtype == np.float64
+    assert grad_check(f, params, h=1e-5) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +444,12 @@ def test_blocked_gelu_equals_whole_array_passes_bitwise(size, dtype, layout, rng
 _IN_PLACE_OPS = {
     "gelu": lambda x, p: nm.gelu(x),
     "softmax": lambda x, p: nm.softmax(x),
+    # values far outside the guard take the row-max-shifted branch
+    "softmax_shifted": lambda x, p: nm.softmax(nm.mul(x, 100.0)),
     "layer_norm": lambda x, p: nm.layer_norm(x, p["gain"], p["bias"]),
+    # self-attention over 4 tokens of width 5, one column per head
+    "attention": lambda x, p: nm.scaled_dot_attention(
+        *(3 * [nm.reshape(x, (-1, 4, 5))]), heads=5),
 }
 
 

@@ -3,15 +3,29 @@
 import importlib
 import importlib.util
 import os
+import sys
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+import numpy as np
+import pytest
+
+from injecttst import model, training
+from injecttst import numerics as nm
+from injecttst.data import WindowBatch
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_every_traced_name_is_a_package_callable():
@@ -23,3 +37,27 @@ def test_every_traced_name_is_a_package_callable():
         missing += [f"{module_name}.{fn}" for fn in functions
                     if not callable(getattr(module, fn, None))]
     assert tracer.TRACED and not missing, missing
+
+
+@pytest.mark.parametrize("mix_mode", ["pat", "cat"])
+def test_one_training_step_calls_every_numerics_layer_a_workload_uses(mix_mode, rng):
+    # `--trace 1` fails a workload whose `uses` layer shows no calls; a fused
+    # node that stops calling one of them must fail here too
+    uses = {name for w in _load("workloads").WORKLOADS.values() for name in w.uses
+            if name.startswith("numerics.")}
+    cfg = model.ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2, ci_layers=1,
+                            mix_layers=1, mix_mode=mix_mode)
+    params = model.init_params(cfg, 0)
+    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32)
+    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(np.float32),
+                        last_values=hist[:, -1, :].copy())
+    tracer = _load_tracer().Tracer("test")
+    tracer.install()
+    try:
+        pred = model.forward_forecast(batch, params, cfg)
+        loss = training.forecast_loss(pred, batch.target.transpose(0, 2, 1))
+        training.adam_step(params, nm.grad_table(loss, params), training.OptimState(lr=1e-3))
+    finally:
+        tracer.uninstall()
+    counts = {name: tracer.calls_of(name) for name in sorted(uses)}
+    assert uses and all(n > 0 for n in counts.values()), counts
