@@ -12,12 +12,11 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-from .checkpoint import apply_checkpoint, load_checkpoint
 from .errors import ConfigError
-from .harness import (BASELINE_VARIANT, append_records, format_table,
-                      load_config, result_record, run_ablation, run_single,
-                      schedule, setup_experiment, sweep_history)
-from .training import evaluate, run_stage, train_log_sink
+from .harness import (BASELINE_VARIANT, append_records, format_table, load_config,
+                      run_ablation, run_single, schedule, setup_experiment,
+                      sweep_history)
+from .training import train_pipeline
 
 _COMMON_FLAGS = (
     ("--config", dict(metavar="PATH", required=True, help="run config file")),
@@ -55,12 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> "RunConfig":
-    overrides = {"seed": args.seed, "variant": args.variant,
-                 "T": args.pred_len, "out": args.out}
-    return load_config(args.config, profile=args.profile, overrides=overrides)
-
-
 def _int_list(text: str, flag: str) -> list[int]:
     """The comma-separated integers of a list flag; blank items are skipped."""
     values = []
@@ -86,30 +79,21 @@ def _run(args) -> int:
     if not os.path.isfile(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 2
-    rc = _load(args)
+    rc = load_config(args.config, profile=args.profile,
+                     overrides={"seed": args.seed, "variant": args.variant,
+                                "T": args.pred_len, "out": args.out})
 
     if args.command == "pretrain":
         cfg, params, data, out_dir = setup_experiment(rc)
-        log = run_stage("pretrain", params, cfg, data, schedule(rc), out_dir,
-                        train_log_sink(out_dir))
+        sched = replace(schedule(rc), head_epochs=0, finetune_epochs=0)
+        log = train_pipeline(params, cfg, data, sched, out_dir)
         print(f"pretrain: {len(log)} epochs, checkpoint in {out_dir}")
         return 0
 
     if args.command in ("finetune", "evaluate"):
-        cfg, params, data, out_dir = setup_experiment(rc)
-        if args.checkpoint is not None:
-            apply_checkpoint(params, load_checkpoint(args.checkpoint))
-        log = []
-        checkpoint = args.checkpoint or ""
-        if args.command == "finetune":
-            sched, sink = schedule(rc), train_log_sink(out_dir)
-            for stage in ("head", "finetune"):
-                stage_log = run_stage(stage, params, cfg, data, sched, out_dir, sink)
-                if stage_log:       # a stage with no epochs writes no checkpoint
-                    log += stage_log
-                    checkpoint = os.path.join(out_dir, f"stage-{stage}-best.ckpt")
-        report = evaluate(params, cfg, data, rc.batch_size)
-        return _report(rc, [result_record(rc, report, log, checkpoint)])
+        stages = ("head", "finetune") if args.command == "finetune" else ()
+        record, _ = run_single(rc, stages=stages, checkpoint=args.checkpoint)
+        return _report(rc, [record])
 
     if args.command == "ablate":
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]

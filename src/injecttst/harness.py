@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .checkpoint import apply_checkpoint, load_checkpoint
 from .data import SeriesTable, load_csv, mask_count, patch_count
 from .errors import ConfigError
 from .model import ModelConfig, init_params
@@ -219,12 +220,8 @@ def model_config(rc: RunConfig, M: int) -> ModelConfig:
 
 
 def schedule(rc: RunConfig) -> StageSchedule:
-    return StageSchedule(pretrain_epochs=rc.pretrain_epochs,
-                         head_epochs=rc.head_epochs,
-                         finetune_epochs=rc.finetune_epochs,
-                         pretrain_lr=rc.pretrain_lr, head_lr=rc.head_lr,
-                         finetune_lr=rc.finetune_lr, batch_size=rc.batch_size,
-                         mask_ratio=rc.mask_ratio, seed=rc.seed)
+    return StageSchedule(**{f.name: getattr(rc, f.name)
+                            for f in dataclasses.fields(StageSchedule)})
 
 
 def load_table(rc: RunConfig) -> SeriesTable:
@@ -249,7 +246,12 @@ class ResultRecord:
     error: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
+        """One strict-JSON line: a missing or non-finite metric is null."""
+        record = dataclasses.asdict(self)
+        for key in ("mse", "mae"):
+            if not math.isfinite(record[key]):
+                record[key] = None
+        return json.dumps(record)
 
 
 def result_record(rc: RunConfig, report: Optional[EvalReport] = None,
@@ -284,56 +286,51 @@ def format_table(records: list[ResultRecord]) -> str:
     return "\n".join(lines)
 
 
-def _final_checkpoint(out_dir: str, sched: StageSchedule) -> str:
-    for stage in reversed(STAGES):
-        if getattr(sched, f"{stage}_epochs") > 0:
-            return os.path.join(out_dir, f"stage-{stage}-best.ckpt")
-    return ""
-
-
 def run_dir(rc: RunConfig) -> str:
     """The directory a run's checkpoints and training log go to."""
     return os.path.join(rc.out, f"{rc.variant}-T{rc.T}-s{rc.seed}-{config_digest(rc)}")
 
 
-def _splits(rc: RunConfig, table: Optional[SeriesTable],
-            data: Optional[DataSplits]) -> DataSplits:
-    if data is not None:
-        return data
-    if table is None:
-        table = load_table(rc)
-    return prepare_data(table, rc.L, rc.split_mode, rc.standardize)
-
-
-def setup_experiment(rc: RunConfig, table: Optional[SeriesTable] = None,
-                     data: Optional[DataSplits] = None
+def setup_experiment(rc: RunConfig, data: Optional[DataSplits] = None
                      ) -> tuple[ModelConfig, dict, DataSplits, str]:
     """Model config, freshly initialised params, data splits and run
     directory of a config. Given splits are used as they are; otherwise they
-    are prepared from `table`, loaded from `rc.data_path` when absent."""
-    data = _splits(rc, table, data)
+    are prepared from the table at `rc.data_path`."""
+    if data is None:
+        data = prepare_data(load_table(rc), rc.L, rc.split_mode, rc.standardize)
     cfg = model_config(rc, data.train.channels)
     return cfg, init_params(cfg, rc.seed), data, run_dir(rc)
 
 
-def run_single(rc: RunConfig, table: Optional[SeriesTable] = None,
-               data: Optional[DataSplits] = None) -> tuple[ResultRecord, EvalReport]:
-    """Train and evaluate one variant under one config."""
+def run_single(rc: RunConfig, data: Optional[DataSplits] = None,
+               stages: Sequence[str] = STAGES, checkpoint: Optional[str] = None
+               ) -> tuple[ResultRecord, EvalReport]:
+    """Train `stages` of one variant under one config, starting from the
+    weights in `checkpoint` when one is given, and evaluate the result. The
+    record names the checkpoint of the last stage that logged an epoch, or
+    else the given one."""
     if rc.variant == BASELINE_VARIANT:
-        report = evaluate_persistence(_splits(rc, table, data), rc.L, rc.T, rc.batch_size)
+        if tuple(stages) != STAGES or checkpoint is not None:
+            raise ConfigError(f"{BASELINE_VARIANT} trains no stage and loads no checkpoint")
+        if data is None:
+            data = prepare_data(load_table(rc), rc.L, rc.split_mode, rc.standardize)
+        report = evaluate_persistence(data, rc.L, rc.T, rc.batch_size)
         return result_record(rc, report), report
 
-    cfg, params, data, out_dir = setup_experiment(rc, table, data)
-    sched = schedule(rc)
+    cfg, params, data, out_dir = setup_experiment(rc, data)
+    if checkpoint is not None:
+        apply_checkpoint(params, load_checkpoint(checkpoint))
+    # a stage left out runs for 0 epochs: it logs nothing and writes no checkpoint
+    sched = replace(schedule(rc), **{f"{s}_epochs": 0 for s in STAGES if s not in stages})
     log = train_pipeline(params, cfg, data, sched, out_dir)
     report = evaluate(params, cfg, data, rc.batch_size)
-    return result_record(rc, report, log, _final_checkpoint(out_dir, sched)), report
+    final = os.path.join(out_dir, f"stage-{log[-1]['stage']}-best.ckpt") if log else checkpoint
+    return result_record(rc, report, log, final or ""), report
 
 
-def _ablation_entry(rc: RunConfig, table: Optional[SeriesTable],
-                    data: Optional[DataSplits]) -> ResultRecord:
+def _ablation_entry(rc: RunConfig, data: DataSplits) -> ResultRecord:
     try:
-        record, _ = run_single(rc, table, data)
+        record, _ = run_single(rc, data)
     except Exception as exc:  # record the failure, keep the matrix running
         record = result_record(rc, error=f"{type(exc).__name__}: {exc}")
     return record
@@ -359,7 +356,7 @@ def run_ablation(variants: list[str], horizons: list[int],
     cells = [replace(base, variant=tag, T=T) for T in horizons for tag in variants]
     # the splits depend on L, not on the horizon T
     data = prepare_data(load_table(base), base.L, base.split_mode, base.standardize)
-    return [_ablation_entry(rc, None, data) for rc in cells]
+    return [_ablation_entry(rc, data) for rc in cells]
 
 
 def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
@@ -371,7 +368,8 @@ def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
     for L in lengths:
         if L < base.PL:
             raise ConfigError(f"history length {L} is shorter than the patch length {base.PL}")
-    # every length's config is checked before any cell runs
+    # every length's config is checked, and its splits prepared, before any cell runs
     cells = [replace(base, L=L) for L in lengths]
     table = load_table(base)
-    return [_ablation_entry(rc, table, None) for rc in cells]
+    splits = [prepare_data(table, rc.L, rc.split_mode, rc.standardize) for rc in cells]
+    return [_ablation_entry(rc, data) for rc, data in zip(cells, splits)]

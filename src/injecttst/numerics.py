@@ -52,14 +52,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         tag = self.name or self.op
         return f"Tensor({tag}, shape={self.data.shape}, dtype={self.data.dtype})"
@@ -67,41 +59,16 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __truediv__(self, other):
         if not isinstance(other, (int, float)):
             raise TypeError("Tensor division only supports scalar divisors")
         return mul(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def constant(data, dtype=None) -> Tensor:
@@ -333,12 +300,15 @@ def softmax(x) -> Tensor:
     return _node(y, "softmax", (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     xd = x.data
     xhat = xd - xd.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(_LN_EPS, dtype=xd.dtype))
     xhat *= inv
     data = xhat * gain.data
     data += bias.data

@@ -57,17 +57,20 @@ def forecast_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # optimizer
 
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
-    """Adam's settings and state. The first step lays every parameter out in
-    one flat array: `layout` maps each name to its shape, in order, and
-    `offsets` holds where each parameter after the first starts. `m` and `v`
-    are the flat moments; `grad` and `work` are scratch arrays of the same
-    size, reused so that no step allocates (and page-faults in) fresh ones."""
+    """Adam's learning rate and state. The first step lays every parameter
+    out in one flat array: `layout` maps each name to its shape, in order,
+    and `offsets` holds where each parameter after the first starts. `m` and
+    `v` are the flat moments; `grad` and `work` are scratch arrays of the
+    same size, reused so that no step allocates (and page-faults in) fresh
+    ones."""
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
@@ -116,21 +119,21 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         raise TrainingDiverged(f"non-finite gradient for parameter {bad!r}")
 
     opt.step += 1
-    c1 = 1.0 - opt.beta1 ** opt.step
-    c2 = 1.0 - opt.beta2 ** opt.step
+    c1 = 1.0 - _BETA1 ** opt.step
+    c2 = 1.0 - _BETA2 ** opt.step
     # m = b1 m + (1 - b1) g,  v = b2 v + ((1 - b2) g) g,
     # w -= lr ((m / c1) / (sqrt(v / c2) + eps)),
     # evaluated in that order, with `work` and then `g` holding the temporaries
     m, v, work = opt.m, opt.v, opt.work
-    m *= opt.beta1
-    m += np.multiply(g, 1.0 - opt.beta1, out=work)
-    v *= opt.beta2
-    np.multiply(g, 1.0 - opt.beta2, out=work)
+    m *= _BETA1
+    m += np.multiply(g, 1.0 - _BETA1, out=work)
+    v *= _BETA2
+    np.multiply(g, 1.0 - _BETA2, out=work)
     work *= g
     v += work
     np.divide(v, c2, out=work)
     np.sqrt(work, out=work)
-    work += opt.eps
+    work += _ADAM_EPS
     update = np.divide(m, c1, out=g)
     update /= work
     update *= opt.lr
@@ -188,10 +191,6 @@ def prepare_data(table: SeriesTable, L: int, split_mode: str = "ratio",
                       mean=mean, std=std)
 
 
-def _target_bmt(batch: WindowBatch, dtype) -> np.ndarray:
-    return batch.target.transpose(0, 2, 1).astype(dtype, copy=False)
-
-
 def _pretrain_batch_loss(batch: WindowBatch, params: dict, cfg: ModelConfig,
                          ratio: float, mask_seed, rng=None) -> Tensor:
     history_n, _ = normalize_last_value(batch, params_dtype(params))
@@ -204,7 +203,7 @@ def _pretrain_batch_loss(batch: WindowBatch, params: dict, cfg: ModelConfig,
 def _forecast_batch_loss(batch: WindowBatch, params: dict, cfg: ModelConfig,
                          rng=None) -> Tensor:
     prediction = forward_forecast(batch, params, cfg, rng=rng)
-    return forecast_loss(prediction, _target_bmt(batch, prediction.data.dtype))
+    return forecast_loss(prediction, batch.target.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +285,20 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
     return log
 
 
-def train_log_sink(out_dir: str) -> Callable[[dict], None]:
-    """A `run_stage` log sink appending each epoch record to
-    `out_dir/train_log.ndjson`."""
-    os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, "train_log.ndjson")
-
-    def sink(record: dict) -> None:
-        with open(log_path, "a") as fh:
-            fh.write(json.dumps(record) + "\n")
-
-    return sink
-
-
 def train_pipeline(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
                    sched: StageSchedule, out_dir: Optional[str] = None) -> list[dict]:
-    """Run pretrain -> head -> finetune, appending logs to train_log.ndjson
-    when an output directory is given."""
-    sink = None if out_dir is None else train_log_sink(out_dir)
+    """Run pretrain -> head -> finetune. Given an output directory, each
+    epoch's record is appended to its train_log.ndjson; the directory is
+    made when the first record is written."""
+    def sink(record: dict) -> None:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "train_log.ndjson"), "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+
     log: list[dict] = []
     for stage in STAGES:
-        log.extend(run_stage(stage, params, cfg, data, sched, out_dir, sink))
+        log.extend(run_stage(stage, params, cfg, data, sched, out_dir,
+                             None if out_dir is None else sink))
     return log
 
 
@@ -361,30 +353,25 @@ def _aggregate(pred_target_pairs, destats=None) -> EvalReport:
         seconds=round(time.perf_counter() - t0, 3))
 
 
+def _score(data: DataSplits, L: int, T: int, batch_size: int, destandardized: bool,
+           predict: Callable[[WindowBatch], np.ndarray]) -> EvalReport:
+    """MSE/MAE of `predict`'s (B, M, T) forecasts over the ordered test
+    stream, in standardized space unless `destandardized`."""
+    pairs = ((predict(batch), batch.target.transpose(0, 2, 1))
+             for batch in make_windows(data.test_ext, L, T, batch_size))
+    return _aggregate(pairs, (data.mean, data.std) if destandardized else None)
+
+
 def evaluate(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
              batch_size: int = 64, destandardized: bool = False) -> EvalReport:
     """MSE/MAE over the ordered test stream, in standardized space by default."""
-    destats = (data.mean, data.std) if destandardized else None
-
-    def pairs():
-        for batch in make_windows(data.test_ext, cfg.L, cfg.T, batch_size):
-            # closed before the yield, so an abandoned generator leaves no
-            # parameter frozen
-            with nm.frozen(params.values()):
-                pred = forward_forecast(batch, params, cfg).data
-            yield pred, batch.target.transpose(0, 2, 1)
-
-    return _aggregate(pairs(), destats)
+    with nm.frozen(params.values()):
+        return _score(data, cfg.L, cfg.T, batch_size, destandardized,
+                      lambda batch: forward_forecast(batch, params, cfg).data)
 
 
 def evaluate_persistence(data: DataSplits, L: int, T: int,
                          batch_size: int = 64, destandardized: bool = False) -> EvalReport:
     """Persistence baseline: the last observed value repeated over the horizon."""
-    destats = (data.mean, data.std) if destandardized else None
-
-    def pairs():
-        for batch in make_windows(data.test_ext, L, T, batch_size):
-            pred = np.repeat(batch.last_values[:, :, None], T, axis=2)
-            yield pred, batch.target.transpose(0, 2, 1)
-
-    return _aggregate(pairs(), destats)
+    return _score(data, L, T, batch_size, destandardized,
+                  lambda batch: np.repeat(batch.last_values[:, :, None], T, axis=2))

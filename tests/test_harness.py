@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from injecttst import harness
+from injecttst.checkpoint import save_checkpoint
 from injecttst.cli import main as cli_main
-from injecttst.errors import ConfigError
+from injecttst.errors import ConfigError, SizingError
 from injecttst.harness import (BASELINE_VARIANT, VARIANT_FLAGS, RunConfig,
                                append_records, config_digest, load_config, model_config,
                                parse_config, run_ablation, run_single,
                                serialize_config, sweep_history, variant_flags)
-from injecttst.model import ModelConfig
+from injecttst.model import ModelConfig, init_params
 from injecttst.synthetic import dataset_from_spec, lead_lag
 from injecttst.training import prepare_data
 
@@ -479,3 +480,89 @@ def test_cli_flag_overrides_config(tmp_path):
     results = os.path.join(str(tmp_path / "runs"), "results.ndjson")
     record = json.loads(open(results).read().splitlines()[-1])
     assert record["seed"] == 77 and record["T"] == 5
+
+
+def test_cli_failed_ablation_cell_writes_strict_json(tmp_path, capsys):
+    # history too short for one window: the cell fails and has no metrics
+    cfg_path = _write_cfg(tmp_path, data_path="synthetic:sines:rows=40,channels=2,seed=4")
+    assert cli_main(["ablate", "--config", cfg_path, "--variants", "pat"]) == 1
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    results = os.path.join(str(tmp_path / "runs"), "results.ndjson")
+    records = [json.loads(line, parse_constant=reject)
+               for line in open(results).read().splitlines()]
+    assert [(r["status"], r["mse"], r["mae"]) for r in records] == [("failed", None, None)]
+
+
+def test_sweep_history_prepares_every_length_before_any_cell_trains(tmp_path, monkeypatch):
+    rc = RunConfig(**{**FAST, "out": str(tmp_path),
+                      "data_path": "synthetic:sines:rows=400,channels=2,seed=4"})
+    events, train_pipeline = [], harness.train_pipeline
+
+    def preparing(*args, **kwargs):
+        events.append(("prepare", args[1]))
+        return prepare_data(*args, **kwargs)
+
+    def training(*args, **kwargs):
+        events.append("train")
+        return train_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "prepare_data", preparing)
+    monkeypatch.setattr(harness, "train_pipeline", training)
+    records = sweep_history([24, 32], rc)
+    assert events == [("prepare", 24), ("prepare", 32), "train", "train"]
+    monkeypatch.undo()
+    # each cell equals a run that prepares its own splits
+    for r in records:
+        direct, _ = run_single(replace(rc, L=r.L))
+        assert (r.digest, r.mse, r.mae, r.epochs_run, r.checkpoint, r.status) == (
+            direct.digest, direct.mse, direct.mae, direct.epochs_run,
+            direct.checkpoint, direct.status)
+
+
+def test_sweep_history_table_too_short_to_split_fails_before_any_cell(tmp_path):
+    rc = RunConfig(**{**FAST, "out": str(tmp_path / "runs"),
+                      "data_path": "synthetic:sines:rows=9,channels=2,seed=4"})
+    with pytest.raises(SizingError, match="too few rows to split"):
+        sweep_history([24, 32], rc)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_single_without_epochs_records_no_checkpoint(tmp_path):
+    rc = RunConfig(**{**FAST, "out": str(tmp_path / "runs"), "head_epochs": 0,
+                      "finetune_epochs": 0})
+    record, report = run_single(rc)
+    assert (record.status, record.checkpoint, record.epochs_run) == ("ok", "", 0)
+    assert record.mse == report.mse
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_pretrain_without_epochs_creates_no_run_directory(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, pretrain_epochs=0)
+    assert cli_main(["pretrain", "--config", cfg_path]) == 0
+    assert "pretrain: 0 epochs" in capsys.readouterr().out
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_evaluate_creates_no_run_directory(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    ckpt = str(tmp_path / "given.ckpt")
+    save_checkpoint(init_params(model_config(RunConfig(**FAST), 2), 3), ckpt)
+    assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 0
+    # the results file is all it writes: no run directory, no train_log.ndjson
+    assert os.listdir(str(tmp_path / "runs")) == ["results.ndjson"]
+    record = _last_record(tmp_path)
+    assert (record["checkpoint"], record["epochs_run"]) == (ckpt, 0)
+
+
+@pytest.mark.parametrize("command", ["finetune", "evaluate"])
+def test_cli_baseline_variant_loads_and_trains_nothing(tmp_path, capsys, command):
+    cfg_path = _write_cfg(tmp_path)
+    argv = [command, "--config", cfg_path, "--variant", BASELINE_VARIANT]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(tmp_path / "absent.ckpt")]
+    assert cli_main(argv) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()

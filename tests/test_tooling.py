@@ -61,3 +61,14 @@ def test_one_training_step_calls_every_numerics_layer_a_workload_uses(mix_mode, 
         tracer.uninstall()
     counts = {name: tracer.calls_of(name) for name in sorted(uses)}
     assert uses and all(n > 0 for n in counts.values()), counts
+
+
+def test_every_workload_sets_up_and_counts_its_windows(tmp_path):
+    # the benchmark's set-up and window-count checks run against this tree,
+    # so a signature change they depend on fails here and not only in a run
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS.values():
+        checks = workloads.Checks()
+        state = workload.setup(0, str(tmp_path), checks)
+        workloads.check_window_counts(workload.splits(state), state, checks)
+        assert checks.results and not checks.failed, (workload.name, checks.failed)
