@@ -203,6 +203,9 @@ def config_digest(rc: RunConfig) -> str:
 
 
 def variant_flags(tag: str) -> dict:
+    if tag == BASELINE_VARIANT:
+        raise ConfigError(f"variant {tag!r} has no model; "
+                          "baseline, ablate and sweep-history run it")
     if tag not in VARIANT_FLAGS:
         raise ConfigError(f"unknown variant {tag!r}; choices: "
                           f"{sorted(VARIANT_FLAGS) + [BASELINE_VARIANT]}")

@@ -74,11 +74,9 @@ class ForwardTrace:
 
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Tensor]:
-    """Create every learnable tensor, uniquely named for checkpointing.
-
-    The channel identifier is allocated even when its flag is off so that
-    checkpoints stay loadable across ablation settings.
-    """
+    """Create every tensor the configured forward reads, uniquely named for
+    checkpointing. A switched-off module's tensors are drawn and dropped, so
+    a tensor that two variants share starts with the same values in both."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
 
@@ -96,7 +94,8 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Tens
         hidden = cfg.ffn_mult * cfg.D
         for k in "qkvo":
             uniform(f"{prefix}attn.w{k}", cfg.D, cfg.D)
-            vector(f"{prefix}attn.b{k}", cfg.D, 0.0)
+            if k != "k":    # softmax cancels a per-query shift of the scores
+                vector(f"{prefix}attn.b{k}", cfg.D, 0.0)
         uniform(f"{prefix}ffn.w1", cfg.D, hidden)
         vector(f"{prefix}ffn.b1", hidden, 0.0)
         uniform(f"{prefix}ffn.w2", hidden, cfg.D)
@@ -117,7 +116,9 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Tens
     encoder_layer("sca.")
     uniform("pretrain_head", cfg.D, cfg.PL)
     uniform("forecast_head", cfg.PN * cfg.D, cfg.T)
-    return params
+    unread = ((() if cfg.use_channel_identifier else ("chan_embed",))
+              + (() if cfg.use_global_injection else ("mix_proj", "mix.", "sca.")))
+    return {k: p for k, p in params.items() if not k.startswith(unread)}
 
 
 def params_dtype(params: dict[str, Tensor]):
@@ -134,7 +135,7 @@ def _attention(x_q: Tensor, x_kv: Tensor, params: dict, prefix: str, cfg: ModelC
     (B, Sk, D) context under (B, M, PN, D) queries (the global tokens in the
     injection block) is shared by every channel of a batch item."""
     q = _linear(x_q, params, f"{prefix}attn.wq", f"{prefix}attn.bq")
-    k = _linear(x_kv, params, f"{prefix}attn.wk", f"{prefix}attn.bk")
+    k = nm.matmul(x_kv, params[f"{prefix}attn.wk"])
     v = _linear(x_kv, params, f"{prefix}attn.wv", f"{prefix}attn.bv")
     out = nm.scaled_dot_attention(q, k, v, heads=cfg.heads, capture=capture)
     return _linear(out, params, f"{prefix}attn.wo", f"{prefix}attn.bo")
@@ -226,10 +227,8 @@ def sca_inject(z_ci: Tensor, z_glb: Tensor, params: dict, cfg: ModelConfig,
 
     One cross-attention sublayer and one FFN sublayer, each followed by layer
     norm. The optional residual wraps only the cross-attention sublayer; the
-    FFN keeps a fixed residual. Identity when global injection is disabled.
+    FFN keeps a fixed residual.
     """
-    if not cfg.use_global_injection:
-        return z_ci
     B, M, PN, D = z_ci.shape
     expected_ctx = cfg.M if cfg.mix_mode == "cat" else cfg.PN
     if z_glb.shape != (B, expected_ctx, D):

@@ -221,9 +221,9 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
     if epochs == 0:
         return []
     lr = getattr(sched, f"{stage}_lr")
-    trainable = ["forecast_head"] if stage == "head" else list(params)
-    # the head stage's frozen trunk stays off the graph: its loss graph is
-    # the head matmul and the loss ops alone
+    # a stage trains exactly what its loss reaches; the rest stays off the graph
+    unread = "forecast_head" if stage == "pretrain" else "pretrain_head"
+    trainable = ["forecast_head"] if stage == "head" else [k for k in params if k != unread]
     fixed = [p for k, p in params.items() if k not in trainable]
     opt = OptimState(lr=lr)
     code = _STAGE_CODE[stage]

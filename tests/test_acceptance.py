@@ -98,7 +98,7 @@ def _sca_loop_oracle(z_ci, z_glb, params, cfg):
     H, dh = cfg.heads, D // cfg.heads
     g = {k: params[k].data.astype(np.float64) for k in params}
     q_all = z_ci.astype(np.float64) @ g["sca.attn.wq"] + g["sca.attn.bq"]
-    k_all = z_glb.astype(np.float64) @ g["sca.attn.wk"] + g["sca.attn.bk"]
+    k_all = z_glb.astype(np.float64) @ g["sca.attn.wk"]
     v_all = z_glb.astype(np.float64) @ g["sca.attn.wv"] + g["sca.attn.bv"]
     out = np.zeros_like(z_ci, dtype=np.float64)
     for b in range(B):

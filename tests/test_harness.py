@@ -557,6 +557,28 @@ def test_cli_evaluate_creates_no_run_directory(tmp_path, capsys):
     assert (record["checkpoint"], record["epochs_run"]) == (ckpt, 0)
 
 
+def test_cli_pretrain_says_which_subcommands_run_the_baseline_variant(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    assert cli_main(["pretrain", "--config", cfg_path, "--variant", BASELINE_VARIANT]) == 2
+    err = capsys.readouterr().err
+    assert "has no model" in err and "baseline, ablate and sweep-history" in err
+    assert "unknown variant" not in err
+
+
+def test_cli_evaluate_rejects_a_checkpoint_of_another_variant(tmp_path, capsys):
+    # no-gi and no-cid read a subset of pat's tensors: loading pat's weights
+    # into them would score a different model than the one trained
+    cfg_path = _write_cfg(tmp_path, variant="pat")
+    assert cli_main(["finetune", "--config", cfg_path]) == 0
+    ckpt = _last_record(tmp_path)["checkpoint"]
+    capsys.readouterr()
+    for variant in ("no-gi", "no-cid"):
+        argv = ["evaluate", "--config", cfg_path, "--variant", variant, "--checkpoint", ckpt]
+        assert cli_main(argv) == 1
+        assert "CheckpointError" in capsys.readouterr().err
+    assert len(open(os.path.join(str(tmp_path / "runs"), "results.ndjson")).readlines()) == 1
+
+
 @pytest.mark.parametrize("command", ["finetune", "evaluate"])
 def test_cli_baseline_variant_loads_and_trains_nothing(tmp_path, capsys, command):
     cfg_path = _write_cfg(tmp_path)

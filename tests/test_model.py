@@ -9,11 +9,12 @@ import pytest
 import injecttst.numerics as nm
 from injecttst.data import WindowBatch, mask_patches, patchify
 from injecttst.errors import ConfigError, ShapeError
+from injecttst.harness import VARIANT_FLAGS
 from injecttst.model import (ForwardTrace, ModelConfig, _encoder, ci_encode,
                              embed_patches, forecast_head, forward_forecast,
                              forward_pretrain, global_mix_cat, global_mix_pat,
                              init_params, pretrain_head, sca_inject)
-from injecttst.training import OptimState, adam_step, masked_mse
+from injecttst.training import OptimState, adam_step, forecast_loss, masked_mse
 
 CFG = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2, ci_layers=1, mix_layers=1)
 
@@ -64,9 +65,32 @@ def test_config_rejects_unknown_mix_mode():
         ModelConfig(L=24, T=4, M=2, PL=8, S=8, D=8, heads=2, mix_mode="both")
 
 
-def test_channel_identifier_always_allocated():
-    cfg = replace(CFG, use_channel_identifier=False)
-    assert "chan_embed" in _params(cfg)
+def test_channel_identifier_allocated_only_when_enabled():
+    assert "chan_embed" in _params()
+    assert "chan_embed" not in _params(replace(CFG, use_channel_identifier=False))
+
+
+@pytest.mark.parametrize("tag", list(VARIANT_FLAGS))
+def test_every_allocated_tensor_gets_a_gradient(tag):
+    # forecast and masked losses together read every tensor a variant has
+    cfg = replace(CFG, **VARIANT_FLAGS[tag])
+    params = _params(cfg)
+    batch = _batch(cfg)
+    loss = forecast_loss(forward_forecast(batch, params, cfg), batch.target.transpose(0, 2, 1))
+    ps = patchify(batch.history - batch.last_values[:, None, :], cfg.PL, cfg.S)
+    masked = mask_patches(ps, 0.5, seed=0)
+    nm.backward(loss + masked_mse(forward_pretrain(masked, params, cfg), ps.patches, masked.mask))
+    assert not [k for k in params if k.endswith("attn.bk")]
+    assert [k for k, p in params.items() if p.grad is None] == []
+
+
+def test_variants_share_their_common_tensors_bitwise():
+    inits = {tag: _params(replace(CFG, **flags), seed=5) for tag, flags in VARIANT_FLAGS.items()}
+    for a in inits.values():
+        for b in inits.values():
+            for k in a.keys() & b.keys():
+                if a[k].shape == b[k].shape:
+                    assert np.array_equal(a[k].data, b[k].data), k
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +106,7 @@ def test_embed_zero_everything_is_zero():
 
 def test_embed_ignores_identifier_when_disabled(rng):
     cfg = replace(CFG, use_channel_identifier=False)
-    params = _params(cfg)
+    params = _params()
     ps = patchify(rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32), cfg.PL, cfg.S)
     before = embed_patches(ps, params, cfg).data.copy()
     params["chan_embed"].data = rng.normal(size=params["chan_embed"].data.shape).astype(np.float32)
@@ -235,12 +259,13 @@ def test_pat_zero_patches_encode_positional_only(rng):
 # ---------------------------------------------------------------------------
 # injection block
 
-def test_sca_disabled_is_identity(rng):
+def test_sca_disabled_is_identity():
+    # with injection off the trunk builds no global tokens and its output is
+    # the channel-independent encoding itself
     cfg = replace(CFG, use_global_injection=False)
-    params = _params(cfg)
-    z_ci = nm.constant(rng.normal(size=(2, cfg.M, cfg.PN, cfg.D)).astype(np.float32))
-    z_glb = nm.constant(rng.normal(size=(2, cfg.PN, cfg.D)).astype(np.float32))
-    assert sca_inject(z_ci, z_glb, params, cfg) is z_ci
+    trace = ForwardTrace()
+    forward_forecast(_batch(cfg), _params(cfg), cfg, trace)
+    assert trace.z_glb is None and trace.z_out is trace.z_ci
 
 
 def test_sca_single_context_token(rng):
@@ -270,7 +295,7 @@ def _sca_oracle(z_ci, z_glb, P, cfg):
     H, dh = cfg.heads, D // cfg.heads
     g = {k: P[k].data.astype(np.float64) for k in P}
     q_all = z_ci.astype(np.float64) @ g["sca.attn.wq"] + g["sca.attn.bq"]
-    k_all = z_glb.astype(np.float64) @ g["sca.attn.wk"] + g["sca.attn.bk"]
+    k_all = z_glb.astype(np.float64) @ g["sca.attn.wk"]
     v_all = z_glb.astype(np.float64) @ g["sca.attn.wv"] + g["sca.attn.bv"]
     out = np.zeros_like(z_ci, dtype=np.float64)
     for b in range(B):

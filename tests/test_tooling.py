@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from injecttst import model, training
+from injecttst import harness, model, training
 from injecttst import numerics as nm
 from injecttst.data import WindowBatch
 
@@ -39,14 +39,14 @@ def test_every_traced_name_is_a_package_callable():
     assert tracer.TRACED and not missing, missing
 
 
-@pytest.mark.parametrize("mix_mode", ["pat", "cat"])
-def test_one_training_step_calls_every_numerics_layer_a_workload_uses(mix_mode, rng):
+@pytest.mark.parametrize("tag", list(harness.VARIANT_FLAGS))
+def test_one_training_step_calls_every_numerics_layer_a_workload_uses(tag, rng):
     # `--trace 1` fails a workload whose `uses` layer shows no calls; a fused
     # node that stops calling one of them must fail here too
     uses = {name for w in _load("workloads").WORKLOADS.values() for name in w.uses
             if name.startswith("numerics.")}
     cfg = model.ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2, ci_layers=1,
-                            mix_layers=1, mix_mode=mix_mode)
+                            mix_layers=1, **harness.VARIANT_FLAGS[tag])
     params = model.init_params(cfg, 0)
     hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32)
     batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(np.float32),

@@ -247,19 +247,24 @@ def _reachable_params(loss, params):
     return found
 
 
-def test_head_stage_graph_reaches_only_the_head(monkeypatch):
+@pytest.mark.parametrize("stage", training.STAGES)
+def test_stage_trains_exactly_what_its_loss_reaches(monkeypatch, stage):
     data = _splits()
     params = init_params(TINY, seed=0)
-    reached = []
+    calls = []
     grad_table = nm.grad_table
 
     def spy(loss, wanted):
-        reached.append(_reachable_params(loss, params))
+        calls.append((set(wanted), _reachable_params(loss, params)))
         return grad_table(loss, wanted)
 
     monkeypatch.setattr(nm, "grad_table", spy)
-    run_stage("head", params, TINY, data, StageSchedule(head_epochs=1, batch_size=32, seed=0))
-    assert reached and all(r == {"forecast_head"} for r in reached)
+    sched = StageSchedule(pretrain_epochs=1, head_epochs=1, finetune_epochs=1,
+                          batch_size=32, seed=0)
+    run_stage(stage, params, TINY, data, sched)
+    assert calls and all(wanted == reached for wanted, reached in calls)
+    if stage == "head":
+        assert calls[0][0] == {"forecast_head"}
     assert all(p.requires_grad for p in params.values())
 
 
