@@ -61,7 +61,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     """Read a checkpoint; verifies magic, version and the trailing CRC.
 
     Every field is bounds-checked against the body, so a truncated or crafted
-    file raises CheckpointError even when its CRC matches.
+    file raises CheckpointError even when its CRC matches. So does a tensor
+    that holds a NaN or an infinity; the error names the first such tensor.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -105,6 +106,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         n = math.prod(shape)
         start = take(4 * n, f"data of {name!r} {shape}")
         arr = np.frombuffer(body, dtype="<f4", count=n, offset=start).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
         tensors[name] = arr.astype(np.float32)
     if offset != len(body):
         raise CheckpointError(f"{path}: trailing bytes after tensor data")

@@ -1,7 +1,7 @@
 """CSV ingestion, chronological splits, standardization, windows, patches.
 
 The CSV contract: a header row whose first column is named ``date`` (its
-content is carried along but never interpreted), remaining columns are
+cells are checked for count only and then dropped), remaining columns are
 numeric channels, comma separated, ``.`` decimal.
 """
 
@@ -21,7 +21,6 @@ from .errors import ContractError, DataError, SizingError
 class SeriesTable:
     """Raw multivariate series: row order is time order."""
 
-    timestamps: list[str]
     values: np.ndarray              # (rows, M) float32
     channel_names: list[str]
 
@@ -51,7 +50,6 @@ class PatchSet:
 
     patches: np.ndarray             # (B, M, PN, PL)
     mask: np.ndarray                # (B, M, PN) bool
-    PL: int
     S: int
 
     @property
@@ -74,12 +72,10 @@ def load_csv(path: str) -> SeriesTable:
         if header[0].strip() != "date":
             raise DataError(f"{path}: first column must be named 'date', got {header[0]!r}")
         names = [h.strip() for h in header[1:]]
-        timestamps: list[str] = []
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
-            timestamps.append(row[0])
             try:
                 rows.append([float(cell) for cell in row[1:]])
             except ValueError:
@@ -93,22 +89,11 @@ def load_csv(path: str) -> SeriesTable:
         r, c = bad[0]
         raise DataError(f"{path}: row {r + 2} has a non-finite value in channel "
                         f"column {names[c]!r}")
-    return SeriesTable(timestamps=timestamps, values=values, channel_names=names)
-
-
-def save_csv(table: SeriesTable, path: str) -> None:
-    """Write a table in the loader's format; float32 values round-trip exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + list(table.channel_names))
-        for ts, row in zip(table.timestamps, table.values):
-            writer.writerow([ts] + [format(float(v), ".9g") for v in row])
+    return SeriesTable(values=values, channel_names=names)
 
 
 def _sub_table(table: SeriesTable, lo: int, hi: int) -> SeriesTable:
-    return SeriesTable(timestamps=table.timestamps[lo:hi],
-                       values=table.values[lo:hi],
-                       channel_names=table.channel_names)
+    return SeriesTable(values=table.values[lo:hi], channel_names=table.channel_names)
 
 
 def split(table: SeriesTable, mode: str = "ratio") -> tuple[SeriesTable, SeriesTable, SeriesTable]:
@@ -130,25 +115,17 @@ def split(table: SeriesTable, mode: str = "ratio") -> tuple[SeriesTable, SeriesT
 
 
 def standardize(train: SeriesTable, val: SeriesTable, test: SeriesTable,
-                ) -> tuple[SeriesTable, SeriesTable, SeriesTable, np.ndarray, np.ndarray]:
-    """Transform all three splits with train-split statistics.
-
-    Returns the transformed tables and the per-channel (mean, std); std is
-    floored at 1e-8 so constant channels map to zeros.
-    """
+                ) -> tuple[SeriesTable, SeriesTable, SeriesTable]:
+    """Transform all three splits with the train split's per-channel mean and
+    std; std is floored at 1e-8 so constant channels map to zeros."""
     mean = train.values.mean(axis=0)
     std = np.maximum(train.values.std(axis=0), np.float32(1e-8))
 
     def tx(t: SeriesTable) -> SeriesTable:
-        return SeriesTable(timestamps=t.timestamps,
-                           values=((t.values - mean) / std).astype(np.float32),
+        return SeriesTable(values=((t.values - mean) / std).astype(np.float32),
                            channel_names=t.channel_names)
 
-    return tx(train), tx(val), tx(test), mean, std
-
-
-def destandardize(values: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return values * std + mean
+    return tx(train), tx(val), tx(test)
 
 
 def with_history(prev: SeriesTable, cur: SeriesTable, L: int) -> SeriesTable:
@@ -160,8 +137,7 @@ def with_history(prev: SeriesTable, cur: SeriesTable, L: int) -> SeriesTable:
     k = min(L - 1, prev.rows)
     if k <= 0:
         return cur
-    return SeriesTable(timestamps=prev.timestamps[-k:] + cur.timestamps,
-                       values=np.concatenate([prev.values[-k:], cur.values], axis=0),
+    return SeriesTable(values=np.concatenate([prev.values[-k:], cur.values], axis=0),
                        channel_names=cur.channel_names)
 
 
@@ -170,22 +146,16 @@ def window_count(rows: int, L: int, T: int) -> int:
 
 
 def make_windows(table: SeriesTable, L: int, T: int, batch_size: int,
-                 shuffle: bool = False,
                  rng: Optional[np.random.Generator] = None) -> Iterator[WindowBatch]:
-    """Yield stride-1 (history, target) window batches.
-
-    Training streams pass shuffle=True with a seeded rng; evaluation streams
-    keep source order.
-    """
+    """Yield stride-1 (history, target) window batches, shuffled by `rng`
+    when one is given (training streams) and in source order otherwise."""
     n = window_count(table.rows, L, T)
     if n < 1:
         raise SizingError(f"need at least {L + T} rows for L={L}, T={T}, got {table.rows}")
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
     starts = np.arange(n)
-    if shuffle:
-        if rng is None:
-            raise ContractError("shuffle=True requires an rng")
+    if rng is not None:
         starts = rng.permutation(starts)
     values = table.values
     hist_idx = np.arange(L)
@@ -217,7 +187,7 @@ def patchify(history: np.ndarray, PL: int, S: int) -> PatchSet:
     patches = padded[:, idx, :]                                # (B, PN, PL, M)
     patches = patches.transpose(0, 3, 1, 2).copy()             # (B, M, PN, PL)
     mask = np.zeros((B, M, PN), dtype=bool)
-    return PatchSet(patches=patches, mask=mask, PL=PL, S=S)
+    return PatchSet(patches=patches, mask=mask, S=S)
 
 
 def sequence_from_patches(ps: PatchSet, L: int) -> np.ndarray:
@@ -253,4 +223,4 @@ def mask_patches(ps: PatchSet, ratio: float, seed) -> PatchSet:
     np.put_along_axis(mask, picked, True, axis=-1)
     patches = ps.patches.copy()
     patches[mask] = 0.0
-    return PatchSet(patches=patches, mask=mask, PL=ps.PL, S=ps.S)
+    return PatchSet(patches=patches, mask=mask, S=ps.S)

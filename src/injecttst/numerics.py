@@ -238,34 +238,24 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _node(data, "transpose", (x,), vjp)
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    ax = axis if isinstance(axis, tuple) else (axis,)
-    if not keepdims:
-        ax = tuple(a % len(shape) for a in ax)
-        g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def sum_(x: Tensor) -> Tensor:
+    """The sum of all elements, as a scalar."""
+    data = np.asarray(x.data.sum())
 
     def vjp(g):
-        return (_expand_reduced(g, x.data.shape, axis, keepdims),)
+        return (np.broadcast_to(g, x.data.shape),)
 
-    return _node(np.asarray(data), "sum", (x,), vjp)
+    return _node(data, "sum", (x,), vjp)
 
 
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else int(np.prod([x.data.shape[a] for a in
-                                                          (axis if isinstance(axis, tuple) else (axis,))]))
+def mean(x: Tensor) -> Tensor:
+    """The mean of all elements, as a scalar."""
+    data = np.asarray(x.data.mean())
 
     def vjp(g):
-        return (_expand_reduced(g, x.data.shape, axis, keepdims) / count,)
+        return (np.broadcast_to(g, x.data.shape) / x.data.size,)
 
-    return _node(np.asarray(data), "mean", (x,), vjp)
+    return _node(data, "mean", (x,), vjp)
 
 
 # within +-_EXP_SAFE, float32 and float64 exp neither overflows nor leaves

@@ -7,14 +7,12 @@ recent past plus noise, making cross-channel information genuinely necessary.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .data import SeriesTable
 from .errors import ConfigError
-
-
-def _timestamps(rows: int) -> list[str]:
-    return [str(i) for i in range(rows)]
 
 
 def sine_mixture(rows: int, channels: int = 3, seed: int = 0,
@@ -29,8 +27,7 @@ def sine_mixture(rows: int, channels: int = 3, seed: int = 0,
         phases = rng.uniform(0.0, 2.0 * np.pi, components)
         values[:, c] = (amps * np.sin(2.0 * np.pi * t / periods + phases)).sum(axis=1)
     values += noise * rng.standard_normal(values.shape)
-    return SeriesTable(timestamps=_timestamps(rows),
-                       values=values.astype(np.float32),
+    return SeriesTable(values=values.astype(np.float32),
                        channel_names=[f"ch{c}" for c in range(channels)])
 
 
@@ -41,8 +38,6 @@ def lead_lag(rows: int, lag: int = 6, seed: int = 0, noise: float = 0.05,
     The driver is smoothed white noise, so the follower's next `lag` steps
     are readable from the driver's history but not from the follower's own.
     """
-    if lag < 1:
-        raise ConfigError(f"lag must be >= 1, got {lag}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(rows + lag + smooth)
     kernel = np.ones(smooth) / smooth
@@ -51,20 +46,23 @@ def lead_lag(rows: int, lag: int = 6, seed: int = 0, noise: float = 0.05,
     driver = base[lag:lag + rows]
     follower = base[:rows] + noise * rng.standard_normal(rows)
     values = np.stack([driver, follower], axis=1).astype(np.float32)
-    return SeriesTable(timestamps=_timestamps(rows), values=values,
-                       channel_names=["driver", "follower"])
+    return SeriesTable(values=values, channel_names=["driver", "follower"])
 
 
+# generator -> (function, {parameter: (type, smallest value)})
 _GENERATORS = {
-    "sines": (sine_mixture, {"rows": int, "channels": int, "seed": int,
-                             "noise": float, "components": int}),
-    "lead-lag": (lead_lag, {"rows": int, "lag": int, "seed": int,
-                            "noise": float, "smooth": int}),
+    "sines": (sine_mixture, {"rows": (int, 1), "channels": (int, 1), "seed": (int, 0),
+                             "noise": (float, 0.0), "components": (int, 1)}),
+    "lead-lag": (lead_lag, {"rows": (int, 1), "lag": (int, 1), "seed": (int, 0),
+                            "noise": (float, 0.0), "smooth": (int, 1)}),
 }
 
 
 def dataset_from_spec(spec: str) -> SeriesTable:
-    """Build a table from a spec string like 'synthetic:lead-lag:rows=600,lag=6'."""
+    """Build a table from a spec string like 'synthetic:lead-lag:rows=600,lag=6'.
+
+    Each item is `name=value`; a value must parse as its parameter's type and
+    be finite and at least the parameter's smallest value."""
     parts = spec.split(":")
     if len(parts) < 2 or parts[0] != "synthetic":
         raise ConfigError(f"not a synthetic dataset spec: {spec!r}")
@@ -72,14 +70,25 @@ def dataset_from_spec(spec: str) -> SeriesTable:
     if name not in _GENERATORS:
         raise ConfigError(f"unknown synthetic generator {name!r}; "
                           f"choices: {sorted(_GENERATORS)}")
-    fn, types = _GENERATORS[name]
+    fn, params = _GENERATORS[name]
     kwargs = {}
     if len(parts) > 2 and parts[2]:
         for item in parts[2].split(","):
-            key, _, raw = item.partition("=")
-            if key not in types:
+            key, sep, raw = item.partition("=")
+            if not sep:
+                raise ConfigError(f"synthetic spec item {item!r} is not name=value: {spec!r}")
+            if key not in params:
                 raise ConfigError(f"unknown parameter {key!r} for generator {name!r}")
-            kwargs[key] = types[key](raw)
+            conv, least = params[key]
+            try:
+                value = conv(raw)
+            except ValueError:
+                raise ConfigError(f"synthetic spec {key}={raw!r} is not "
+                                  f"{'an integer' if conv is int else 'a number'}") from None
+            if not least <= value < math.inf:
+                raise ConfigError(f"synthetic spec {key} must be finite and >= {least}, "
+                                  f"got {raw!r}")
+            kwargs[key] = value
     if "rows" not in kwargs:
         raise ConfigError(f"synthetic spec must set rows: {spec!r}")
     return fn(**kwargs)

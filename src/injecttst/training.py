@@ -18,8 +18,8 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import save_checkpoint
-from .data import (SeriesTable, WindowBatch, destandardize, make_windows,
-                   mask_patches, patchify, split, standardize, with_history)
+from .data import (SeriesTable, WindowBatch, make_windows, mask_patches, patchify,
+                   split, standardize, with_history)
 from .errors import ContractError, SizingError, TrainingDiverged
 from .model import (ModelConfig, forward_forecast, forward_pretrain,
                     normalize_last_value, params_dtype)
@@ -165,30 +165,22 @@ class StageSchedule:
 
 @dataclass
 class DataSplits:
-    """Standardized train/val/test tables; eval tables carry L-1 rows of
-    context from the preceding split so early targets keep full histories."""
+    """The train table and the validation and test tables, each of the
+    latter with L-1 rows of context from the preceding split so that early
+    targets keep full histories."""
 
     train: SeriesTable
-    val: SeriesTable
-    test: SeriesTable
     val_ext: SeriesTable
     test_ext: SeriesTable
-    mean: np.ndarray
-    std: np.ndarray
 
 
 def prepare_data(table: SeriesTable, L: int, split_mode: str = "ratio",
                  standardize_inputs: bool = True) -> DataSplits:
     train, val, test = split(table, split_mode)
     if standardize_inputs:
-        train, val, test, mean, std = standardize(train, val, test)
-    else:
-        mean = np.zeros(table.channels, dtype=np.float32)
-        std = np.ones(table.channels, dtype=np.float32)
-    return DataSplits(train=train, val=val, test=test,
-                      val_ext=with_history(train, val, L),
-                      test_ext=with_history(val, test, L),
-                      mean=mean, std=std)
+        train, val, test = standardize(train, val, test)
+    return DataSplits(train=train, val_ext=with_history(train, val, L),
+                      test_ext=with_history(val, test, L))
 
 
 def _pretrain_batch_loss(batch: WindowBatch, params: dict, cfg: ModelConfig,
@@ -249,8 +241,7 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
         train_losses = []
         with nm.frozen(fixed):
             for b, batch in enumerate(make_windows(data.train, cfg.L, cfg.T,
-                                                   sched.batch_size, shuffle=True,
-                                                   rng=shuffle_rng)):
+                                                   sched.batch_size, shuffle_rng)):
                 loss = batch_loss(batch, [sched.seed, code, epoch, b], train_rng)
                 train_losses.append(finite(loss, "loss"))
                 grads = nm.grad_table(loss, {k: params[k] for k in trainable})
@@ -316,21 +307,12 @@ class EvalReport:
     n_windows: int
     seconds: float
 
-    def metrics_equal(self, other: "EvalReport") -> bool:
-        return (self.mse == other.mse and self.mae == other.mae
-                and self.per_horizon_mse == other.per_horizon_mse
-                and self.per_channel_mse == other.per_channel_mse)
 
-
-def _aggregate(pred_target_pairs, destats=None) -> EvalReport:
+def _aggregate(pred_target_pairs) -> EvalReport:
     t0 = time.perf_counter()
     sq_sum = None
     n_windows = 0
     for pred, target in pred_target_pairs:                    # both (B, M, T)
-        if destats is not None:
-            mean, std = destats
-            pred = destandardize(pred, mean[:, None], std[:, None])
-            target = destandardize(target, mean[:, None], std[:, None])
         err = (pred.astype(np.float64) - target.astype(np.float64))
         if sq_sum is None:
             M, T = err.shape[1], err.shape[2]
@@ -353,25 +335,26 @@ def _aggregate(pred_target_pairs, destats=None) -> EvalReport:
         seconds=round(time.perf_counter() - t0, 3))
 
 
-def _score(data: DataSplits, L: int, T: int, batch_size: int, destandardized: bool,
+def _score(data: DataSplits, L: int, T: int, batch_size: int,
            predict: Callable[[WindowBatch], np.ndarray]) -> EvalReport:
     """MSE/MAE of `predict`'s (B, M, T) forecasts over the ordered test
-    stream, in standardized space unless `destandardized`."""
+    stream, in the space of the prepared tables."""
     pairs = ((predict(batch), batch.target.transpose(0, 2, 1))
              for batch in make_windows(data.test_ext, L, T, batch_size))
-    return _aggregate(pairs, (data.mean, data.std) if destandardized else None)
+    return _aggregate(pairs)
 
 
 def evaluate(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
-             batch_size: int = 64, destandardized: bool = False) -> EvalReport:
-    """MSE/MAE over the ordered test stream, in standardized space by default."""
+             batch_size: int = 64) -> EvalReport:
+    """MSE/MAE over the ordered test stream, on the values the splits hold
+    (standardized ones unless `prepare_data` was told otherwise)."""
     with nm.frozen(params.values()):
-        return _score(data, cfg.L, cfg.T, batch_size, destandardized,
+        return _score(data, cfg.L, cfg.T, batch_size,
                       lambda batch: forward_forecast(batch, params, cfg).data)
 
 
 def evaluate_persistence(data: DataSplits, L: int, T: int,
-                         batch_size: int = 64, destandardized: bool = False) -> EvalReport:
+                         batch_size: int = 64) -> EvalReport:
     """Persistence baseline: the last observed value repeated over the horizon."""
-    return _score(data, L, T, batch_size, destandardized,
+    return _score(data, L, T, batch_size,
                   lambda batch: np.repeat(batch.last_values[:, :, None], T, axis=2))

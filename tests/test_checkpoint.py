@@ -138,6 +138,10 @@ _CRAFTED = {
                        "duplicate"),
     "cut body": (lambda b: b[:-2], "data of 's'"),
     "header only": (lambda b: b[:12], "tensor count"),
+    "nan value": (lambda b: _patched(b, 41, "<f", float("nan")), "'a' holds a non-finite"),
+    "inf value": (lambda b: _patched(b, len(b) - 4, "<f", float("inf")),
+                  "'s' holds a non-finite"),
+    "-inf value": (lambda b: _patched(b, 81, "<f", float("-inf")), "'a' holds a non-finite"),
 }
 
 
@@ -171,3 +175,12 @@ def test_fuzzed_bodies_load_or_raise_checkpoint_error(tmp_path):
         except Exception as exc:  # anything else is a loader fault
             pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")
         assert all(arr.dtype == np.float32 for arr in loaded.values())
+
+
+def test_non_finite_tensor_is_named_in_file_order(tmp_path):
+    # tensors are stored sorted by name, so the error names the first bad one
+    path = str(tmp_path / "x.ckpt")
+    save_checkpoint({"a": np.ones(3, np.float32), "b": np.array([1.0, np.inf], np.float32),
+                     "c": np.full(2, np.nan, np.float32)}, path)
+    with pytest.raises(CheckpointError, match="tensor 'b' holds a non-finite value"):
+        load_checkpoint(path)

@@ -1,20 +1,32 @@
 """CSV loading, splits, standardization, windows, patching, masking."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from injecttst.data import (SeriesTable, load_csv, make_windows, mask_count,
-                            mask_patches, patch_count, patchify, save_csv,
+                            mask_patches, patch_count, patchify,
                             sequence_from_patches, split, standardize,
-                            destandardize, window_count, with_history)
+                            window_count, with_history)
 from injecttst.errors import ContractError, DataError, SizingError
 
 
 def _table(values, names=None):
     values = np.asarray(values, dtype=np.float32)
-    return SeriesTable(timestamps=[str(i) for i in range(len(values))],
-                       values=values,
+    return SeriesTable(values=values,
                        channel_names=names or [f"c{i}" for i in range(values.shape[1])])
+
+
+def save_csv(table: SeriesTable, path: str, dates=None) -> None:
+    """Write a table in the loader's format; float32 values round-trip exactly.
+    The date cells are the row numbers unless `dates` are given."""
+    dates = dates if dates is not None else [str(i) for i in range(table.rows)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date"] + list(table.channel_names))
+        for date, row in zip(dates, table.values):
+            writer.writerow([date] + [format(float(v), ".9g") for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +91,18 @@ def test_csv_roundtrip_bitwise(tmp_path, rng):
     assert again.channel_names == table.channel_names
 
 
+def test_date_cells_do_not_change_the_values(tmp_path, rng):
+    # the date column is checked by name only; its cells are not read
+    table = _table(rng.normal(size=(50, 3)).astype(np.float32))
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    save_csv(table, a)
+    save_csv(table, b, dates=[f"2016-07-01 {i % 24:02d}:00" if i % 3 else "" for i in range(50)])
+    assert open(a).read() != open(b).read()
+    first, second = load_csv(a), load_csv(b)
+    assert first.values.tobytes() == second.values.tobytes()
+    assert first.channel_names == second.channel_names
+
+
 # ---------------------------------------------------------------------------
 # split
 
@@ -122,14 +146,14 @@ def test_standardize_constant_channel_maps_to_zero():
     tr = _table(np.full((50, 1), 3.25))
     va = _table(np.full((10, 1), 3.25))
     te = _table(np.full((10, 1), 3.25))
-    tr2, _, _, _, std = standardize(tr, va, te)
+    tr2, va2, _ = standardize(tr, va, te)
     np.testing.assert_array_equal(tr2.values, 0.0)
-    assert std[0] >= 1e-8
+    np.testing.assert_array_equal(va2.values, 0.0)
 
 
 def test_standardize_train_stats(rng):
     x = (5.0 + 2.0 * rng.normal(size=(2000, 1))).astype(np.float32)
-    tr2, _, _, _, _ = standardize(_table(x), _table(x[:10]), _table(x[:10]))
+    tr2, _, _ = standardize(_table(x), _table(x[:10]), _table(x[:10]))
     v = tr2.values.astype(np.float64)
     assert abs(v.mean()) < 1e-6
     assert abs(v.std() - 1.0) < 1e-6
@@ -138,17 +162,10 @@ def test_standardize_train_stats(rng):
 def test_standardize_uses_train_stats_on_val():
     tr = _table(np.zeros((50, 1)) + np.arange(50)[:, None])   # mean 24.5
     va = _table(np.full((10, 1), 1000.0))                     # far off the train mean
-    tr2, va2, _, mean, std = standardize(tr, va, _table(np.zeros((5, 1))))
+    tr2, va2, _ = standardize(tr, va, _table(np.zeros((5, 1))))
+    mean, std = tr.values.mean(axis=0), tr.values.std(axis=0)
     np.testing.assert_allclose(va2.values, np.full((10, 1), (1000.0 - mean[0]) / std[0]), rtol=1e-6)
     assert va2.values.mean() > 10           # not re-centered on its own stats
-
-
-def test_standardize_destandardize_roundtrip(rng):
-    x = rng.normal(size=(200, 3)).astype(np.float32) * 7 + 2
-    tr, va, te = split(_table(x), "ratio")
-    tr2, va2, te2, mean, std = standardize(tr, va, te)
-    back = destandardize(te2.values, mean, std)
-    assert np.max(np.abs(back - te.values)) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +203,18 @@ def test_windows_too_few_rows():
         list(make_windows(_table(np.zeros((5, 1))), L=8, T=1, batch_size=2))
 
 
-def test_window_shuffle_is_seeded(rng):
-    table = _table(rng.normal(size=(40, 1)).astype(np.float32))
+def test_window_shuffle_is_seeded():
+    # each window's first history value is its start row
+    table = _table(np.arange(40, dtype=np.float32)[:, None])
 
     def order(seed):
-        r = np.random.default_rng(seed)
-        return [b.history[i, 0, 0] for b in make_windows(table, 4, 1, 8, shuffle=True, rng=r)
-                for i in range(b.size)]
+        r = None if seed is None else np.random.default_rng(seed)
+        return [float(v) for b in make_windows(table, 4, 1, 8, r) for v in b.history[:, 0, 0]]
 
     assert order(5) == order(5)
     assert order(5) != order(6)
+    # without an rng the windows keep source order
+    assert order(None) == [float(s) for s in range(window_count(40, 4, 1))]
 
 
 # ---------------------------------------------------------------------------

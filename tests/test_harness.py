@@ -130,6 +130,31 @@ def test_dataset_from_spec_rejects_bad_input():
         dataset_from_spec("synthetic:sines:seed=1")    # rows missing
 
 
+# each spec is malformed in one way; none may reach a generator
+_BAD_SPECS = {
+    "item without =": "synthetic:sines:rows=100,channels",
+    "int does not parse": "synthetic:sines:rows=abc",
+    "float does not parse": "synthetic:lead-lag:rows=100,noise=loud",
+    "rows negative": "synthetic:sines:rows=-5",
+    "rows zero": "synthetic:lead-lag:rows=0",
+    "channels zero": "synthetic:sines:rows=100,channels=0",
+    "components zero": "synthetic:sines:rows=100,components=0",
+    "smooth zero": "synthetic:lead-lag:rows=100,smooth=0",
+    "lag zero": "synthetic:lead-lag:rows=100,lag=0",
+    "seed negative": "synthetic:sines:rows=100,seed=-1",
+    "noise negative": "synthetic:sines:rows=100,noise=-0.5",
+    "noise infinite": "synthetic:lead-lag:rows=100,noise=inf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SPECS))
+def test_cli_malformed_synthetic_spec_exits_2(tmp_path, capsys, case):
+    cfg_path = _write_cfg(tmp_path, data_path=_BAD_SPECS[case])
+    assert cli_main(["finetune", "--config", cfg_path]) == 2
+    assert "ConfigError: synthetic spec" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_lead_lag_follower_tracks_driver():
     table = lead_lag(rows=300, lag=5, seed=0, noise=0.01)
     driver, follower = table.values[:, 0], table.values[:, 1]
@@ -563,6 +588,20 @@ def test_cli_pretrain_says_which_subcommands_run_the_baseline_variant(tmp_path, 
     err = capsys.readouterr().err
     assert "has no model" in err and "baseline, ablate and sweep-history" in err
     assert "unknown variant" not in err
+
+
+def test_cli_evaluate_rejects_a_non_finite_checkpoint(tmp_path, capsys):
+    # scoring a NaN weight would write "status": "ok" with a null mse
+    cfg_path = _write_cfg(tmp_path)
+    params = init_params(model_config(RunConfig(**FAST), 2), 3)
+    params["patch_proj"].data = params["patch_proj"].data.copy()
+    params["patch_proj"].data[0, 0] = np.nan
+    ckpt = str(tmp_path / "nan.ckpt")
+    save_checkpoint(params, ckpt)
+    assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "'patch_proj'" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_evaluate_rejects_a_checkpoint_of_another_variant(tmp_path, capsys):
