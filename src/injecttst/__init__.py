@@ -1,20 +1,2 @@
 """Channel-independent patch-transformer forecaster with selective
 global-information injection, on a minimal reverse-mode numeric core."""
-
-from .data import PatchSet, SeriesTable, WindowBatch, load_csv, make_windows, mask_patches, patch_count, patchify, split, standardize
-from .harness import ResultRecord, RunConfig, run_ablation, run_single, sweep_history
-from .model import ForwardTrace, ModelConfig, forward_forecast, forward_pretrain, init_params
-from .numerics import Tensor, backward, grad_check, grad_table
-from .training import EvalReport, StageSchedule, evaluate, evaluate_persistence, forecast_loss, masked_mse, prepare_data, run_stage, train_pipeline
-
-__all__ = [
-    "EvalReport", "ForwardTrace", "ModelConfig", "PatchSet", "ResultRecord",
-    "RunConfig", "SeriesTable", "StageSchedule", "Tensor", "WindowBatch",
-    "backward", "evaluate", "evaluate_persistence", "forecast_loss",
-    "forward_forecast", "forward_pretrain", "grad_check", "grad_table",
-    "init_params", "load_csv", "make_windows", "mask_patches", "masked_mse",
-    "patch_count", "patchify", "prepare_data", "run_ablation", "run_single",
-    "run_stage", "split", "standardize", "sweep_history", "train_pipeline",
-]
-
-__version__ = "0.1.0"

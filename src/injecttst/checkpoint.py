@@ -32,13 +32,16 @@ def save_checkpoint(params: dict, path: str) -> None:
     """Write tensors sorted by name; values accept Tensor or ndarray.
 
     The bytes go to a temporary file beside `path` that is then renamed over
-    it, so a reader never sees a partly written checkpoint.
+    it, so a reader never sees a partly written checkpoint. A tensor holding a
+    NaN or an infinity raises CheckpointError before either file exists.
     """
     chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(params))]
     for name in sorted(params):
         value = params[name]
         arr = np.ascontiguousarray(
             (value.data if isinstance(value, Tensor) else value), dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)

@@ -13,9 +13,9 @@ from dataclasses import replace
 from typing import Optional
 
 from .errors import ConfigError
-from .harness import (BASELINE_VARIANT, append_records, format_table, load_config,
-                      run_ablation, run_single, schedule, setup_experiment,
-                      sweep_history)
+from .harness import (BASELINE_VARIANT, PROFILES, append_records, format_table,
+                      load_config, run_ablation, run_single, schedule,
+                      setup_experiment, sweep_history)
 from .training import train_pipeline
 
 _COMMON_FLAGS = (
@@ -25,7 +25,7 @@ _COMMON_FLAGS = (
     ("--pred-len", dict(type=int, default=None, dest="pred_len",
                         help="override model.T")),
     ("--out", dict(default=None, help="override run.out directory")),
-    ("--profile", dict(choices=("paper", "desk"), default=None,
+    ("--profile", dict(choices=tuple(PROFILES), default=None,
                        help="schedule profile")),
 )
 

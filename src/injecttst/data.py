@@ -37,7 +37,6 @@ class SeriesTable:
 class WindowBatch:
     history: np.ndarray             # (B, L, M)
     target: np.ndarray              # (B, T, M)
-    last_values: np.ndarray         # (B, M), final history row per window
 
     @property
     def size(self) -> int:
@@ -96,19 +95,19 @@ def _sub_table(table: SeriesTable, lo: int, hi: int) -> SeriesTable:
     return SeriesTable(values=table.values[lo:hi], channel_names=table.channel_names)
 
 
-def split(table: SeriesTable, mode: str = "ratio") -> tuple[SeriesTable, SeriesTable, SeriesTable]:
-    """Chronological train/val/test partition.
+# split mode -> the fractions of the rows that end the train and val blocks
+SPLITS = {"ratio": (0.7, 0.8), "ett": (0.6, 0.8)}
 
-    mode="ratio" uses 70/10/20, mode="ett" uses 60/20/20 row proportions.
-    The three blocks concatenate back to the original table.
+
+def split(table: SeriesTable, mode: str = "ratio") -> tuple[SeriesTable, SeriesTable, SeriesTable]:
+    """Chronological train/val/test partition by the row fractions of
+    `SPLITS[mode]`: 70/10/20 for "ratio", 60/20/20 for "ett". The three
+    blocks concatenate back to the original table.
     """
-    n = table.rows
-    if mode == "ratio":
-        b1, b2 = int(n * 0.7), int(n * 0.8)
-    elif mode == "ett":
-        b1, b2 = int(n * 0.6), int(n * 0.8)
-    else:
+    if mode not in SPLITS:
         raise ContractError(f"unknown split mode {mode!r}")
+    n = table.rows
+    b1, b2 = (int(n * frac) for frac in SPLITS[mode])
     if n < 10 or b1 == 0 or b2 <= b1 or b2 >= n:
         raise SizingError(f"too few rows to split: {n} (need at least 10)")
     return _sub_table(table, 0, b1), _sub_table(table, b1, b2), _sub_table(table, b2, n)
@@ -164,8 +163,7 @@ def make_windows(table: SeriesTable, L: int, T: int, batch_size: int,
         s = starts[i:i + batch_size]
         history = values[s[:, None] + hist_idx]                # (B, L, M)
         target = values[s[:, None] + L + tgt_idx]              # (B, T, M)
-        yield WindowBatch(history=history, target=target,
-                          last_values=history[:, L - 1, :].copy())
+        yield WindowBatch(history=history, target=target)
 
 
 def patch_count(L: int, PL: int, S: int) -> int:

@@ -18,12 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .checkpoint import apply_checkpoint, load_checkpoint
-from .data import SeriesTable, load_csv, mask_count, patch_count
+from .data import SPLITS, SeriesTable, load_csv, mask_count, patch_count
 from .errors import ConfigError
 from .model import ModelConfig, init_params
 from .synthetic import dataset_from_spec
 from .training import (STAGES, DataSplits, EvalReport, StageSchedule, evaluate,
-                       evaluate_persistence, prepare_data, train_pipeline)
+                       evaluate_persistence, prepare_data, stage_checkpoint, train_pipeline)
 
 VARIANT_FLAGS: dict[str, dict] = {
     "pat": dict(mix_mode="pat", sca_residual=False,
@@ -49,7 +49,8 @@ PROFILES = {
 
 
 @dataclass
-class RunConfig:
+class RunConfig(StageSchedule):
+    """A whole run: the stage schedule's fields plus data, model and output."""
     data_path: str = ""
     split_mode: str = "ratio"
     standardize: bool = True
@@ -63,16 +64,7 @@ class RunConfig:
     mix_layers: int = 1
     ffn_mult: int = 2
     dropout: float = 0.0
-    pretrain_epochs: int = 20
-    head_epochs: int = 10
-    finetune_epochs: int = 100
-    pretrain_lr: float = 1e-4
-    head_lr: float = 1e-3
-    finetune_lr: float = 1e-4
-    batch_size: int = 64
-    mask_ratio: float = 0.5
     variant: str = "pat"
-    seed: int = 0
     out: str = "runs"
     profile: str = "paper"
 
@@ -81,8 +73,10 @@ class RunConfig:
         def out_of_range(name: str, rule: str) -> ConfigError:
             return ConfigError(f"{_FIELD_KEYS[name][0]} must be {rule}, got {getattr(self, name)}")
 
-        if self.split_mode not in ("ratio", "ett"):
-            raise out_of_range("split_mode", "'ratio' or 'ett'")
+        if self.profile not in PROFILES:
+            raise out_of_range("profile", f"one of {sorted(PROFILES)}")
+        if self.split_mode not in SPLITS:
+            raise out_of_range("split_mode", f"one of {sorted(SPLITS)}")
         for name in ("pretrain_epochs", "head_epochs", "finetune_epochs", "seed"):
             if getattr(self, name) < 0:
                 raise out_of_range(name, ">= 0")
@@ -191,11 +185,9 @@ def load_config(path: str, profile: Optional[str] = None,
     with open(path) as fh:
         values = _parse_fields(fh.read())
     chosen = profile or values.get("profile", RunConfig.profile)
-    if chosen not in PROFILES:
-        raise ConfigError(f"unknown profile {chosen!r}; choices: {sorted(PROFILES)}")
     flags = {k: v for k, v in (overrides or {}).items() if v is not None}
     # profile supplies schedule defaults; file values win over it, flags over both
-    return RunConfig(**{**PROFILES[chosen], **values, "profile": chosen, **flags})
+    return RunConfig(**{**PROFILES.get(chosen, {}), **values, "profile": chosen, **flags})
 
 
 def config_digest(rc: RunConfig) -> str:
@@ -213,9 +205,8 @@ def variant_flags(tag: str) -> dict:
 
 
 def _model_fields(rc: RunConfig) -> dict:
-    return dict(L=rc.L, T=rc.T, PL=rc.PL, S=rc.S, D=rc.D, heads=rc.heads,
-                ci_layers=rc.ci_layers, mix_layers=rc.mix_layers,
-                ffn_mult=rc.ffn_mult, dropout=rc.dropout)
+    return {name: getattr(rc, name) for name, (key, _) in _FIELD_KEYS.items()
+            if key.startswith("model.")}
 
 
 def model_config(rc: RunConfig, M: int) -> ModelConfig:
@@ -327,7 +318,7 @@ def run_single(rc: RunConfig, data: Optional[DataSplits] = None,
     sched = replace(schedule(rc), **{f"{s}_epochs": 0 for s in STAGES if s not in stages})
     log = train_pipeline(params, cfg, data, sched, out_dir)
     report = evaluate(params, cfg, data, rc.batch_size)
-    final = os.path.join(out_dir, f"stage-{log[-1]['stage']}-best.ckpt") if log else checkpoint
+    final = stage_checkpoint(out_dir, log[-1]["stage"]) if log else checkpoint
     return result_record(rc, report, log, final or ""), report
 
 
@@ -368,9 +359,6 @@ def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
         raise ConfigError("sweep requires at least one history length")
     if len(set(lengths)) != len(lengths):
         raise ConfigError(f"duplicate history lengths in {lengths}")
-    for L in lengths:
-        if L < base.PL:
-            raise ConfigError(f"history length {L} is shorter than the patch length {base.PL}")
     # every length's config is checked, and its splits prepared, before any cell runs
     cells = [replace(base, L=L) for L in lengths]
     table = load_table(base)

@@ -267,8 +267,7 @@ def normalize_last_value(batch: WindowBatch, dtype) -> tuple[np.ndarray, np.ndar
     """Subtract each window's final history value per channel; returns the
     normalized (B, L, M) history and the (B, M) last values."""
     history = batch.history.astype(dtype, copy=False)
-    last = batch.last_values.astype(dtype, copy=False)
-    return history - last[:, None, :], last
+    return history - history[:, -1:, :], history[:, -1, :]
 
 
 def _trunk(ps: PatchSet, seq: Optional[np.ndarray], params: dict, cfg: ModelConfig,

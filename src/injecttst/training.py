@@ -272,8 +272,13 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
             p.data = best_snapshot[k]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(params, os.path.join(out_dir, f"stage-{stage}-best.ckpt"))
+        save_checkpoint(params, stage_checkpoint(out_dir, stage))
     return log
+
+
+def stage_checkpoint(out_dir: str, stage: str) -> str:
+    """The file `run_stage` writes a stage's best-validation weights to."""
+    return os.path.join(out_dir, f"stage-{stage}-best.ckpt")
 
 
 def train_pipeline(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
@@ -357,4 +362,4 @@ def evaluate_persistence(data: DataSplits, L: int, T: int,
                          batch_size: int = 64) -> EvalReport:
     """Persistence baseline: the last observed value repeated over the horizon."""
     return _score(data, L, T, batch_size,
-                  lambda batch: np.repeat(batch.last_values[:, :, None], T, axis=2))
+                  lambda batch: np.repeat(batch.history[:, -1, :, None], T, axis=2))

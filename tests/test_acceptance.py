@@ -43,7 +43,7 @@ def _tiny_batch(cfg=TINY, seed=1, B=2):
     rng = np.random.default_rng(seed)
     hist = rng.normal(size=(B, cfg.L, cfg.M)).astype(np.float32)
     tgt = rng.normal(size=(B, cfg.T, cfg.M)).astype(np.float32)
-    return WindowBatch(history=hist, target=tgt, last_values=hist[:, -1, :].copy())
+    return WindowBatch(history=hist, target=tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_criterion_1_full_model_gradients():
         total = forecast_loss(forward_forecast(batch, p, TINY), target)
         dtype = p["patch_proj"].data.dtype
         hist_n = (batch.history.astype(dtype)
-                  - batch.last_values.astype(dtype)[:, None, :])
+                  - batch.history[:, -1, :].astype(dtype)[:, None, :])
         ps = patchify(hist_n, TINY.PL, TINY.S)
         masked = mask_patches(ps, 0.5, seed=42)
         rec = forward_pretrain(masked, p, TINY)
@@ -200,8 +200,7 @@ def test_criterion_3_channel_isolation():
     for _ in range(100):
         hist = batch.history.copy()
         hist[:, :, 1:] += rng.normal(scale=3.0, size=hist[:, :, 1:].shape).astype(np.float32)
-        perturbed = WindowBatch(history=hist, target=batch.target,
-                                last_values=hist[:, -1, :].copy())
+        perturbed = WindowBatch(history=hist, target=batch.target)
         pred = forward_forecast(perturbed, params, cfg).data[:, 0, :]
         if not np.array_equal(pred, base):
             ok = False

@@ -178,9 +178,23 @@ def test_fuzzed_bodies_load_or_raise_checkpoint_error(tmp_path):
 
 
 def test_non_finite_tensor_is_named_in_file_order(tmp_path):
-    # tensors are stored sorted by name, so the error names the first bad one
+    # tensors are stored sorted by name, so the error names the first bad one;
+    # save_checkpoint refuses such values, so they are patched into saved bytes
     path = str(tmp_path / "x.ckpt")
-    save_checkpoint({"a": np.ones(3, np.float32), "b": np.array([1.0, np.inf], np.float32),
-                     "c": np.full(2, np.nan, np.float32)}, path)
+    save_checkpoint({"a": np.ones(3, np.float32), "b": np.array([1.0, 7.0], np.float32),
+                     "c": np.full(2, 9.0, np.float32)}, path)
+    body = open(path, "rb").read()[:-4]
+    for finite, bad in ((7.0, np.inf), (9.0, np.nan)):
+        body = body.replace(struct.pack("<f", finite), struct.pack("<f", bad))
     with pytest.raises(CheckpointError, match="tensor 'b' holds a non-finite value"):
-        load_checkpoint(path)
+        _load_resealed(tmp_path, body)
+
+
+def test_save_refuses_a_non_finite_tensor_before_making_a_file(tmp_path):
+    # the first bad tensor in file order is named, and neither the checkpoint
+    # nor its temporary file is left behind
+    tensors = {"c": np.full(2, np.nan, np.float32), "a": np.ones(3, np.float32),
+               "b": np.array([1.0, -np.inf], np.float32)}
+    with pytest.raises(CheckpointError, match="tensor 'b' holds a non-finite value"):
+        save_checkpoint(tensors, str(tmp_path / "x.ckpt"))
+    assert list(tmp_path.iterdir()) == []

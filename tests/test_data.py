@@ -178,12 +178,6 @@ def test_window_count_example():
     assert window_count(10, 8, 1) == 2
 
 
-def test_last_values_match_final_history_row(rng):
-    table = _table(rng.normal(size=(30, 3)).astype(np.float32))
-    for batch in make_windows(table, L=6, T=2, batch_size=4):
-        np.testing.assert_array_equal(batch.last_values, batch.history[:, -1, :])
-
-
 def test_windows_vs_index_oracle(rng):
     values = rng.normal(size=(50, 2)).astype(np.float32)
     table = _table(values)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,14 +12,15 @@ import pytest
 from injecttst import harness
 from injecttst.checkpoint import save_checkpoint
 from injecttst.cli import main as cli_main
-from injecttst.errors import ConfigError, SizingError
+from injecttst.data import SPLITS, SeriesTable, split
+from injecttst.errors import ConfigError, ContractError, SizingError
 from injecttst.harness import (BASELINE_VARIANT, VARIANT_FLAGS, RunConfig,
                                append_records, config_digest, load_config, model_config,
                                parse_config, run_ablation, run_single,
                                serialize_config, sweep_history, variant_flags)
 from injecttst.model import ModelConfig, init_params
 from injecttst.synthetic import dataset_from_spec, lead_lag
-from injecttst.training import prepare_data
+from injecttst.training import StageSchedule, prepare_data
 
 FAST = dict(data_path="synthetic:sines:rows=260,channels=2,seed=4",
             L=24, T=4, PL=8, S=8, D=8, heads=2, ci_layers=1, mix_layers=1,
@@ -33,6 +36,68 @@ def test_config_roundtrip_byte_stable():
     text = serialize_config(rc)
     assert parse_config(text) == rc
     assert serialize_config(parse_config(text)) == text
+
+
+_DEFAULT_TEXT = """\
+data.path = 
+data.split = ratio
+data.standardize = true
+model.L = 512
+model.T = 96
+model.PL = 12
+model.S = 12
+model.D = 64
+model.heads = 4
+model.ci_layers = 2
+model.mix_layers = 1
+model.ffn_mult = 2
+model.dropout = 0.0
+train.pretrain_epochs = 20
+train.head_epochs = 10
+train.finetune_epochs = 100
+train.pretrain_lr = 0.0001
+train.head_lr = 0.001
+train.finetune_lr = 0.0001
+train.batch_size = 64
+train.mask_ratio = 0.5
+run.variant = pat
+run.seed = 0
+run.out = runs
+run.profile = paper
+"""
+
+
+def test_default_config_text_and_digest_are_pinned():
+    # the serialised key order, and with it every digest and run-directory
+    # name, does not follow the order of RunConfig's (inherited) fields
+    assert serialize_config(RunConfig()) == _DEFAULT_TEXT
+    assert config_digest(RunConfig()) == "cd35aa1cb83b8c43"
+
+
+def test_run_config_checks_the_schedule_fields_it_inherits():
+    assert isinstance(RunConfig(), StageSchedule)
+    with pytest.raises(ConfigError, match="train.pretrain_epochs must be >= 0"):
+        RunConfig(pretrain_epochs=-1)
+
+
+def test_unknown_profile_is_a_config_error():
+    # such a config would serialise to a file that load_config refuses
+    with pytest.raises(ConfigError, match="run.profile"):
+        RunConfig(profile="bogus")
+    with pytest.raises(ConfigError, match="run.profile"):
+        parse_config("run.profile = bogus\n")
+
+
+def test_split_modes_are_exactly_the_keys_of_splits():
+    table = SeriesTable(values=np.zeros((100, 1), np.float32), channel_names=["x"])
+    for mode in SPLITS:
+        split(table, mode)
+        RunConfig(split_mode=mode)
+    for mode in ("bogus", "ETT", ""):
+        with pytest.raises(ContractError, match="unknown split mode"):
+            split(table, mode)
+        with pytest.raises(ConfigError, match="data.split"):
+            RunConfig(split_mode=mode)
 
 
 def test_config_digest_ignores_key_order():
@@ -260,7 +325,7 @@ def test_sweep_history_validates_lengths():
     rc = RunConfig(**FAST)
     with pytest.raises(ConfigError):
         sweep_history([], rc)
-    with pytest.raises(ConfigError, match="shorter than the patch"):
+    with pytest.raises(ConfigError, match="model.PL must be <= model.L"):
         sweep_history([4], rc)
     with pytest.raises(ConfigError, match="duplicate history lengths"):
         sweep_history([24, 32, 24], rc)
@@ -334,7 +399,7 @@ _OUT_OF_RANGE = [("train.mask_ratio", "0"), ("train.mask_ratio", "1.5"),
                  ("model.heads", "0"), ("model.PL", "0"), ("train.pretrain_lr", "nan"),
                  ("train.pretrain_lr", "-1"), ("model.T", "0"), ("run.seed", "-1"),
                  ("train.batch_size", "abc"), ("data.split", "bogus"),
-                 ("model.PL", "100")]
+                 ("model.PL", "100"), ("run.profile", "bogus")]
 
 
 @pytest.mark.parametrize("key,value", _OUT_OF_RANGE,
@@ -595,10 +660,16 @@ def test_cli_evaluate_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     params = init_params(model_config(RunConfig(**FAST), 2), 3)
     params["patch_proj"].data = params["patch_proj"].data.copy()
-    params["patch_proj"].data[0, 0] = np.nan
-    ckpt = str(tmp_path / "nan.ckpt")
-    save_checkpoint(params, ckpt)
-    assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    params["patch_proj"].data[0, 0] = 12345.0
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(params, str(ckpt))
+    # save_checkpoint refuses a NaN, so the marker becomes one in the saved bytes
+    marker = struct.pack("<f", 12345.0)
+    body = ckpt.read_bytes()[:-4]
+    assert body.count(marker) == 1
+    body = body.replace(marker, struct.pack("<f", np.nan))
+    ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert "CheckpointError" in err and "'patch_proj'" in err
     assert not (tmp_path / "runs").exists()

@@ -27,7 +27,7 @@ def _batch(cfg=CFG, seed=1, B=2):
     rng = np.random.default_rng(seed)
     hist = rng.normal(size=(B, cfg.L, cfg.M)).astype(np.float32)
     tgt = rng.normal(size=(B, cfg.T, cfg.M)).astype(np.float32)
-    return WindowBatch(history=hist, target=tgt, last_values=hist[:, -1, :].copy())
+    return WindowBatch(history=hist, target=tgt)
 
 
 def _zero_params(params):
@@ -77,7 +77,7 @@ def test_every_allocated_tensor_gets_a_gradient(tag):
     params = _params(cfg)
     batch = _batch(cfg)
     loss = forecast_loss(forward_forecast(batch, params, cfg), batch.target.transpose(0, 2, 1))
-    ps = patchify(batch.history - batch.last_values[:, None, :], cfg.PL, cfg.S)
+    ps = patchify(batch.history - batch.history[:, -1:, :], cfg.PL, cfg.S)
     masked = mask_patches(ps, 0.5, seed=0)
     nm.backward(loss + masked_mse(forward_pretrain(masked, params, cfg), ps.patches, masked.mask))
     assert not [k for k in params if k.endswith("attn.bk")]
@@ -209,8 +209,7 @@ def test_cat_permutation_equivariance(rng):
         params_p[name].data = p.data.copy()
     params_p["chan_embed"].data = params["chan_embed"].data[perm]
     batch_p = WindowBatch(history=batch.history[:, :, perm],
-                          target=batch.target[:, :, perm],
-                          last_values=batch.last_values[:, perm])
+                          target=batch.target[:, :, perm])
     trace_p = ForwardTrace()
     pred_p = forward_forecast(batch_p, params_p, cfg, trace_p).data
     np.testing.assert_allclose(pred_p, pred[:, perm, :], atol=1e-5)
@@ -408,7 +407,7 @@ def test_zero_weight_model_predicts_last_values():
     _zero_params(params)
     batch = _batch()
     pred = forward_forecast(batch, params, CFG).data
-    want = np.repeat(batch.last_values[:, :, None], CFG.T, axis=2)
+    want = np.repeat(batch.history[:, -1, :, None], CFG.T, axis=2)
     np.testing.assert_array_equal(pred, want)
 
 
@@ -416,8 +415,7 @@ def test_zero_weight_model_on_constant_history():
     params = _params()
     _zero_params(params)
     hist = np.full((2, CFG.L, CFG.M), 2.5, dtype=np.float32)
-    batch = WindowBatch(history=hist, target=np.zeros((2, CFG.T, CFG.M), np.float32),
-                        last_values=hist[:, -1, :].copy())
+    batch = WindowBatch(history=hist, target=np.zeros((2, CFG.T, CFG.M), np.float32))
     pred = forward_forecast(batch, params, CFG).data
     np.testing.assert_array_equal(pred, 2.5)
 
@@ -429,8 +427,7 @@ def test_forecast_channel_isolation_without_injection(rng):
     base = forward_forecast(batch, params, cfg).data.copy()
     hist = batch.history.copy()
     hist[:, :, 2] += rng.normal(size=hist[:, :, 2].shape).astype(np.float32)
-    bumped = WindowBatch(history=hist, target=batch.target,
-                         last_values=hist[:, -1, :].copy())
+    bumped = WindowBatch(history=hist, target=batch.target)
     out = forward_forecast(bumped, params, cfg).data
     assert np.array_equal(out[:, 0], base[:, 0])
     assert np.array_equal(out[:, 1], base[:, 1])
@@ -438,8 +435,7 @@ def test_forecast_channel_isolation_without_injection(rng):
 
 def test_identifier_separates_identical_channels(rng):
     hist = np.repeat(rng.normal(size=(2, CFG.L, 1)).astype(np.float32), CFG.M, axis=2)
-    batch = WindowBatch(history=hist, target=np.zeros((2, CFG.T, CFG.M), np.float32),
-                        last_values=hist[:, -1, :].copy())
+    batch = WindowBatch(history=hist, target=np.zeros((2, CFG.T, CFG.M), np.float32))
     params = _params()
     trace = ForwardTrace()
     forward_forecast(batch, params, CFG, trace)

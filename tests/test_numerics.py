@@ -511,8 +511,7 @@ def test_forward_trace_attention_maps_survive_backward(dtype, rng):
     cfg = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=12, heads=2, ci_layers=1, mix_layers=1)
     params = init_params(cfg, 0, dtype=dtype)
     hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype)
-    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype),
-                        last_values=hist[:, -1, :].copy())
+    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype))
     trace = ForwardTrace()
     pred = forward_forecast(batch, params, cfg, trace=trace)
     maps = [a.copy() for a in trace.attn]
@@ -648,8 +647,7 @@ def test_grad_table_matches_parameter_shape_and_dtype(dtype, mix_mode, rng):
                       mix_layers=1, mix_mode=mix_mode)
     params = init_params(cfg, 0, dtype=dtype)
     hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype)
-    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype),
-                        last_values=hist[:, -1, :].copy())
+    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype))
     ps = patchify(hist, cfg.PL, cfg.S)
     masked = mask_patches(ps, 0.5, seed=0)
     losses = (forecast_loss(forward_forecast(batch, params, cfg), batch.target.transpose(0, 2, 1)),

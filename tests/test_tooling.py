@@ -49,8 +49,7 @@ def test_one_training_step_calls_every_numerics_layer_a_workload_uses(tag, rng):
                             mix_layers=1, **harness.VARIANT_FLAGS[tag])
     params = model.init_params(cfg, 0)
     hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32)
-    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(np.float32),
-                        last_values=hist[:, -1, :].copy())
+    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(np.float32))
     tracer = _load_tracer().Tracer("test")
     tracer.install()
     try:
