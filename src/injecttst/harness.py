@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .checkpoint import apply_checkpoint, load_checkpoint
-from .data import SPLITS, SeriesTable, load_csv, mask_count, patch_count
+from .data import SPLITS, SeriesTable, load_csv, mask_count
 from .errors import ConfigError
-from .model import ModelConfig, init_params
+from .model import ModelConfig, ModelSettings, init_params
 from .synthetic import dataset_from_spec
 from .training import (STAGES, DataSplits, EvalReport, StageSchedule, evaluate,
                        evaluate_persistence, prepare_data, stage_checkpoint, train_pipeline)
@@ -49,52 +49,28 @@ PROFILES = {
 
 
 @dataclass
-class RunConfig(StageSchedule):
-    """A whole run: the stage schedule's fields plus data, model and output."""
+class RunConfig(ModelSettings, StageSchedule):
+    """A whole run: the inherited model and schedule settings, data and output."""
     data_path: str = ""
     split_mode: str = "ratio"
     standardize: bool = True
-    L: int = 512
-    T: int = 96
-    PL: int = 12
-    S: int = 12
-    D: int = 64
-    heads: int = 4
-    ci_layers: int = 2
-    mix_layers: int = 1
-    ffn_mult: int = 2
-    dropout: float = 0.0
     variant: str = "pat"
     out: str = "runs"
     profile: str = "paper"
 
     def __post_init__(self):
-        """Reject out-of-range values as config errors naming their key."""
-        def out_of_range(name: str, rule: str) -> ConfigError:
-            return ConfigError(f"{_FIELD_KEYS[name][0]} must be {rule}, got {getattr(self, name)}")
-
-        if self.profile not in PROFILES:
-            raise out_of_range("profile", f"one of {sorted(PROFILES)}")
-        if self.split_mode not in SPLITS:
-            raise out_of_range("split_mode", f"one of {sorted(SPLITS)}")
-        for name in ("pretrain_epochs", "head_epochs", "finetune_epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise out_of_range(name, ">= 0")
-        if self.batch_size < 1:
-            raise out_of_range("batch_size", ">= 1")
-        for name in ("pretrain_lr", "head_lr", "finetune_lr"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise out_of_range(name, "finite and > 0")
-        if not 0.0 < self.mask_ratio < 1.0:
-            raise out_of_range("mask_ratio", "in (0, 1)")
+        """The inherited rules, then this class's keys and the mask-count rule."""
+        ModelSettings.__post_init__(self)
+        StageSchedule.__post_init__(self)
+        for name, allowed in (("split_mode", SPLITS), ("profile", PROFILES)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{_FIELD_KEYS[name][0]} must be one of {sorted(allowed)}, "
+                                  f"got {getattr(self, name)}")
         if self.variant != BASELINE_VARIANT:
             variant_flags(self.variant)
-        # ModelConfig checks the model.* keys; one channel stands in for the data's
-        ModelConfig(M=1, **_model_fields(self))
-        PN = patch_count(self.L, self.PL, self.S)
-        if self.pretrain_epochs > 0 and mask_count(self.mask_ratio, PN) == 0:
+        if self.pretrain_epochs > 0 and mask_count(self.mask_ratio, self.PN) == 0:
             raise ConfigError(f"train.mask_ratio {self.mask_ratio} masks no patch of the "
-                              f"{PN} patches (model.L={self.L}, model.PL={self.PL}, "
+                              f"{self.PN} patches (model.L={self.L}, model.PL={self.PL}, "
                               f"model.S={self.S}); pretraining needs at least one "
                               f"(train.pretrain_epochs = 0 runs without it)")
 
@@ -199,29 +175,35 @@ def variant_flags(tag: str) -> dict:
         raise ConfigError(f"variant {tag!r} has no model; "
                           "baseline, ablate and sweep-history run it")
     if tag not in VARIANT_FLAGS:
-        raise ConfigError(f"unknown variant {tag!r}; choices: "
+        raise ConfigError(f"unknown variant {tag!r} in run.variant; choices: "
                           f"{sorted(VARIANT_FLAGS) + [BASELINE_VARIANT]}")
     return dict(VARIANT_FLAGS[tag])
 
 
-def _model_fields(rc: RunConfig) -> dict:
-    return {name: getattr(rc, name) for name, (key, _) in _FIELD_KEYS.items()
-            if key.startswith("model.")}
+def _inherited(rc: RunConfig, parent: type) -> dict:
+    """The values `rc` holds for the fields it inherits from `parent`."""
+    return {f.name: getattr(rc, f.name) for f in dataclasses.fields(parent)}
 
 
 def model_config(rc: RunConfig, M: int) -> ModelConfig:
-    return ModelConfig(M=M, **_model_fields(rc), **variant_flags(rc.variant))
+    return ModelConfig(M=M, **_inherited(rc, ModelSettings), **variant_flags(rc.variant))
 
 
 def schedule(rc: RunConfig) -> StageSchedule:
-    return StageSchedule(**{f.name: getattr(rc, f.name)
-                            for f in dataclasses.fields(StageSchedule)})
+    return StageSchedule(**_inherited(rc, StageSchedule))
 
 
 def load_table(rc: RunConfig) -> SeriesTable:
+    if not rc.data_path:
+        raise ConfigError("data.path is not set: give a CSV file or a synthetic: spec")
     if rc.data_path.startswith("synthetic:"):
         return dataset_from_spec(rc.data_path)
     return load_csv(rc.data_path)
+
+
+def load_splits(rc: RunConfig, table: Optional[SeriesTable] = None) -> DataSplits:
+    """The splits `rc` describes, of `table` or else of the table it names."""
+    return prepare_data(table or load_table(rc), rc.L, rc.split_mode, rc.standardize)
 
 
 @dataclass
@@ -287,11 +269,9 @@ def run_dir(rc: RunConfig) -> str:
 
 def setup_experiment(rc: RunConfig, data: Optional[DataSplits] = None
                      ) -> tuple[ModelConfig, dict, DataSplits, str]:
-    """Model config, freshly initialised params, data splits and run
-    directory of a config. Given splits are used as they are; otherwise they
-    are prepared from the table at `rc.data_path`."""
-    if data is None:
-        data = prepare_data(load_table(rc), rc.L, rc.split_mode, rc.standardize)
+    """Model config, freshly initialised params, data splits (the given ones,
+    or else `load_splits(rc)`) and run directory of a config."""
+    data = data or load_splits(rc)
     cfg = model_config(rc, data.train.channels)
     return cfg, init_params(cfg, rc.seed), data, run_dir(rc)
 
@@ -299,16 +279,13 @@ def setup_experiment(rc: RunConfig, data: Optional[DataSplits] = None
 def run_single(rc: RunConfig, data: Optional[DataSplits] = None,
                stages: Sequence[str] = STAGES, checkpoint: Optional[str] = None
                ) -> tuple[ResultRecord, EvalReport]:
-    """Train `stages` of one variant under one config, starting from the
-    weights in `checkpoint` when one is given, and evaluate the result. The
-    record names the checkpoint of the last stage that logged an epoch, or
-    else the given one."""
+    """Train `stages` of one variant under one config, starting from the weights in
+    `checkpoint` when one is given, and evaluate the result. The record names the
+    checkpoint of the last stage that logged an epoch, or else the given one."""
     if rc.variant == BASELINE_VARIANT:
         if tuple(stages) != STAGES or checkpoint is not None:
             raise ConfigError(f"{BASELINE_VARIANT} trains no stage and loads no checkpoint")
-        if data is None:
-            data = prepare_data(load_table(rc), rc.L, rc.split_mode, rc.standardize)
-        report = evaluate_persistence(data, rc.L, rc.T, rc.batch_size)
+        report = evaluate_persistence(data or load_splits(rc), rc.L, rc.T, rc.batch_size)
         return result_record(rc, report), report
 
     cfg, params, data, out_dir = setup_experiment(rc, data)
@@ -330,6 +307,13 @@ def _ablation_entry(rc: RunConfig, data: DataSplits) -> ResultRecord:
     return record
 
 
+def _check_items(items: list, command: str, item: str) -> None:
+    if not items:
+        raise ConfigError(f"{command} requires at least one {item}")
+    if len(set(items)) != len(items):
+        raise ConfigError(f"duplicate {item}s in {items}")
+
+
 def run_ablation(variants: list[str], horizons: list[int],
                  base: RunConfig) -> list[ResultRecord]:
     """Train/evaluate every (variant, horizon) cell under the base config.
@@ -337,30 +321,21 @@ def run_ablation(variants: list[str], horizons: list[int],
     The data splits are prepared once and shared by every cell; per-cell
     failures become failed records instead of aborting the matrix.
     """
-    if not variants:
-        raise ConfigError("ablation requires at least one variant")
-    if len(set(variants)) != len(variants):
-        raise ConfigError(f"duplicate variants in {variants}")
-    if not horizons:
-        raise ConfigError("ablation requires at least one horizon")
-    if len(set(horizons)) != len(horizons):
-        raise ConfigError(f"duplicate horizons in {horizons}")
+    _check_items(variants, "ablation", "variant")
+    _check_items(horizons, "ablation", "horizon")
 
     # every cell's config is checked before any cell runs
     cells = [replace(base, variant=tag, T=T) for T in horizons for tag in variants]
     # the splits depend on L, not on the horizon T
-    data = prepare_data(load_table(base), base.L, base.split_mode, base.standardize)
+    data = load_splits(base)
     return [_ablation_entry(rc, data) for rc in cells]
 
 
 def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
     """One full pipeline per history length; the patch count follows L."""
-    if not lengths:
-        raise ConfigError("sweep requires at least one history length")
-    if len(set(lengths)) != len(lengths):
-        raise ConfigError(f"duplicate history lengths in {lengths}")
+    _check_items(lengths, "sweep", "history length")
     # every length's config is checked, and its splits prepared, before any cell runs
     cells = [replace(base, L=L) for L in lengths]
     table = load_table(base)
-    splits = [prepare_data(table, rc.L, rc.split_mode, rc.standardize) for rc in cells]
+    splits = [load_splits(rc, table) for rc in cells]
     return [_ablation_entry(rc, data) for rc, data in zip(cells, splits)]

@@ -21,26 +21,22 @@ from .errors import ConfigError, ShapeError
 from .numerics import Tensor
 
 
-# the lowest accepted value of each integer ModelConfig field
-_MINIMUM = {"L": 1, "T": 1, "M": 1, "PL": 1, "S": 1, "D": 1, "heads": 1,
+# the lowest accepted value of each integer `model.*` setting
+_MINIMUM = {"L": 1, "T": 1, "PL": 1, "S": 1, "D": 1, "heads": 1,
             "ci_layers": 0, "mix_layers": 0, "ffn_mult": 1}
 
 
 @dataclass
-class ModelConfig:
-    L: int                          # history length
-    T: int                          # forecast horizon
-    M: int                          # channels
+class ModelSettings:
+    """The `model.*` settings of a run; each error names its key."""
+    L: int = 512                    # history length
+    T: int = 96                     # forecast horizon
     PL: int = 12                    # patch length
     S: int = 12                     # patch stride
     D: int = 64                     # model width
     heads: int = 4
     ci_layers: int = 2
     mix_layers: int = 1
-    mix_mode: str = "pat"           # "cat" (channel-as-token) | "pat" (patch-as-token)
-    sca_residual: bool = False
-    use_channel_identifier: bool = True
-    use_global_injection: bool = True
     ffn_mult: int = 2
     dropout: float = 0.0
 
@@ -49,17 +45,32 @@ class ModelConfig:
             if getattr(self, name) < low:
                 raise ConfigError(f"model.{name} must be >= {low}, got {getattr(self, name)}")
         if self.D % self.heads != 0:
-            raise ConfigError(f"width {self.D} not divisible by heads {self.heads}")
-        if self.mix_mode not in ("cat", "pat"):
-            raise ConfigError(f"mix_mode must be 'cat' or 'pat', got {self.mix_mode!r}")
+            raise ConfigError(f"model.D {self.D} is not divisible by model.heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+            raise ConfigError(f"model.dropout must be in [0, 1), got {self.dropout}")
         if self.PL > self.L:
             raise ConfigError(f"model.PL must be <= model.L, got PL={self.PL}, L={self.L}")
 
     @property
     def PN(self) -> int:
         return patch_count(self.L, self.PL, self.S)
+
+
+@dataclass(kw_only=True)
+class ModelConfig(ModelSettings):
+    """The settings plus what the data and the variant fix."""
+    M: int                          # channels
+    mix_mode: str = "pat"           # "cat" (channel-as-token) | "pat" (patch-as-token)
+    sca_residual: bool = False
+    use_channel_identifier: bool = True
+    use_global_injection: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.M < 1:
+            raise ConfigError(f"model.M must be >= 1, got {self.M}")
+        if self.mix_mode not in ("cat", "pat"):
+            raise ConfigError(f"mix_mode must be 'cat' or 'pat', got {self.mix_mode!r}")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from . import numerics as nm
 from .checkpoint import save_checkpoint
 from .data import (SeriesTable, WindowBatch, make_windows, mask_patches, patchify,
                    split, standardize, with_history)
-from .errors import ContractError, SizingError, TrainingDiverged
+from .errors import ConfigError, ContractError, SizingError, TrainingDiverged
 from .model import (ModelConfig, forward_forecast, forward_pretrain,
                     normalize_last_value, params_dtype)
 from .numerics import Tensor
@@ -147,6 +147,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 @dataclass
 class StageSchedule:
+    """The `train.*` settings of a run and its `run.seed`."""
     pretrain_epochs: int = 20
     head_epochs: int = 10
     finetune_epochs: int = 100
@@ -158,9 +159,21 @@ class StageSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        for field_name in ("pretrain_epochs", "head_epochs", "finetune_epochs"):
-            if getattr(self, field_name) < 0:
-                raise ContractError(f"{field_name} must be >= 0")
+        """Reject an out-of-range value as a config error naming its key."""
+        def out_of_range(name: str, rule: str) -> ConfigError:
+            key = "run.seed" if name == "seed" else f"train.{name}"
+            return ConfigError(f"{key} must be {rule}, got {getattr(self, name)}")
+
+        for name in ("pretrain_epochs", "head_epochs", "finetune_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise out_of_range(name, ">= 0")
+        if self.batch_size < 1:
+            raise out_of_range("batch_size", ">= 1")
+        for name in ("pretrain_lr", "head_lr", "finetune_lr"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise out_of_range(name, "finite and > 0")
+        if not 0.0 < self.mask_ratio < 1.0:
+            raise out_of_range("mask_ratio", "in (0, 1)")
 
 
 @dataclass

@@ -1,0 +1,193 @@
+"""Seeded fingerprint: a fixed tiny flow must write the same checkpoints and
+score the same metrics as when the pins below were taken.
+
+The flow is acceptance criterion 9's six-variant matrix at one epoch per
+stage, then the CLI's pretrain -> finetune --checkpoint -> evaluate. Float32
+bits depend on numpy, the BLAS kernel and the CPU, so the pins hold for the
+host named in `HOST`. On that host checkpoints must match by sha256 and
+metrics by `repr`; elsewhere only the metrics are compared, at `REL_TOL`.
+
+A change that moves values updates the pins in the same commit; print the
+new ones with `PYTHONPATH=src python tests/test_fingerprint.py`.
+"""
+
+import glob
+import hashlib
+import json
+import math
+import os
+import platform
+import warnings
+
+import numpy as np
+
+from injecttst.cli import main
+from injecttst.harness import RunConfig, run_ablation
+
+# the host the exact pins were taken on (`host_key()`)
+HOST = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64 Intel(R) Xeon(R) Processor"
+
+# sha256 of every checkpoint the flow writes, by path under the work directory
+CHECKPOINTS = {
+    "cli/cat-rc-T4-s0-ac58885cf197ab11/stage-finetune-best.ckpt": "29b297389af982086442bf9d47b95869bd07d45737991eb072d37777afd666ad",
+    "cli/cat-rc-T4-s0-ac58885cf197ab11/stage-head-best.ckpt": "dec94388767d0246e35dfd46d5b2d497aac444e746e526f04312989b6fda1d53",
+    "cli/cat-rc-T4-s0-ac58885cf197ab11/stage-pretrain-best.ckpt": "94860b65981ea7349d1c00d03fc585bf30000563aaac3d76b689d001f226ccce",
+    "matrix/cat-T4-s0-ed8e8fc0e2097c82/stage-finetune-best.ckpt": "ef45c9e405f89d9931b1c9ab240afa983e2b0cfdf599e2afd56127b46c55d72e",
+    "matrix/cat-T4-s0-ed8e8fc0e2097c82/stage-head-best.ckpt": "a085f17fb04cc6c3f08c0fd1258757f2380db48ecc30f919e30c62643c47a1f9",
+    "matrix/cat-T4-s0-ed8e8fc0e2097c82/stage-pretrain-best.ckpt": "84aa7a74dfa3f4f97022c501b25c65e0afd55d65f574590f1ae7fc68c1d67a14",
+    "matrix/cat-T8-s0-7b3776348990114a/stage-finetune-best.ckpt": "608ea146ff3cfd9f8cfbd41a4afad981057e6ee9747829e3deb3558510882b05",
+    "matrix/cat-T8-s0-7b3776348990114a/stage-head-best.ckpt": "3af42db946a6401adde66b9f4fb9833daee25e0961975670292fabb96696688b",
+    "matrix/cat-T8-s0-7b3776348990114a/stage-pretrain-best.ckpt": "fa95c758b3897047b8dfbdcfd1b484981909813db757be165eb35b2841073c1d",
+    "matrix/cat-rc-T4-s0-9c28645056dce228/stage-finetune-best.ckpt": "d88d39f206cb57607f3d3461962244eb2d2c445ea8cb25bbaceff9a9ddf09a28",
+    "matrix/cat-rc-T4-s0-9c28645056dce228/stage-head-best.ckpt": "b4e3d6e05263b6f84307ce2153dcd86494ff0e191878da139e946ff2188b86bc",
+    "matrix/cat-rc-T4-s0-9c28645056dce228/stage-pretrain-best.ckpt": "65630f94d49c67ddd2f9d35de88e12846e0a62566ada47dbb8a5ec384ebbbae2",
+    "matrix/cat-rc-T8-s0-ec3f5a7e4aaf623e/stage-finetune-best.ckpt": "7555f6e758cc3beda8d607261ad363d38ad029cddbf9715e9de183d72deac4bc",
+    "matrix/cat-rc-T8-s0-ec3f5a7e4aaf623e/stage-head-best.ckpt": "7fb5c8e145866c22643ea2d327c0eaa5e545da27c9f56cc5a7a1e19f19efe2a3",
+    "matrix/cat-rc-T8-s0-ec3f5a7e4aaf623e/stage-pretrain-best.ckpt": "da0a19a18381b51270117c3ba417ca99c9d89f1ce3fcf736685c4a1066fdb6d0",
+    "matrix/no-cid-T4-s0-62068d455704b38d/stage-finetune-best.ckpt": "d2cfd89c52d91f8ce3ef87f0668f66358632d4861de12ac0ceeb83cc34d44fef",
+    "matrix/no-cid-T4-s0-62068d455704b38d/stage-head-best.ckpt": "f5557571f81cc6e2042a8c3e9ba353a5eef5fe5e73b5af492e1f9856de004266",
+    "matrix/no-cid-T4-s0-62068d455704b38d/stage-pretrain-best.ckpt": "c5baf83772e06d4bfe53ce9766dc8731cd9454a029b4e912b732d12f1477090c",
+    "matrix/no-cid-T8-s0-86bc3c8ab865a27d/stage-finetune-best.ckpt": "4bedc44bf38d0d22c9f8e66274837ab4b1623885e48f8ea77916a55b660e0b6e",
+    "matrix/no-cid-T8-s0-86bc3c8ab865a27d/stage-head-best.ckpt": "ed64bb609504fe25d5d2ee3b8250237a77e965f57fd954aa7663f17477fc7d28",
+    "matrix/no-cid-T8-s0-86bc3c8ab865a27d/stage-pretrain-best.ckpt": "cba5e827e3778151b013b78798bcf49a2c562818c1329c2dbac1b7c8581c3201",
+    "matrix/no-gi-T4-s0-daecdb8cba7195fa/stage-finetune-best.ckpt": "cd3da8d14d070fb5832a272944a06d2936ed7248c9753b46972b81a27c6d1d56",
+    "matrix/no-gi-T4-s0-daecdb8cba7195fa/stage-head-best.ckpt": "2beb67fc40c861b25dc1ca776202fb2023a653b871dcfa097be3509ed2b8c7a4",
+    "matrix/no-gi-T4-s0-daecdb8cba7195fa/stage-pretrain-best.ckpt": "b9eda3bd73efae197986a7f5838bbe72cd44d28420ff4932ef94d27445ebc6e2",
+    "matrix/no-gi-T8-s0-4cf62c7a5bab43dd/stage-finetune-best.ckpt": "22d13959c8fa6f97314ebb1fb91265f645fc7f049f59b28e2edccb295a6bf5e0",
+    "matrix/no-gi-T8-s0-4cf62c7a5bab43dd/stage-head-best.ckpt": "10ffaf0e3db0742b11b8727012f2c5254283afb41aa4f63e96c3a300a85d8fdf",
+    "matrix/no-gi-T8-s0-4cf62c7a5bab43dd/stage-pretrain-best.ckpt": "6d111b57a33ae72004be34fd0643c98453e621d799676ac593f84c55081a5625",
+    "matrix/pat-T4-s0-1cea5cb6e0c5eb54/stage-finetune-best.ckpt": "a358c737e54d637eb8d1bdbbbd0a383922385a56262bc78bb0c2ac33efa5c3c4",
+    "matrix/pat-T4-s0-1cea5cb6e0c5eb54/stage-head-best.ckpt": "1faf8300b294fde042f1121263babbf0bb4a0aedf873dbb766abeab8ab5a52db",
+    "matrix/pat-T4-s0-1cea5cb6e0c5eb54/stage-pretrain-best.ckpt": "8f609a39aa76ce7efa9bbd31ca89f3bf51e15be5e5291975117754420faaff8f",
+    "matrix/pat-T8-s0-19ea7030e2464189/stage-finetune-best.ckpt": "26b450e3cd237342a78e6491f8cc405d56cf40e63d31639bf65a7aef0c4a0f81",
+    "matrix/pat-T8-s0-19ea7030e2464189/stage-head-best.ckpt": "7fcf81547ccd1e50ce586726e93f3d2c0e9cd2e08aaac444c11ce1cbceed08ab",
+    "matrix/pat-T8-s0-19ea7030e2464189/stage-pretrain-best.ckpt": "4b3746cf06477ef1f0604baef4e02ca8eff6bffbcd7ed8829adc4b669b69c7a5",
+    "matrix/pat-rc-T4-s0-80697e82a66c24cd/stage-finetune-best.ckpt": "5490d69c87b76c37b3d58df20e8151704cbc64dbdc040eca4b8fdb9ac6b951b3",
+    "matrix/pat-rc-T4-s0-80697e82a66c24cd/stage-head-best.ckpt": "369a1caa5e6544094154058c304530b74fa256964fd756c2ba8fecd5daad5347",
+    "matrix/pat-rc-T4-s0-80697e82a66c24cd/stage-pretrain-best.ckpt": "0bd784d5144c332789c5e7ea36ff277d2811ab709b2162041ab8dd9168f0044e",
+    "matrix/pat-rc-T8-s0-adea78f011470d71/stage-finetune-best.ckpt": "9910dc55d4397dc99d646eb04efe5406264218a94ebdeab2f0a6b838e019065f",
+    "matrix/pat-rc-T8-s0-adea78f011470d71/stage-head-best.ckpt": "2e4a523e5c97d531c53b0791ede5cf4052dab508b7ec4275dd644b78e6e67ef5",
+    "matrix/pat-rc-T8-s0-adea78f011470d71/stage-pretrain-best.ckpt": "e6df774ceaa4b034c3adc8b4913caf4c87922ef0b385be73927dd2d577e3051f",
+}
+
+# (repr(mse), repr(mae)) of every record the flow writes
+METRICS = {
+    "cat-T4": ("0.3318295788210874", "0.4634681710872211"),
+    "cat-T8": ("0.6767869399371936", "0.649526114256169"),
+    "cat-rc-T4": ("0.5796835683012993", "0.6478466036475895"),
+    "cat-rc-T8": ("0.5704716718241899", "0.5822645422360018"),
+    "cli-evaluate": ("0.6586673874554763", "0.6457471828060599"),
+    "cli-finetune": ("0.6586673874554763", "0.6457471828060599"),
+    "no-cid-T4": ("0.4520313074742172", "0.5045157361400058"),
+    "no-cid-T8": ("0.6853534499643837", "0.6608208662540002"),
+    "no-gi-T4": ("0.6673721456615219", "0.6588437609281669"),
+    "no-gi-T8": ("0.5867947205685842", "0.5994044218319826"),
+    "pat-T4": ("0.449195870400986", "0.5005280119803501"),
+    "pat-T8": ("0.6937939688705718", "0.6640514980636697"),
+    "pat-rc-T4": ("0.5880035741432625", "0.6500513446967705"),
+    "pat-rc-T8": ("0.574021147332117", "0.5909751311869164"),
+}
+
+# Off the pinned host: the largest relative change of a test metric that any
+# value-moving change so far has made (the attention key-bias removal), so a
+# change of that size or less can pass there, but not on the pinned host.
+REL_TOL = 1.3e-7
+
+_CLI_CONFIG = """\
+data.path = synthetic:lead-lag:rows=300,lag=3,seed=5
+model.L = 24
+model.T = 4
+model.PL = 8
+model.S = 8
+model.D = 16
+model.heads = 2
+model.ci_layers = 1
+train.pretrain_epochs = 1
+train.head_epochs = 1
+train.finetune_epochs = 1
+train.batch_size = 32
+run.variant = cat-rc
+run.out = cli
+"""
+
+
+def host_key() -> str:
+    """numpy version, BLAS name and version, and the machine: its
+    architecture and CPU model, since the BLAS picks its kernels by CPU."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):   # numpy before 1.25 has no dict form
+        blas_name = "unknown BLAS"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        cpu = platform.processor()
+    return f"numpy {np.__version__}, {blas_name}, {platform.machine()} {cpu}"
+
+
+def run_flow() -> tuple[dict, dict]:
+    """Run the flow in the current directory; return its checkpoint hashes
+    and its records' metrics."""
+    base = RunConfig(data_path="synthetic:sines:rows=300,channels=3,seed=4",
+                     L=24, T=4, PL=8, S=8, D=16, heads=2, ci_layers=1, mix_layers=1,
+                     pretrain_epochs=1, head_epochs=1, finetune_epochs=1,
+                     batch_size=64, seed=0, out="matrix")
+    records = run_ablation(["pat", "cat", "pat-rc", "cat-rc", "no-cid", "no-gi"],
+                           [4, 8], base)
+    metrics = {f"{r.variant}-T{r.T}": (repr(r.mse), repr(r.mae)) for r in records}
+
+    with open("run.cfg", "w") as fh:
+        fh.write(_CLI_CONFIG)
+    assert main(["pretrain", "--config", "run.cfg"]) == 0
+    (pretrained,) = glob.glob("cli/*/stage-pretrain-best.ckpt")
+    assert main(["finetune", "--config", "run.cfg", "--checkpoint", pretrained]) == 0
+    with open("cli/results.ndjson") as fh:
+        finetuned = json.loads(fh.readline())["checkpoint"]
+    assert main(["evaluate", "--config", "run.cfg", "--checkpoint", finetuned]) == 0
+    with open("cli/results.ndjson") as fh:
+        for name, line in zip(("finetune", "evaluate"), fh):
+            record = json.loads(line)
+            metrics[f"cli-{name}"] = (repr(record["mse"]), repr(record["mae"]))
+
+    hashes = {}
+    for path in sorted(glob.glob("**/*.ckpt", recursive=True)):
+        with open(path, "rb") as fh:
+            hashes[path] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes, metrics
+
+
+def test_seeded_flow_matches_its_pins(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    hashes, metrics = run_flow()
+    assert metrics.keys() == METRICS.keys()
+    if host_key() == HOST:
+        assert metrics == METRICS
+        assert hashes == CHECKPOINTS
+        return
+    warnings.warn(f"host {host_key()!r} is not the pinned {HOST!r}: checkpoints "
+                  f"and exact metrics not checked, metrics compared at {REL_TOL:g}")
+    assert hashes.keys() == CHECKPOINTS.keys()
+    off = {label: (got, METRICS[label]) for label, got in metrics.items()
+           if not all(math.isclose(float(g), float(p), rel_tol=REL_TOL, abs_tol=0.0)
+                      for g, p in zip(got, METRICS[label]))}
+    assert not off, off
+
+
+if __name__ == "__main__":
+    import contextlib
+    import sys
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(sys.stderr):
+        os.chdir(work)
+        hashes, metrics = run_flow()
+    print(f'HOST = "{host_key()}"\n\nCHECKPOINTS = {{')
+    for path, sha in hashes.items():
+        print(f'    "{path}": "{sha}",')
+    print("}\n\nMETRICS = {")
+    for label, (mse, mae) in metrics.items():
+        print(f'    "{label}": ("{mse}", "{mae}"),')
+    print("}")

@@ -4,7 +4,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from injecttst.harness import (BASELINE_VARIANT, VARIANT_FLAGS, RunConfig,
                                append_records, config_digest, load_config, model_config,
                                parse_config, run_ablation, run_single,
                                serialize_config, sweep_history, variant_flags)
-from injecttst.model import ModelConfig, init_params
+from injecttst.model import ModelConfig, ModelSettings, init_params
 from injecttst.synthetic import dataset_from_spec, lead_lag
 from injecttst.training import StageSchedule, prepare_data
 
@@ -394,12 +394,37 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case):
     assert "ConfigError" in capsys.readouterr().err
 
 
+# each ordered key: its lowest accepted value, the value just below it, and
+# the other settings that lowest value needs on top of FAST
+_LIMITS = {
+    "model.L": ("1", "0", dict(PL=1, S=1)), "model.T": ("1", "0", {}),
+    "model.PL": ("1", "0", {}), "model.S": ("1", "0", {}),
+    "model.D": ("1", "0", dict(heads=1)), "model.heads": ("1", "0", {}),
+    "model.ci_layers": ("0", "-1", {}), "model.mix_layers": ("0", "-1", {}),
+    "model.ffn_mult": ("1", "0", {}), "model.dropout": ("0.0", "-1e-09", {}),
+    "train.pretrain_epochs": ("0", "-1", {}), "train.head_epochs": ("0", "-1", {}),
+    "train.finetune_epochs": ("0", "-1", {}),
+    # a rate or mask ratio must be above 0: its lowest value is the least float
+    "train.pretrain_lr": ("5e-324", "0.0", {}), "train.head_lr": ("5e-324", "0.0", {}),
+    "train.finetune_lr": ("5e-324", "0.0", {}),
+    "train.mask_ratio": ("5e-324", "0.0", dict(pretrain_epochs=0)),
+    "train.batch_size": ("1", "0", {}), "run.seed": ("0", "-1", {}),
+}
+_CHOICES = ("data.split", "data.standardize", "run.variant", "run.profile")
+_NOT_A_VALUE = ("nan", "inf", "4x")
 _OUT_OF_RANGE = [("train.mask_ratio", "0"), ("train.mask_ratio", "1.5"),
                  ("train.batch_size", "0"), ("train.pretrain_epochs", "-1"),
                  ("model.heads", "0"), ("model.PL", "0"), ("train.pretrain_lr", "nan"),
                  ("train.pretrain_lr", "-1"), ("model.T", "0"), ("run.seed", "-1"),
                  ("train.batch_size", "abc"), ("data.split", "bogus"),
                  ("model.PL", "100"), ("run.profile", "bogus")]
+# and for every key, each value below its lowest, NaN, an infinity and text
+# that parses as no number
+_OUT_OF_RANGE += [case for case in
+                  [(key, v) for key, (_, below, _) in _LIMITS.items()
+                   for v in (below,) + _NOT_A_VALUE]
+                  + [(key, v) for key in _CHOICES for v in _NOT_A_VALUE] + [("data.path", "")]
+                  if case not in _OUT_OF_RANGE]
 
 
 @pytest.mark.parametrize("key,value", _OUT_OF_RANGE,
@@ -412,6 +437,48 @@ def test_cli_out_of_range_setting_is_a_config_error(tmp_path, capsys, key, value
     err = capsys.readouterr().err
     assert "ConfigError" in err and key in err
     assert not (tmp_path / "runs").exists()
+
+
+def test_the_key_table_covers_every_config_key():
+    # data.path accepts any non-empty name and run.out any name at all
+    covered = set(_LIMITS) | set(_CHOICES) | {"data.path", "run.out"}
+    assert covered == {key for key, _ in harness._FIELD_KEYS.values()}
+
+
+@pytest.mark.parametrize("key", list(_LIMITS))
+def test_cli_accepts_the_lowest_value_of_every_key(tmp_path, capsys, key):
+    lowest, _, needs = _LIMITS[key]
+    cfg_path = _write_cfg(tmp_path, **needs)
+    with open(cfg_path, "a") as fh:
+        fh.write(f"{key} = {lowest}\n")
+    assert cli_main(["baseline", "--config", cfg_path]) == 0, capsys.readouterr().err
+
+
+_NEEDS = {"finetune": [], "evaluate": ["--checkpoint", "x.ckpt"], "baseline": [],
+          "pretrain": [], "ablate": ["--variants", "pat"], "sweep-history": ["--lengths", "24"]}
+
+
+@pytest.mark.parametrize("command", list(_NEEDS))
+def test_cli_config_without_data_path_exits_2_naming_it(tmp_path, capsys, command):
+    text = serialize_config(RunConfig(**{**FAST, "out": str(tmp_path / "runs")}))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith("data.path")))
+    assert cli_main([command, "--config", str(cfg_path)] + _NEEDS[command]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "data.path" in err, err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_each_setting_is_declared_in_one_class():
+    def own(cls):
+        return list(cls.__dict__["__annotations__"])
+
+    assert own(RunConfig) == ["data_path", "split_mode", "standardize", "variant", "out",
+                              "profile"]
+    declared = own(RunConfig) + own(ModelSettings) + own(StageSchedule)
+    assert sorted(declared) == sorted(harness._FIELD_KEYS)
+    assert [len(fields(c)) for c in (RunConfig, ModelConfig, StageSchedule)] == [25, 15, 9]
 
 
 def test_cli_pretrain_mask_ratio_that_masks_no_patch_exits_2(tmp_path, capsys):

@@ -56,8 +56,21 @@ def _np_softmax(x):
 # config
 
 def test_config_rejects_bad_width():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"model\.D 10 .* model\.heads 4"):
         ModelConfig(L=24, T=4, M=2, PL=8, S=8, D=10, heads=4)
+
+
+@pytest.mark.parametrize("dropout", [-0.5, 1.0])
+def test_config_rejects_dropout_outside_the_unit_interval(dropout):
+    with pytest.raises(ConfigError, match=r"model\.dropout must be in \[0, 1\)"):
+        ModelConfig(M=2, dropout=dropout)
+
+
+def test_config_defaults_all_but_the_keyword_only_channel_count():
+    cfg = ModelConfig(M=2)
+    assert (cfg.L, cfg.T, cfg.PN) == (512, 96, 43)
+    with pytest.raises(TypeError):
+        ModelConfig(24, 4, 2)           # M is not positional and has no default
 
 
 def test_config_rejects_unknown_mix_mode():

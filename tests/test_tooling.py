@@ -1,5 +1,6 @@
 """Guards for the tooling that drives the package from outside `src/`."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -71,3 +72,16 @@ def test_every_workload_sets_up_and_counts_its_windows(tmp_path):
         state = workload.setup(0, str(tmp_path), checks)
         workloads.check_window_counts(workload.splits(state), state, checks)
         assert checks.results and not checks.failed, (workload.name, checks.failed)
+
+
+def test_every_python_file_parses_at_the_python_floor():
+    # pyproject's requires-python is >= 3.10; syntax newer than that (say,
+    # `except*`) would only fail on a 3.10 interpreter
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    paths = [os.path.join(d, name) for top in ("src", "tests", "perfbench")
+             for d, _, names in os.walk(os.path.join(root, top))
+             for name in names if name.endswith(".py")]
+    assert len(paths) > 20
+    for path in paths:
+        with open(path) as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))

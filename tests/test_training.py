@@ -10,7 +10,7 @@ import pytest
 import injecttst.numerics as nm
 from injecttst import training
 from injecttst.data import SeriesTable, make_windows, mask_patches, patchify
-from injecttst.errors import ContractError, SizingError, TrainingDiverged
+from injecttst.errors import ConfigError, ContractError, SizingError, TrainingDiverged
 from injecttst.model import ModelConfig, forward_forecast, init_params
 from injecttst.synthetic import sine_mixture
 from injecttst.training import (OptimState, StageSchedule, adam_step, evaluate,
@@ -481,5 +481,19 @@ def test_dropout_training_runs_and_is_seeded():
 
 
 def test_schedule_rejects_negative_epochs():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="train.pretrain_epochs"):
         StageSchedule(pretrain_epochs=-1)
+
+
+_BAD_SCHEDULES = [("finetune_lr", -1e-2, "train.finetune_lr"),
+                  ("head_lr", float("nan"), "train.head_lr"),
+                  ("pretrain_lr", float("inf"), "train.pretrain_lr"),
+                  ("batch_size", 0, "train.batch_size"), ("mask_ratio", 7.0, "train.mask_ratio"),
+                  ("mask_ratio", 0.0, "train.mask_ratio"), ("seed", -1, "run.seed")]
+
+
+@pytest.mark.parametrize("field,value,key", _BAD_SCHEDULES,
+                         ids=[f"{f}={v}" for f, v, _ in _BAD_SCHEDULES])
+def test_schedule_built_in_code_refuses_what_the_cli_refuses(field, value, key):
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        StageSchedule(**{field: value})
