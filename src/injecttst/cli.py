@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .harness import (BASELINE_VARIANT, PROFILES, append_records, format_table,
                       load_config, run_ablation, run_single, schedule,
                       setup_experiment, sweep_history)
-from .training import train_pipeline
+from .training import stage_checkpoint, train_pipeline
 
 _COMMON_FLAGS = (
     ("--config", dict(metavar="PATH", required=True, help="run config file")),
@@ -87,7 +87,9 @@ def _run(args) -> int:
         cfg, params, data, out_dir = setup_experiment(rc)
         sched = replace(schedule(rc), head_epochs=0, finetune_epochs=0)
         log = train_pipeline(params, cfg, data, sched, out_dir)
-        print(f"pretrain: {len(log)} epochs, checkpoint in {out_dir}")
+        saved = (f"checkpoint {stage_checkpoint(out_dir, 'pretrain')}" if log
+                 else "no checkpoint written")
+        print(f"pretrain: {len(log)} epochs, {saved}")
         return 0
 
     if args.command in ("finetune", "evaluate"):

@@ -149,21 +149,21 @@ def _parse_fields(text: str) -> dict[str, object]:
     return values
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse dotted-key text; unknown keys are rejected."""
-    return RunConfig(**_parse_fields(text))
+def parse_config(text: str, profile: Optional[str] = None,
+                 overrides: Optional[dict] = None) -> RunConfig:
+    """Parse dotted-key text, layering profile defaults under its values and
+    the overrides that are not None on top; unknown keys are rejected."""
+    values = _parse_fields(text)
+    chosen = profile or values.get("profile", RunConfig.profile)
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    return RunConfig(**{**PROFILES.get(chosen, {}), **values, "profile": chosen, **flags})
 
 
 def load_config(path: str, profile: Optional[str] = None,
                 overrides: Optional[dict] = None) -> RunConfig:
-    """Load a run config, layering profile defaults under the file's values
-    and CLI overrides on top."""
+    """Read a config file and parse its text as `parse_config` does."""
     with open(path) as fh:
-        values = _parse_fields(fh.read())
-    chosen = profile or values.get("profile", RunConfig.profile)
-    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
-    # profile supplies schedule defaults; file values win over it, flags over both
-    return RunConfig(**{**PROFILES.get(chosen, {}), **values, "profile": chosen, **flags})
+        return parse_config(fh.read(), profile, overrides)
 
 
 def config_digest(rc: RunConfig) -> str:

@@ -10,7 +10,7 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,17 +73,6 @@ class ModelConfig(ModelSettings):
             raise ConfigError(f"mix_mode must be 'cat' or 'pat', got {self.mix_mode!r}")
 
 
-@dataclass
-class ForwardTrace:
-    """Optional capture of intermediate activations and attention maps."""
-
-    tokens: Optional[np.ndarray] = None
-    z_ci: Optional[np.ndarray] = None
-    z_glb: Optional[np.ndarray] = None
-    z_out: Optional[np.ndarray] = None
-    attn: list[np.ndarray] = field(default_factory=list)
-
-
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Tensor]:
     """Create every tensor the configured forward reads, uniquely named for
     checkpointing. A switched-off module's tensors are drawn and dropped, so
@@ -141,14 +130,18 @@ def _linear(x: Tensor, params: dict, w: str, b: str) -> Tensor:
 
 
 def _attention(x_q: Tensor, x_kv: Tensor, params: dict, prefix: str, cfg: ModelConfig,
-               capture: Optional[list]) -> Tensor:
+               trace: Optional[dict]) -> Tensor:
     """Multi-head attention of the `x_q` tokens over the `x_kv` tokens. A
     (B, Sk, D) context under (B, M, PN, D) queries (the global tokens in the
-    injection block) is shared by every channel of a batch item."""
+    injection block) is shared by every channel of a batch item. The weights
+    are traced as `<prefix>attn`."""
     q = _linear(x_q, params, f"{prefix}attn.wq", f"{prefix}attn.bq")
     k = nm.matmul(x_kv, params[f"{prefix}attn.wk"])
     v = _linear(x_kv, params, f"{prefix}attn.wv", f"{prefix}attn.bv")
+    capture = None if trace is None else []
     out = nm.scaled_dot_attention(q, k, v, heads=cfg.heads, capture=capture)
+    if trace is not None:
+        trace[f"{prefix}attn"] = capture[0]
     return _linear(out, params, f"{prefix}attn.wo", f"{prefix}attn.bo")
 
 
@@ -167,16 +160,16 @@ def _drop(t: Tensor, cfg: ModelConfig, rng) -> Tensor:
 
 
 def _encoder_layer(x: Tensor, params: dict, prefix: str, cfg: ModelConfig,
-                   capture: Optional[list], rng) -> Tensor:
-    x = _norm(x + _drop(_attention(x, x, params, prefix, cfg, capture), cfg, rng),
+                   trace: Optional[dict], rng) -> Tensor:
+    x = _norm(x + _drop(_attention(x, x, params, prefix, cfg, trace), cfg, rng),
               params, f"{prefix}norm1")
     return _norm(x + _drop(_ffn(x, params, prefix), cfg, rng), params, f"{prefix}norm2")
 
 
 def _encoder(x: Tensor, params: dict, group: str, layers: int, cfg: ModelConfig,
-             capture: Optional[list], rng) -> Tensor:
+             trace: Optional[dict], rng) -> Tensor:
     for i in range(layers):
-        x = _encoder_layer(x, params, f"{group}.{i}.", cfg, capture, rng)
+        x = _encoder_layer(x, params, f"{group}.{i}.", cfg, trace, rng)
     return x
 
 
@@ -195,18 +188,17 @@ def embed_patches(ps: PatchSet, params: dict, cfg: ModelConfig) -> Tensor:
 
 
 def ci_encode(tokens: Tensor, params: dict, cfg: ModelConfig,
-              trace: Optional[ForwardTrace] = None, rng=None) -> Tensor:
+              trace: Optional[dict] = None, rng=None) -> Tensor:
     """Encode each channel's patch tokens with the shared encoder; channels
     never attend to one another here."""
     B, M, PN, D = tokens.shape
     flat = nm.reshape(tokens, (B * M, PN, D))
-    capture = trace.attn if trace is not None else None
-    out = _encoder(flat, params, "ci", cfg.ci_layers, cfg, capture, rng)
+    out = _encoder(flat, params, "ci", cfg.ci_layers, cfg, trace, rng)
     return nm.reshape(out, (B, M, PN, D))
 
 
 def global_mix_cat(history: np.ndarray, params: dict, cfg: ModelConfig,
-                   trace: Optional[ForwardTrace] = None, rng=None) -> Tensor:
+                   trace: Optional[dict] = None, rng=None) -> Tensor:
     """Whole-channel tokens: one projection of each channel's full history,
     mixed by attention across the M channel tokens."""
     B, L, M = history.shape
@@ -216,24 +208,22 @@ def global_mix_cat(history: np.ndarray, params: dict, cfg: ModelConfig,
     mixed = nm.matmul(x, params["mix_proj"])                            # (B, M, D)
     if cfg.use_channel_identifier:
         mixed = mixed + params["chan_embed"]
-    capture = trace.attn if trace is not None else None
-    return _encoder(mixed, params, "mix", cfg.mix_layers, cfg, capture, rng)
+    return _encoder(mixed, params, "mix", cfg.mix_layers, cfg, trace, rng)
 
 
 def global_mix_pat(ps: PatchSet, params: dict, cfg: ModelConfig,
-                   trace: Optional[ForwardTrace] = None, rng=None) -> Tensor:
+                   trace: Optional[dict] = None, rng=None) -> Tensor:
     """Position tokens: same-position patches of all channels are grouped
     (channel-major), projected together, and mixed across the PN positions."""
     B, M, PN, PL = ps.patches.shape
     grouped = ps.patches.transpose(0, 2, 1, 3).reshape(B, PN, M * PL)
     x = nm.constant(grouped, params_dtype(params))
     mixed = nm.linear(x, params["mix_proj"], params["pos_embed"])       # (B, PN, D)
-    capture = trace.attn if trace is not None else None
-    return _encoder(mixed, params, "mix", cfg.mix_layers, cfg, capture, rng)
+    return _encoder(mixed, params, "mix", cfg.mix_layers, cfg, trace, rng)
 
 
 def sca_inject(z_ci: Tensor, z_glb: Tensor, params: dict, cfg: ModelConfig,
-               trace: Optional[ForwardTrace] = None, rng=None) -> Tensor:
+               trace: Optional[dict] = None, rng=None) -> Tensor:
     """Cross-attention injection: channel tokens query the global tokens.
 
     One cross-attention sublayer and one FFN sublayer, each followed by layer
@@ -245,9 +235,7 @@ def sca_inject(z_ci: Tensor, z_glb: Tensor, params: dict, cfg: ModelConfig,
     if z_glb.shape != (B, expected_ctx, D):
         raise ConfigError(f"global tokens {z_glb.shape} do not match mix_mode="
                           f"{cfg.mix_mode!r} (expected {(B, expected_ctx, D)})")
-
-    capture = trace.attn if trace is not None else None
-    attended = _drop(_attention(z_ci, z_glb, params, "sca.", cfg, capture), cfg, rng)
+    attended = _drop(_attention(z_ci, z_glb, params, "sca.", cfg, trace), cfg, rng)
     h = _norm(z_ci + attended if cfg.sca_residual else attended, params, "sca.norm1")
     return _norm(h + _drop(_ffn(h, params, "sca."), cfg, rng), params, "sca.norm2")
 
@@ -267,13 +255,6 @@ def pretrain_head(z_out: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
     return nm.matmul(z_out, params["pretrain_head"])                    # (B, M, PN, PL)
 
 
-def _trace_set(trace: Optional[ForwardTrace], **kv) -> None:
-    if trace is None:
-        return
-    for key, val in kv.items():
-        setattr(trace, key, val.data if isinstance(val, Tensor) else val)
-
-
 def normalize_last_value(batch: WindowBatch, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Subtract each window's final history value per channel; returns the
     normalized (B, L, M) history and the (B, M) last values."""
@@ -282,10 +263,12 @@ def normalize_last_value(batch: WindowBatch, dtype) -> tuple[np.ndarray, np.ndar
 
 
 def _trunk(ps: PatchSet, seq: Optional[np.ndarray], params: dict, cfg: ModelConfig,
-           trace: Optional[ForwardTrace], rng) -> Tensor:
+           trace: Optional[dict], rng) -> Tensor:
     """Patch embedding, channel-independent encoding, then global mixing and
     injection when enabled. `seq` is the (B, L, M) sequence behind `ps`,
-    consumed only by the cat mixer; None rebuilds it from the patches."""
+    consumed only by the cat mixer; None rebuilds it from the patches. A
+    `trace` dict receives `tokens`, `z_ci`, `z_glb` (injection only), `z_out`
+    and every attention layer's weights, named by its parameter prefix."""
     tokens = embed_patches(ps, params, cfg)
     z_ci = ci_encode(tokens, params, cfg, trace, rng)
     z_out = z_ci
@@ -297,13 +280,15 @@ def _trunk(ps: PatchSet, seq: Optional[np.ndarray], params: dict, cfg: ModelConf
         else:
             z_glb = global_mix_pat(ps, params, cfg, trace, rng)
         z_out = sca_inject(z_ci, z_glb, params, cfg, trace, rng)
-        _trace_set(trace, z_glb=z_glb)
-    _trace_set(trace, tokens=tokens, z_ci=z_ci, z_out=z_out)
+        if trace is not None:
+            trace["z_glb"] = z_glb.data
+    if trace is not None:
+        trace.update(tokens=tokens.data, z_ci=z_ci.data, z_out=z_out.data)
     return z_out
 
 
 def forward_forecast(batch: WindowBatch, params: dict, cfg: ModelConfig,
-                     trace: Optional[ForwardTrace] = None, rng=None) -> Tensor:
+                     trace: Optional[dict] = None, rng=None) -> Tensor:
     """Full forecasting pass with last-value normalization.
 
     The final history value of each channel is subtracted before the network
@@ -321,7 +306,7 @@ def forward_forecast(batch: WindowBatch, params: dict, cfg: ModelConfig,
 
 
 def forward_pretrain(masked: PatchSet, params: dict, cfg: ModelConfig,
-                     trace: Optional[ForwardTrace] = None, rng=None) -> Tensor:
+                     trace: Optional[dict] = None, rng=None) -> Tensor:
     """Reconstruction pass over a masked PatchSet (already last-value
     normalized). The global branch consumes the same masked inputs; for the
     cat mixer the masked sequence is rebuilt from the patches."""

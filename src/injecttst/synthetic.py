@@ -66,6 +66,8 @@ def dataset_from_spec(spec: str) -> SeriesTable:
     parts = spec.split(":")
     if len(parts) < 2 or parts[0] != "synthetic":
         raise ConfigError(f"not a synthetic dataset spec: {spec!r}")
+    if len(parts) > 3:
+        raise ConfigError(f"synthetic spec has more than one parameter list: {spec!r}")
     name = parts[1]
     if name not in _GENERATORS:
         raise ConfigError(f"unknown synthetic generator {name!r}; "

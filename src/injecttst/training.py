@@ -196,21 +196,6 @@ def prepare_data(table: SeriesTable, L: int, split_mode: str = "ratio",
                       test_ext=with_history(val, test, L))
 
 
-def _pretrain_batch_loss(batch: WindowBatch, params: dict, cfg: ModelConfig,
-                         ratio: float, mask_seed, rng=None) -> Tensor:
-    history_n, _ = normalize_last_value(batch, params_dtype(params))
-    ps = patchify(history_n, cfg.PL, cfg.S)
-    masked = mask_patches(ps, ratio, mask_seed)
-    reconstruction = forward_pretrain(masked, params, cfg, rng=rng)
-    return masked_mse(reconstruction, ps.patches, masked.mask)
-
-
-def _forecast_batch_loss(batch: WindowBatch, params: dict, cfg: ModelConfig,
-                         rng=None) -> Tensor:
-    prediction = forward_forecast(batch, params, cfg, rng=rng)
-    return forecast_loss(prediction, batch.target.transpose(0, 2, 1))
-
-
 # ---------------------------------------------------------------------------
 # stage runner
 
@@ -234,9 +219,14 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
     code = _STAGE_CODE[stage]
 
     def batch_loss(batch: WindowBatch, mask_seed, rng=None) -> Tensor:
-        if stage == "pretrain":
-            return _pretrain_batch_loss(batch, params, cfg, sched.mask_ratio, mask_seed, rng)
-        return _forecast_batch_loss(batch, params, cfg, rng)
+        if stage != "pretrain":
+            prediction = forward_forecast(batch, params, cfg, rng=rng)
+            return forecast_loss(prediction, batch.target.transpose(0, 2, 1))
+        history_n, _ = normalize_last_value(batch, params_dtype(params))
+        ps = patchify(history_n, cfg.PL, cfg.S)
+        masked = mask_patches(ps, sched.mask_ratio, mask_seed)
+        reconstruction = forward_pretrain(masked, params, cfg, rng=rng)
+        return masked_mse(reconstruction, ps.patches, masked.mask)
 
     def finite(loss: Tensor, what: str) -> float:
         value = float(loss.data)

@@ -131,6 +131,17 @@ def test_load_config_profile_layering(tmp_path):
     assert rc2.seed == 42 and rc2.T == rc.T
 
 
+def test_parse_config_layers_the_profile_as_load_config_does(tmp_path):
+    text = "data.path = x.csv\nrun.profile = desk\n"
+    p = tmp_path / "c.cfg"
+    p.write_text(text)
+    rc = parse_config(text)
+    assert (rc.pretrain_epochs, rc.head_epochs, rc.finetune_epochs) == (5, 3, 10)
+    assert load_config(str(p)) == rc
+    flags = {"seed": 3, "T": None}
+    assert load_config(str(p), "paper", flags) == parse_config(text, "paper", flags)
+
+
 def test_flag_replaces_an_out_of_range_file_value(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("model.T = 0\nrun.variant = bogus\n")
@@ -209,6 +220,7 @@ _BAD_SPECS = {
     "seed negative": "synthetic:sines:rows=100,seed=-1",
     "noise negative": "synthetic:sines:rows=100,noise=-0.5",
     "noise infinite": "synthetic:lead-lag:rows=100,noise=inf",
+    "second parameter list": "synthetic:sines:rows=50:channels=5",
 }
 
 
@@ -545,6 +557,9 @@ def test_cli_pretrain_and_finetune_write_one_log_line_per_epoch(tmp_path, capsys
     cfg_path = _write_cfg(tmp_path, pretrain_epochs=2, head_epochs=1, finetune_epochs=2)
     assert cli_main(["pretrain", "--config", cfg_path]) == 0
     (run_dir,) = (tmp_path / "runs").iterdir()
+    printed = f"pretrain: 2 epochs, checkpoint {run_dir / 'stage-pretrain-best.ckpt'}"
+    assert printed in capsys.readouterr().out
+    assert (run_dir / "stage-pretrain-best.ckpt").is_file()
     log_path = run_dir / "train_log.ndjson"
     records = [json.loads(line) for line in log_path.read_text().splitlines()]
     assert [(r["stage"], r["epoch"]) for r in records] == [("pretrain", 1), ("pretrain", 2)]
@@ -699,7 +714,9 @@ def test_run_single_without_epochs_records_no_checkpoint(tmp_path):
 def test_cli_pretrain_without_epochs_creates_no_run_directory(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, pretrain_epochs=0)
     assert cli_main(["pretrain", "--config", cfg_path]) == 0
-    assert "pretrain: 0 epochs" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "pretrain: 0 epochs, no checkpoint written" in out
+    assert str(tmp_path / "runs") not in out
     assert not (tmp_path / "runs").exists()
 
 

@@ -10,7 +10,7 @@ import injecttst.numerics as nm
 from injecttst.data import WindowBatch, mask_patches, patchify
 from injecttst.errors import ConfigError, ShapeError
 from injecttst.harness import VARIANT_FLAGS
-from injecttst.model import (ForwardTrace, ModelConfig, _encoder, ci_encode,
+from injecttst.model import (ModelConfig, _encoder, ci_encode,
                              embed_patches, forecast_head, forward_forecast,
                              forward_pretrain, global_mix_cat, global_mix_pat,
                              init_params, pretrain_head, sca_inject)
@@ -188,11 +188,11 @@ def test_ci_weights_shared_across_channels(rng):
 def test_cat_single_channel_attention_weight_is_one(rng):
     cfg = replace(CFG, M=1, mix_mode="cat")
     params = _params(cfg)
-    trace = ForwardTrace()
+    trace = {}
     hist = rng.normal(size=(2, cfg.L, 1)).astype(np.float32)
     global_mix_cat(hist, params, cfg, trace)
-    assert len(trace.attn) == cfg.mix_layers
-    np.testing.assert_allclose(trace.attn[0], 1.0, atol=1e-7)
+    assert list(trace) == [f"mix.{i}.attn" for i in range(cfg.mix_layers)]
+    np.testing.assert_allclose(trace["mix.0.attn"], 1.0, atol=1e-7)
 
 
 def test_cat_projection_vs_dot_oracle(rng):
@@ -213,9 +213,9 @@ def test_cat_permutation_equivariance(rng):
     params = _params(cfg)
     batch = _batch(cfg)
     perm = [2, 0, 1]
-    trace = ForwardTrace()
+    trace = {}
     pred = forward_forecast(batch, params, cfg, trace).data
-    z_glb = trace.z_glb.copy()
+    z_glb = trace["z_glb"].copy()
 
     params_p = _params(cfg)
     for name, p in params.items():
@@ -223,10 +223,10 @@ def test_cat_permutation_equivariance(rng):
     params_p["chan_embed"].data = params["chan_embed"].data[perm]
     batch_p = WindowBatch(history=batch.history[:, :, perm],
                           target=batch.target[:, :, perm])
-    trace_p = ForwardTrace()
+    trace_p = {}
     pred_p = forward_forecast(batch_p, params_p, cfg, trace_p).data
     np.testing.assert_allclose(pred_p, pred[:, perm, :], atol=1e-5)
-    np.testing.assert_allclose(trace_p.z_glb, z_glb[:, perm, :], atol=1e-5)
+    np.testing.assert_allclose(trace_p["z_glb"], z_glb[:, perm, :], atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +275,19 @@ def test_sca_disabled_is_identity():
     # with injection off the trunk builds no global tokens and its output is
     # the channel-independent encoding itself
     cfg = replace(CFG, use_global_injection=False)
-    trace = ForwardTrace()
+    trace = {}
     forward_forecast(_batch(cfg), _params(cfg), cfg, trace)
-    assert trace.z_glb is None and trace.z_out is trace.z_ci
+    assert "z_glb" not in trace and trace["z_out"] is trace["z_ci"]
 
 
 def test_sca_single_context_token(rng):
     cfg = replace(CFG, mix_mode="cat", M=1)
     params = _params(cfg)
-    trace = ForwardTrace()
+    trace = {}
     z_ci = nm.constant(rng.normal(size=(2, 1, cfg.PN, cfg.D)).astype(np.float32))
     z_glb = nm.constant(rng.normal(size=(2, 1, cfg.D)).astype(np.float32))
     out = sca_inject(z_ci, z_glb, params, cfg, trace).data
-    np.testing.assert_allclose(trace.attn[-1], 1.0, atol=1e-7)
+    np.testing.assert_allclose(trace["sca.attn"], 1.0, atol=1e-7)
     # every query attends the same single token, so all rows agree
     for p in range(1, cfg.PN):
         np.testing.assert_allclose(out[:, :, p], out[:, :, 0], atol=1e-6)
@@ -450,15 +450,15 @@ def test_identifier_separates_identical_channels(rng):
     hist = np.repeat(rng.normal(size=(2, CFG.L, 1)).astype(np.float32), CFG.M, axis=2)
     batch = WindowBatch(history=hist, target=np.zeros((2, CFG.T, CFG.M), np.float32))
     params = _params()
-    trace = ForwardTrace()
+    trace = {}
     forward_forecast(batch, params, CFG, trace)
-    assert not np.array_equal(trace.z_ci[:, 0], trace.z_ci[:, 1])
+    assert not np.array_equal(trace["z_ci"][:, 0], trace["z_ci"][:, 1])
 
     cfg_off = replace(CFG, use_channel_identifier=False)
-    trace_off = ForwardTrace()
+    trace_off = {}
     forward_forecast(batch, _params(cfg_off), cfg_off, trace_off)
-    assert np.array_equal(trace_off.z_ci[:, 0], trace_off.z_ci[:, 1])
-    assert np.array_equal(trace_off.z_ci[:, 1], trace_off.z_ci[:, 2])
+    assert np.array_equal(trace_off["z_ci"][:, 0], trace_off["z_ci"][:, 1])
+    assert np.array_equal(trace_off["z_ci"][:, 1], trace_off["z_ci"][:, 2])
 
 
 @pytest.mark.parametrize("mix_mode", ["pat", "cat"])
@@ -497,3 +497,47 @@ def test_injection_contributes_after_brief_pretrain(rng):
     without_gi = pretrain_head(sca_inject(z_ci, zeros, params, cfg), params, cfg).data
     changed = np.abs(with_gi - without_gi)[masked.mask]
     assert changed.max() > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# trace
+
+@pytest.mark.parametrize("pass_", ["forecast", "pretrain"])
+@pytest.mark.parametrize("tag", ["pat", "cat", "no-gi"])
+def test_trace_names_each_attention_map_by_its_layer(tag, pass_, monkeypatch):
+    cfg = replace(CFG, ci_layers=2, mix_layers=1, **VARIANT_FLAGS[tag])
+    B, M, PN, H = 2, cfg.M, cfg.PN, cfg.heads
+    handed = []
+    attention = nm.scaled_dot_attention
+
+    def spy(q, k, v, heads=1, capture=None):
+        out = attention(q, k, v, heads=heads, capture=capture)
+        handed.append(capture)
+        return out
+
+    monkeypatch.setattr(nm, "scaled_dot_attention", spy)
+    trace = {}
+    batch = _batch(cfg, B=B)
+    if pass_ == "forecast":
+        forward_forecast(batch, _params(cfg), cfg, trace)
+    else:
+        ps = patchify(batch.history, cfg.PL, cfg.S)
+        forward_pretrain(mask_patches(ps, 0.5, seed=0), _params(cfg), cfg, trace)
+
+    shapes = {"tokens": (B, M, PN, cfg.D), "z_ci": (B, M, PN, cfg.D),
+              "z_out": (B, M, PN, cfg.D),
+              "ci.0.attn": (B * M, H, PN, PN), "ci.1.attn": (B * M, H, PN, PN)}
+    if tag != "no-gi":
+        ctx = M if tag == "cat" else PN
+        shapes.update({"z_glb": (B, ctx, cfg.D), "mix.0.attn": (B, H, ctx, ctx),
+                       "sca.attn": (B, M, H, PN, ctx)})
+    assert set(trace) == set(shapes)
+    assert {k: v.shape for k, v in trace.items()} == shapes
+    assert all(v.dtype == np.float32 for v in trace.values())
+    # in forward order, each map is the array the attention node captured
+    maps = [v for k, v in trace.items() if k.endswith(".attn")]
+    assert len(handed) == len(maps)
+    for got, capture in zip(maps, handed):
+        assert len(capture) == 1
+        assert got.dtype == capture[0].dtype
+        np.testing.assert_array_equal(got, capture[0])

@@ -8,7 +8,7 @@ import pytest
 import injecttst.numerics as nm
 from injecttst.data import WindowBatch, mask_patches, patchify
 from injecttst.errors import ContractError, ShapeError
-from injecttst.model import (ForwardTrace, ModelConfig, forward_forecast,
+from injecttst.model import (ModelConfig, forward_forecast,
                              forward_pretrain, init_params)
 from injecttst.numerics import Tensor, backward, grad_check, grad_table
 from injecttst.training import forecast_loss, masked_mse
@@ -512,14 +512,14 @@ def test_forward_trace_attention_maps_survive_backward(dtype, rng):
     params = init_params(cfg, 0, dtype=dtype)
     hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype)
     batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype))
-    trace = ForwardTrace()
+    trace = {}
     pred = forward_forecast(batch, params, cfg, trace=trace)
-    maps = [a.copy() for a in trace.attn]
+    maps = {k: a.copy() for k, a in trace.items() if k.endswith(".attn")}
     backward(forecast_loss(pred, batch.target.transpose(0, 2, 1)))
-    assert len(maps) == 3
-    for got, want in zip(trace.attn, maps):
-        assert got.dtype == dtype
-        np.testing.assert_array_equal(got, want)
+    assert list(maps) == ["ci.0.attn", "mix.0.attn", "sca.attn"]
+    for name, want in maps.items():
+        assert trace[name].dtype == dtype
+        np.testing.assert_array_equal(trace[name], want)
 
 
 # ---------------------------------------------------------------------------

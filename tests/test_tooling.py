@@ -1,19 +1,23 @@
 """Guards for the tooling that drives the package from outside `src/`."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
 import os
+import re
+import shlex
 import sys
 
 import numpy as np
 import pytest
 
-from injecttst import harness, model, training
+from injecttst import cli, harness, model, training
 from injecttst import numerics as nm
 from injecttst.data import WindowBatch
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _load(name: str):
@@ -85,3 +89,33 @@ def test_every_python_file_parses_at_the_python_floor():
     for path in paths:
         with open(path) as fh:
             ast.parse(fh.read(), filename=path, feature_version=(3, 10))
+
+
+def _readme_blocks() -> list[str]:
+    with open(README) as fh:
+        return re.findall(r"^```[a-z]*\n(.*?)^```", fh.read(), re.M | re.S)
+
+
+def test_readme_example_config_is_a_valid_run_config():
+    (text,) = [b for b in _readme_blocks() if b.startswith("data.path = ")]
+    rc = harness.parse_config(text)
+    table = harness.load_table(rc)
+    harness.model_config(rc, table.channels)
+
+
+def test_every_readme_subcommand_line_parses():
+    # the usage lines, with `[...]` optional parts included
+    lines = [line.split("#", 1)[0].replace("[", "").replace("]", "")
+             for block in _readme_blocks() for line in block.splitlines()
+             if line.startswith("injecttst ")]
+    parser = cli._build_parser()
+    listed = set()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README usage line does not parse: {line.strip()!r}")
+        listed.add(argv[0])
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert listed == set(sub.choices)

@@ -315,7 +315,7 @@ def test_run_stage_frees_each_step_graph(monkeypatch, stage):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("_pretrain_batch_loss", "_forecast_batch_loss"):
+    for name in ("forward_pretrain", "forward_forecast"):
         monkeypatch.setattr(training, name, counting(getattr(training, name)))
     params = init_params(TINY, seed=0)
     sched = StageSchedule(pretrain_epochs=2, head_epochs=2, finetune_epochs=2,
