@@ -14,9 +14,7 @@ from typing import Optional
 
 from .errors import ConfigError
 from .harness import (BASELINE_VARIANT, PROFILES, append_records, format_table,
-                      load_config, run_ablation, run_single, schedule,
-                      setup_experiment, sweep_history)
-from .training import stage_checkpoint, train_pipeline
+                      load_config, run_ablation, run_single, sweep_history, train_run)
 
 _COMMON_FLAGS = (
     ("--config", dict(metavar="PATH", required=True, help="run config file")),
@@ -84,11 +82,8 @@ def _run(args) -> int:
                                 "T": args.pred_len, "out": args.out})
 
     if args.command == "pretrain":
-        cfg, params, data, out_dir = setup_experiment(rc)
-        sched = replace(schedule(rc), head_epochs=0, finetune_epochs=0)
-        log = train_pipeline(params, cfg, data, sched, out_dir)
-        saved = (f"checkpoint {stage_checkpoint(out_dir, 'pretrain')}" if log
-                 else "no checkpoint written")
+        *_, log, saved = train_run(rc, stages=("pretrain",))
+        saved = f"checkpoint {saved}" if saved else "no checkpoint written"
         print(f"pretrain: {len(log)} epochs, {saved}")
         return 0
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import apply_checkpoint, load_checkpoint
 from .data import SPLITS, SeriesTable, load_csv, mask_count
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .model import ModelConfig, ModelSettings, init_params
 from .synthetic import dataset_from_spec
 from .training import (STAGES, DataSplits, EvalReport, StageSchedule, evaluate,
@@ -128,8 +128,9 @@ def serialize_config(rc: RunConfig) -> str:
 
 
 def _parse_fields(text: str) -> dict[str, object]:
-    """Dotted-key text -> {RunConfig field: value}; unknown keys are rejected."""
+    """Dotted-key text -> {RunConfig field: value}; unknown and repeated keys are rejected."""
     values: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -140,6 +141,9 @@ def _parse_fields(text: str) -> dict[str, object]:
         key = key.strip()
         if key not in _KEY_FIELDS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"config line {lineno}: {key} is already set on line {line_of[key]}")
+        line_of[key] = lineno
         field, conv = _KEY_FIELDS[key]
         raw = raw.strip()
         try:
@@ -267,36 +271,41 @@ def run_dir(rc: RunConfig) -> str:
     return os.path.join(rc.out, f"{rc.variant}-T{rc.T}-s{rc.seed}-{config_digest(rc)}")
 
 
-def setup_experiment(rc: RunConfig, data: Optional[DataSplits] = None
-                     ) -> tuple[ModelConfig, dict, DataSplits, str]:
-    """Model config, freshly initialised params, data splits (the given ones,
-    or else `load_splits(rc)`) and run directory of a config."""
+def train_run(rc: RunConfig, data: Optional[DataSplits] = None,
+              stages: Sequence[str] = STAGES, checkpoint: Optional[str] = None
+              ) -> tuple[ModelConfig, dict, DataSplits, list[dict], str]:
+    """Train `stages` of `rc`'s model on `data` (else `load_splits(rc)`) from the
+    weights in `checkpoint`, if given. Returns the model config, weights, splits, epoch
+    log and the checkpoint of the last stage that logged an epoch, else the given one."""
+    unknown = [s for s in stages if s not in STAGES]
+    if unknown:
+        raise ContractError(f"unknown stages {unknown}; choices: {list(STAGES)}")
     data = data or load_splits(rc)
     cfg = model_config(rc, data.train.channels)
-    return cfg, init_params(cfg, rc.seed), data, run_dir(rc)
+    params = init_params(cfg, rc.seed)
+    if checkpoint is not None:
+        apply_checkpoint(params, load_checkpoint(checkpoint))
+    # a stage left out runs for 0 epochs: it logs nothing and writes no checkpoint
+    sched = replace(schedule(rc), **{f"{s}_epochs": 0 for s in STAGES if s not in stages})
+    out_dir = run_dir(rc)
+    log = train_pipeline(params, cfg, data, sched, out_dir)
+    final = stage_checkpoint(out_dir, log[-1]["stage"]) if log else checkpoint
+    return cfg, params, data, log, final or ""
 
 
 def run_single(rc: RunConfig, data: Optional[DataSplits] = None,
                stages: Sequence[str] = STAGES, checkpoint: Optional[str] = None
                ) -> tuple[ResultRecord, EvalReport]:
-    """Train `stages` of one variant under one config, starting from the weights in
-    `checkpoint` when one is given, and evaluate the result. The record names the
-    checkpoint of the last stage that logged an epoch, or else the given one."""
+    """Train `rc` with `train_run` and evaluate it, or score its persistence baseline."""
     if rc.variant == BASELINE_VARIANT:
         if tuple(stages) != STAGES or checkpoint is not None:
             raise ConfigError(f"{BASELINE_VARIANT} trains no stage and loads no checkpoint")
         report = evaluate_persistence(data or load_splits(rc), rc.L, rc.T, rc.batch_size)
         return result_record(rc, report), report
 
-    cfg, params, data, out_dir = setup_experiment(rc, data)
-    if checkpoint is not None:
-        apply_checkpoint(params, load_checkpoint(checkpoint))
-    # a stage left out runs for 0 epochs: it logs nothing and writes no checkpoint
-    sched = replace(schedule(rc), **{f"{s}_epochs": 0 for s in STAGES if s not in stages})
-    log = train_pipeline(params, cfg, data, sched, out_dir)
+    cfg, params, data, log, final = train_run(rc, data, stages, checkpoint)
     report = evaluate(params, cfg, data, rc.batch_size)
-    final = stage_checkpoint(out_dir, log[-1]["stage"]) if log else checkpoint
-    return result_record(rc, report, log, final or ""), report
+    return result_record(rc, report, log, final), report
 
 
 def _ablation_entry(rc: RunConfig, data: DataSplits) -> ResultRecord:

@@ -108,18 +108,11 @@ def _node(data: np.ndarray, op: str, parents: tuple, vjp: Callable) -> Tensor:
     return Tensor(data, op=op)
 
 
-def _coerce(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
-def _pair(a, b):
-    if isinstance(a, Tensor):
-        return a, _coerce(b, a)
-    if isinstance(b, Tensor):
-        return _coerce(a, b), b
-    raise TypeError("at least one operand must be a Tensor")
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    """A binary op's operands; a second that is not a Tensor becomes a constant."""
+    if not isinstance(a, Tensor):
+        raise TypeError(f"the first operand must be a Tensor, got {type(a).__name__}")
+    return a, b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

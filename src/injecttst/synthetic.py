@@ -81,6 +81,8 @@ def dataset_from_spec(spec: str) -> SeriesTable:
                 raise ConfigError(f"synthetic spec item {item!r} is not name=value: {spec!r}")
             if key not in params:
                 raise ConfigError(f"unknown parameter {key!r} for generator {name!r}")
+            if key in kwargs:
+                raise ConfigError(f"synthetic spec sets {key} twice: {spec!r}")
             conv, least = params[key]
             try:
                 value = conv(raw)

@@ -21,6 +21,7 @@ from injecttst.harness import (BASELINE_VARIANT, VARIANT_FLAGS, RunConfig,
 from injecttst.model import ModelConfig, ModelSettings, init_params
 from injecttst.synthetic import dataset_from_spec, lead_lag
 from injecttst.training import StageSchedule, prepare_data
+from test_data import save_csv
 
 FAST = dict(data_path="synthetic:sines:rows=260,channels=2,seed=4",
             L=24, T=4, PL=8, S=8, D=8, heads=2, ci_layers=1, mix_layers=1,
@@ -113,6 +114,30 @@ def test_config_digest_ignores_key_order():
 def test_config_rejects_unknown_key(line):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(line + "\n")
+
+
+def test_config_rejects_a_repeated_key():
+    # were the last line to win, an appended line would silently change the run
+    with pytest.raises(ConfigError, match="line 3: model.L is already set on line 2"):
+        parse_config("data.path = x\nmodel.L = 48\nmodel.L = 96\n")
+
+
+def test_cli_config_with_a_repeated_key_exits_2(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    with open(cfg_path, "a") as fh:
+        fh.write("run.seed = 5\n")
+    assert cli_main(["finetune", "--config", cfg_path]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_file_reads_false_booleans(tmp_path):
+    for raw in ("false", "0", "no"):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"data.path = x.csv\ndata.standardize = {raw}\n")
+        rc = load_config(str(p))
+        assert rc.standardize is False
+        assert "data.standardize = false\n" in serialize_config(rc)
 
 
 def test_config_comments_and_blanks():
@@ -221,6 +246,7 @@ _BAD_SPECS = {
     "noise negative": "synthetic:sines:rows=100,noise=-0.5",
     "noise infinite": "synthetic:lead-lag:rows=100,noise=inf",
     "second parameter list": "synthetic:sines:rows=50:channels=5",
+    "item set twice": "synthetic:sines:rows=50,rows=80",
 }
 
 
@@ -250,6 +276,14 @@ def test_run_single_emits_record(tmp_path):
     assert record.mse == report.mse
     assert os.path.isfile(record.checkpoint)
     assert record.epochs_run == 2
+
+
+def test_run_single_refuses_an_unknown_stage(tmp_path):
+    # dropping a misspelled stage would score the initial weights as "ok"
+    rc = RunConfig(**{**FAST, "out": str(tmp_path / "runs")})
+    with pytest.raises(ContractError, match="'pretrian'"):
+        run_single(rc, stages=("pretrian", "head"))
+    assert not (tmp_path / "runs").exists()
 
 
 def test_baseline_variant_needs_no_training(tmp_path):
@@ -378,6 +412,15 @@ def _write_cfg(tmp_path, **overrides):
     return str(path)
 
 
+def _set_key(cfg_path: str, key: str, value) -> None:
+    """Rewrite the line of a `_write_cfg` file that sets `key`."""
+    with open(cfg_path) as fh:
+        lines = [f"{key} = {value}" if line.partition("=")[0].strip() == key else line
+                 for line in fh.read().splitlines()]
+    with open(cfg_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def test_cli_missing_config_exits_2(tmp_path, capsys):
     code = cli_main(["evaluate", "--config", str(tmp_path / "absent.cfg"),
                      "--checkpoint", "x.ckpt"])
@@ -443,8 +486,7 @@ _OUT_OF_RANGE += [case for case in
                          ids=[f"{k}={v}" for k, v in _OUT_OF_RANGE])
 def test_cli_out_of_range_setting_is_a_config_error(tmp_path, capsys, key, value):
     cfg_path = _write_cfg(tmp_path, pretrain_epochs=1)
-    with open(cfg_path, "a") as fh:
-        fh.write(f"{key} = {value}\n")      # a repeated key: the later line wins
+    _set_key(cfg_path, key, value)
     assert cli_main(["pretrain", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
     assert "ConfigError" in err and key in err
@@ -461,8 +503,7 @@ def test_the_key_table_covers_every_config_key():
 def test_cli_accepts_the_lowest_value_of_every_key(tmp_path, capsys, key):
     lowest, _, needs = _LIMITS[key]
     cfg_path = _write_cfg(tmp_path, **needs)
-    with open(cfg_path, "a") as fh:
-        fh.write(f"{key} = {lowest}\n")
+    _set_key(cfg_path, key, lowest)
     assert cli_main(["baseline", "--config", cfg_path]) == 0, capsys.readouterr().err
 
 
@@ -495,8 +536,7 @@ def test_each_setting_is_declared_in_one_class():
 
 def test_cli_pretrain_mask_ratio_that_masks_no_patch_exits_2(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, L=48, PL=12, S=12, pretrain_epochs=1)
-    with open(cfg_path, "a") as fh:
-        fh.write("train.mask_ratio = 0.05\n")
+    _set_key(cfg_path, "train.mask_ratio", 0.05)
     assert cli_main(["pretrain", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
     assert "ConfigError" in err and "train.mask_ratio" in err and "5 patches" in err
@@ -729,6 +769,31 @@ def test_cli_evaluate_creates_no_run_directory(tmp_path, capsys):
     assert os.listdir(str(tmp_path / "runs")) == ["results.ndjson"]
     record = _last_record(tmp_path)
     assert (record["checkpoint"], record["epochs_run"]) == (ckpt, 0)
+
+
+def test_cli_csv_table_scores_as_its_synthetic_spec(tmp_path, capsys):
+    spec = FAST["data_path"]
+    csv_path = str(tmp_path / "table.csv")
+    save_csv(dataset_from_spec(spec), csv_path)
+    for data_path in (csv_path, spec):
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(RunConfig(**{**FAST, "out": str(tmp_path / "runs"),
+                                                      "data_path": data_path})))
+        assert cli_main(["finetune", "--config", str(path)]) == 0
+    results = os.path.join(str(tmp_path / "runs"), "results.ndjson")
+    on_csv, on_spec = [json.loads(line) for line in open(results).read().splitlines()]
+    assert on_csv["digest"] != on_spec["digest"]
+    assert (on_csv["mse"], on_csv["mae"]) == (on_spec["mse"], on_spec["mae"])
+
+
+def test_cli_evaluate_rejects_a_checkpoint_of_another_horizon(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, T=16)
+    ckpt = str(tmp_path / "t8.ckpt")
+    save_checkpoint(init_params(model_config(RunConfig(**{**FAST, "T": 8}), 2), 3), ckpt)
+    assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "forecast_head" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_pretrain_says_which_subcommands_run_the_baseline_variant(tmp_path, capsys):

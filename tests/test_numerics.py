@@ -630,6 +630,18 @@ def test_scalar_constant_factor_gets_no_gradient(rng):
     np.testing.assert_array_equal(grads[0], np.full(scores.shape, 0.5, dtype=np.float32))
 
 
+@pytest.mark.parametrize("op", [nm.matmul, nm.add, nm.sub, nm.mul])
+def test_binary_op_takes_a_tensor_first(op):
+    with pytest.raises(TypeError, match="first operand must be a Tensor, got float"):
+        op(2.0, t(np.ones((2, 2))))
+
+
+def test_debug_checks_name_the_op_with_a_non_finite_output():
+    # the suite runs with the checks on (conftest)
+    with pytest.raises(FloatingPointError, match="op 'add'"):
+        nm.add(t(np.ones(3)), np.float32(np.inf))
+
+
 def test_parameter_used_twice_gets_exactly_twice_the_gradient(rng):
     x = t(rng.normal(size=(2, 5, 4)))
     c = t(rng.normal(size=(2, 5, 3)))

@@ -119,3 +119,22 @@ def test_every_readme_subcommand_line_parses():
         listed.add(argv[0])
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert listed == set(sub.choices)
+
+
+def test_tiny_desk_ablation_calls_every_layer_its_traced_run_requires(tmp_path):
+    # `--trace 1` fails desk-ablation when a `uses` layer shows no calls or a
+    # `never_uses` one shows some; a run path that stops going through
+    # `run_single` or `train_pipeline` must fail here too
+    desk = _load("workloads").WORKLOADS["desk-ablation"]
+    base = harness.RunConfig(data_path="synthetic:lead-lag:rows=300,lag=6,seed=0",
+                             L=24, T=4, PL=8, S=8, D=8, heads=2, ci_layers=1,
+                             pretrain_epochs=1, head_epochs=1, finetune_epochs=1,
+                             batch_size=32, out=str(tmp_path))
+    tracer = _load_tracer().Tracer("test")
+    tracer.install()
+    try:
+        records = harness.run_ablation(desk.variants, [base.T], base)
+    finally:
+        tracer.uninstall()
+    assert [r.status for r in records] == ["ok"] * 7
+    assert tracer.usage_problems(desk.uses, desk.never_uses) == []
