@@ -50,6 +50,9 @@ class ModelSettings:
             raise ConfigError(f"model.dropout must be in [0, 1), got {self.dropout}")
         if self.PL > self.L:
             raise ConfigError(f"model.PL must be <= model.L, got PL={self.PL}, L={self.L}")
+        if self.S > self.PL:
+            # gaps would zero part of the cat mixer's pretraining sequence only
+            raise ConfigError(f"model.S must be <= model.PL, got S={self.S}, PL={self.PL}")
 
     @property
     def PN(self) -> int:
@@ -159,17 +162,21 @@ def _drop(t: Tensor, cfg: ModelConfig, rng) -> Tensor:
     return nm.dropout(t, cfg.dropout, rng) if rng is not None else t
 
 
-def _encoder_layer(x: Tensor, params: dict, prefix: str, cfg: ModelConfig,
-                   trace: Optional[dict], rng) -> Tensor:
-    x = _norm(x + _drop(_attention(x, x, params, prefix, cfg, trace), cfg, rng),
-              params, f"{prefix}norm1")
-    return _norm(x + _drop(_ffn(x, params, prefix), cfg, rng), params, f"{prefix}norm2")
+def _layer(x: Tensor, ctx: Tensor, params: dict, prefix: str, cfg: ModelConfig,
+           trace: Optional[dict], rng, residual: bool = True) -> Tensor:
+    """Post-norm Transformer layer: attention of the `x` tokens over the `ctx`
+    tokens, then the FFN sublayer, each followed by layer norm. `residual`
+    False drops the skip around attention only; the FFN always keeps it."""
+    # `h` is rebound so that a graph-free pass frees the attention output before the FFN
+    h = _drop(_attention(x, ctx, params, prefix, cfg, trace), cfg, rng)
+    h = _norm(x + h if residual else h, params, f"{prefix}norm1")
+    return _norm(h + _drop(_ffn(h, params, prefix), cfg, rng), params, f"{prefix}norm2")
 
 
 def _encoder(x: Tensor, params: dict, group: str, layers: int, cfg: ModelConfig,
              trace: Optional[dict], rng) -> Tensor:
     for i in range(layers):
-        x = _encoder_layer(x, params, f"{group}.{i}.", cfg, trace, rng)
+        x = _layer(x, x, params, f"{group}.{i}.", cfg, trace, rng)
     return x
 
 
@@ -189,12 +196,10 @@ def embed_patches(ps: PatchSet, params: dict, cfg: ModelConfig) -> Tensor:
 
 def ci_encode(tokens: Tensor, params: dict, cfg: ModelConfig,
               trace: Optional[dict] = None, rng=None) -> Tensor:
-    """Encode each channel's patch tokens with the shared encoder; channels
-    never attend to one another here."""
-    B, M, PN, D = tokens.shape
-    flat = nm.reshape(tokens, (B * M, PN, D))
-    out = _encoder(flat, params, "ci", cfg.ci_layers, cfg, trace, rng)
-    return nm.reshape(out, (B, M, PN, D))
+    """Encode each channel's patch tokens with the shared encoder, run on the
+    (B, M, PN, D) tokens as they are: channels never attend to one another,
+    and each `ci.<i>.attn` map is (B, M, heads, PN, PN)."""
+    return _encoder(tokens, params, "ci", cfg.ci_layers, cfg, trace, rng)
 
 
 def global_mix_cat(history: np.ndarray, params: dict, cfg: ModelConfig,
@@ -224,20 +229,15 @@ def global_mix_pat(ps: PatchSet, params: dict, cfg: ModelConfig,
 
 def sca_inject(z_ci: Tensor, z_glb: Tensor, params: dict, cfg: ModelConfig,
                trace: Optional[dict] = None, rng=None) -> Tensor:
-    """Cross-attention injection: channel tokens query the global tokens.
-
-    One cross-attention sublayer and one FFN sublayer, each followed by layer
-    norm. The optional residual wraps only the cross-attention sublayer; the
-    FFN keeps a fixed residual.
-    """
+    """Cross-attention injection: one `_layer` in which the channel tokens query
+    the global tokens, shared by a batch item's M channels. `sca_residual`
+    decides whether the attention sublayer keeps its skip connection."""
     B, M, PN, D = z_ci.shape
     expected_ctx = cfg.M if cfg.mix_mode == "cat" else cfg.PN
     if z_glb.shape != (B, expected_ctx, D):
-        raise ConfigError(f"global tokens {z_glb.shape} do not match mix_mode="
-                          f"{cfg.mix_mode!r} (expected {(B, expected_ctx, D)})")
-    attended = _drop(_attention(z_ci, z_glb, params, "sca.", cfg, trace), cfg, rng)
-    h = _norm(z_ci + attended if cfg.sca_residual else attended, params, "sca.norm1")
-    return _norm(h + _drop(_ffn(h, params, "sca."), cfg, rng), params, "sca.norm2")
+        raise ShapeError(f"global tokens {z_glb.shape} do not match mix_mode="
+                         f"{cfg.mix_mode!r} (expected {(B, expected_ctx, D)})")
+    return _layer(z_ci, z_glb, params, "sca.", cfg, trace, rng, cfg.sca_residual)
 
 
 def forecast_head(z_out: Tensor, params: dict, cfg: ModelConfig) -> Tensor:

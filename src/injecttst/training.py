@@ -309,9 +309,7 @@ class EvalReport:
     mse: float
     mae: float
     per_horizon_mse: list[float]
-    per_horizon_mae: list[float]
     per_channel_mse: list[float]
-    per_channel_mae: list[float]
     n_windows: int
     seconds: float
 
@@ -332,13 +330,10 @@ def _aggregate(pred_target_pairs) -> EvalReport:
     if n_windows == 0:
         raise SizingError("evaluation stream is empty")
     mse_mt = sq_sum / n_windows
-    mae_mt = abs_sum / n_windows
     return EvalReport(
-        mse=float(mse_mt.mean()), mae=float(mae_mt.mean()),
+        mse=float(mse_mt.mean()), mae=float((abs_sum / n_windows).mean()),
         per_horizon_mse=[float(x) for x in mse_mt.mean(axis=0)],
-        per_horizon_mae=[float(x) for x in mae_mt.mean(axis=0)],
         per_channel_mse=[float(x) for x in mse_mt.mean(axis=1)],
-        per_channel_mae=[float(x) for x in mae_mt.mean(axis=1)],
         n_windows=n_windows,
         seconds=round(time.perf_counter() - t0, 3))
 

@@ -453,7 +453,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case):
 # the other settings that lowest value needs on top of FAST
 _LIMITS = {
     "model.L": ("1", "0", dict(PL=1, S=1)), "model.T": ("1", "0", {}),
-    "model.PL": ("1", "0", {}), "model.S": ("1", "0", {}),
+    "model.PL": ("1", "0", dict(S=1)), "model.S": ("1", "0", {}),
     "model.D": ("1", "0", dict(heads=1)), "model.heads": ("1", "0", {}),
     "model.ci_layers": ("0", "-1", {}), "model.mix_layers": ("0", "-1", {}),
     "model.ffn_mult": ("1", "0", {}), "model.dropout": ("0.0", "-1e-09", {}),
@@ -472,7 +472,7 @@ _OUT_OF_RANGE = [("train.mask_ratio", "0"), ("train.mask_ratio", "1.5"),
                  ("model.heads", "0"), ("model.PL", "0"), ("train.pretrain_lr", "nan"),
                  ("train.pretrain_lr", "-1"), ("model.T", "0"), ("run.seed", "-1"),
                  ("train.batch_size", "abc"), ("data.split", "bogus"),
-                 ("model.PL", "100"), ("run.profile", "bogus")]
+                 ("model.PL", "100"), ("model.S", "9"), ("run.profile", "bogus")]
 # and for every key, each value below its lowest, NaN, an infinity and text
 # that parses as no number
 _OUT_OF_RANGE += [case for case in

@@ -1,6 +1,7 @@
 """Model contracts: embedding, encoders, mixers, injection block, heads."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,9 @@ import injecttst.numerics as nm
 from injecttst.data import WindowBatch, mask_patches, patchify
 from injecttst.errors import ConfigError, ShapeError
 from injecttst.harness import VARIANT_FLAGS
-from injecttst.model import (ModelConfig, _encoder, ci_encode,
-                             embed_patches, forecast_head, forward_forecast,
+import injecttst.model as model
+from injecttst.model import (ModelConfig, _attention, _drop, _encoder, _ffn, _norm,
+                             ci_encode, embed_patches, forecast_head, forward_forecast,
                              forward_pretrain, global_mix_cat, global_mix_pat,
                              init_params, pretrain_head, sca_inject)
 from injecttst.training import OptimState, adam_step, forecast_loss, masked_mse
@@ -71,6 +73,13 @@ def test_config_defaults_all_but_the_keyword_only_channel_count():
     assert (cfg.L, cfg.T, cfg.PN) == (512, 96, 43)
     with pytest.raises(TypeError):
         ModelConfig(24, 4, 2)           # M is not positional and has no default
+
+
+def test_config_rejects_a_stride_that_leaves_gaps_between_patches():
+    # the cat mixer would pretrain on a sequence with the gaps zeroed but
+    # forecast from the full history
+    with pytest.raises(ConfigError, match=r"model\.S must be <= model\.PL"):
+        ModelConfig(L=24, T=4, M=2, PL=4, S=8)
 
 
 def test_config_rejects_unknown_mix_mode():
@@ -180,6 +189,52 @@ def test_ci_weights_shared_across_channels(rng):
     out_swapped = ci_encode(nm.constant(swapped), params, CFG).data
     assert np.array_equal(out[:, 0], out_swapped[:, 1])
     assert np.array_equal(out[:, 1], out_swapped[:, 0])
+
+
+def _grads(params: dict, *tensors) -> dict:
+    return {**{k: p.grad for k, p in params.items() if p.grad is not None},
+            **{i: t.grad for i, t in enumerate(tensors)}}
+
+
+def _assert_same_grads(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys() and len(got) > 1
+    for name in got:
+        np.testing.assert_array_equal(got[name], want[name])
+
+
+# the paper's CI shape, and the desk shape in training mode
+_CI_SHAPES = {"paper": (8, ModelConfig(L=512, T=96, M=7, D=64, heads=4, ci_layers=2)),
+              "desk": (32, ModelConfig(L=48, T=8, M=2, D=32, ci_layers=1, dropout=0.1))}
+
+
+@pytest.mark.parametrize("shape", list(_CI_SHAPES))
+def test_ci_encode_equals_the_encoder_over_channels_folded_into_the_batch_bitwise(shape, rng):
+    B, cfg = _CI_SHAPES[shape]
+    tokens = rng.normal(size=(B, cfg.M, cfg.PN, cfg.D)).astype(np.float32)
+    g = rng.normal(size=tokens.shape).astype(np.float32)
+
+    def run(encode):
+        params = init_params(cfg, 3)
+        x = nm.Tensor(tokens, requires_grad=True)
+        trace = {}
+        out = encode(x, params, trace, np.random.default_rng(5) if cfg.dropout else None)
+        nm.backward(nm.sum_(out * nm.constant(g)))
+        return out.data, trace, _grads(params, x)
+
+    def folded(x, params, trace, drop_rng):
+        flat = nm.reshape(x, (B * cfg.M, cfg.PN, cfg.D))
+        out = _encoder(flat, params, "ci", cfg.ci_layers, cfg, trace, drop_rng)
+        return nm.reshape(out, x.shape)
+
+    out, trace, grads = run(lambda x, params, trace, drop_rng:
+                            ci_encode(x, params, cfg, trace, drop_rng))
+    want_out, want_trace, want_grads = run(folded)
+    np.testing.assert_array_equal(out, want_out)
+    assert list(trace) == list(want_trace) == [f"ci.{i}.attn" for i in range(cfg.ci_layers)]
+    for name, attn in trace.items():
+        assert attn.shape == (B, cfg.M, cfg.heads, cfg.PN, cfg.PN)
+        np.testing.assert_array_equal(attn, want_trace[name].reshape(attn.shape))
+    _assert_same_grads(grads, want_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +353,59 @@ def test_sca_mix_mode_shape_mismatch(rng):
     params = _params(cfg)
     z_ci = nm.constant(rng.normal(size=(2, cfg.M, cfg.PN, cfg.D)).astype(np.float32))
     z_glb = nm.constant(rng.normal(size=(2, cfg.PN, cfg.D)).astype(np.float32))  # pat-shaped
-    with pytest.raises(ConfigError):
+    with pytest.raises(ShapeError, match="do not match mix_mode='cat'"):
         sca_inject(z_ci, z_glb, params, cfg)
+
+
+@pytest.mark.parametrize("residual", [False, True])
+def test_sca_equals_its_hand_written_sublayers_bitwise(residual, rng):
+    cfg = replace(CFG, sca_residual=residual, dropout=0.1)
+    z_ci = rng.normal(size=(3, cfg.M, cfg.PN, cfg.D)).astype(np.float32)
+    z_glb = rng.normal(size=(3, cfg.PN, cfg.D)).astype(np.float32)
+    g = rng.normal(size=z_ci.shape).astype(np.float32)
+
+    def run(inject):
+        params = _params(cfg, seed=2)
+        x, ctx = nm.Tensor(z_ci, requires_grad=True), nm.Tensor(z_glb, requires_grad=True)
+        trace = {}
+        out = inject(x, ctx, params, trace, np.random.default_rng(9))
+        nm.backward(nm.sum_(out * nm.constant(g)))
+        return out.data, trace["sca.attn"], _grads(params, x, ctx)
+
+    def by_hand(x, ctx, params, trace, drop_rng):
+        attended = _drop(_attention(x, ctx, params, "sca.", cfg, trace), cfg, drop_rng)
+        h = _norm(x + attended if residual else attended, params, "sca.norm1")
+        return _norm(h + _drop(_ffn(h, params, "sca."), cfg, drop_rng), params, "sca.norm2")
+
+    got = run(lambda x, ctx, params, trace, drop_rng:
+              sca_inject(x, ctx, params, cfg, trace, drop_rng))
+    want = run(by_hand)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    _assert_same_grads(got[2], want[2])
+
+
+@pytest.mark.parametrize("tag", ["pat", "cat-rc"])
+def test_a_graph_free_pass_frees_each_attention_output_before_its_ffn(tag, monkeypatch):
+    cfg = replace(CFG, ci_layers=2, **VARIANT_FLAGS[tag])
+    params = _params(cfg)
+    outputs, held = {}, {}
+    attention, ffn = model._attention, model._ffn
+
+    def spy_attention(x_q, x_kv, params, prefix, cfg, trace):
+        out = attention(x_q, x_kv, params, prefix, cfg, trace)
+        outputs[prefix] = weakref.ref(out.data)
+        return out
+
+    def spy_ffn(x, params, prefix):
+        held[prefix] = outputs[prefix]() is not None
+        return ffn(x, params, prefix)
+
+    monkeypatch.setattr(model, "_attention", spy_attention)
+    monkeypatch.setattr(model, "_ffn", spy_ffn)
+    with nm.frozen(params.values()):
+        forward_forecast(_batch(cfg), params, cfg)
+    assert held == {"ci.0.": False, "ci.1.": False, "mix.0.": False, "sca.": False}
 
 
 def _sca_oracle(z_ci, z_glb, P, cfg):
@@ -526,7 +632,7 @@ def test_trace_names_each_attention_map_by_its_layer(tag, pass_, monkeypatch):
 
     shapes = {"tokens": (B, M, PN, cfg.D), "z_ci": (B, M, PN, cfg.D),
               "z_out": (B, M, PN, cfg.D),
-              "ci.0.attn": (B * M, H, PN, PN), "ci.1.attn": (B * M, H, PN, PN)}
+              "ci.0.attn": (B, M, H, PN, PN), "ci.1.attn": (B, M, H, PN, PN)}
     if tag != "no-gi":
         ctx = M if tag == "cat" else PN
         shapes.update({"z_glb": (B, ctx, cfg.D), "mix.0.attn": (B, H, ctx, ctx),
