@@ -18,8 +18,8 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import save_checkpoint
-from .data import (SeriesTable, WindowBatch, make_windows, mask_patches, patchify,
-                   split, standardize, with_history)
+from .data import (PatchSet, SeriesTable, WindowBatch, make_windows, mask_patches,
+                   patchify, split, standardize, with_history)
 from .errors import ConfigError, ContractError, SizingError, TrainingDiverged
 from .model import (ModelConfig, forward_forecast, forward_pretrain,
                     normalize_last_value, params_dtype)
@@ -197,6 +197,35 @@ def prepare_data(table: SeriesTable, L: int, split_mode: str = "ratio",
 
 
 # ---------------------------------------------------------------------------
+# chunks
+
+# Every pass over a batch runs the network on chunks of windows whose
+# (M, PN, D) tokens take about this many bytes, so each elementwise pass
+# reads arrays still in cache and a step's graph holds one chunk at a time:
+# 6 windows at the paper shape (M=7, PN=43, D=64, float32)
+_CHUNK_BYTES = 1 << 19
+
+
+def _chunks(windows: int, cfg: ModelConfig, dtype) -> list[slice]:
+    """The window slices, in order, that a pass over `windows` windows runs on."""
+    size = max(1, _CHUNK_BYTES // (cfg.M * cfg.PN * cfg.D * np.dtype(dtype).itemsize))
+    return [slice(i, min(i + size, windows)) for i in range(0, windows, size)]
+
+
+def _windows(x, s: slice):
+    """Windows `s` of a WindowBatch or a PatchSet, as views."""
+    if isinstance(x, WindowBatch):
+        return WindowBatch(history=x.history[s], target=x.target[s])
+    return PatchSet(patches=x.patches[s], mask=x.mask[s], S=x.S)
+
+
+def _graph_free(forward: Callable, x, chunks: list[slice]) -> Tensor:
+    """`forward` of `x` with the parameters frozen, run chunk by chunk and
+    concatenated."""
+    return nm.constant(np.concatenate([forward(_windows(x, s)).data for s in chunks]))
+
+
+# ---------------------------------------------------------------------------
 # stage runner
 
 def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
@@ -204,7 +233,11 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
               out_dir: Optional[str] = None,
               log_sink: Optional[Callable[[dict], None]] = None) -> list[dict]:
     """Train one stage in place and leave `params` at the best-validation
-    epoch. Returns the per-epoch log records."""
+    epoch. Returns the per-epoch log records.
+
+    A step runs forward and backward chunk by chunk (`_chunks`), each
+    chunk's loss weighted by its share of the batch, and then one Adam
+    update on the summed gradients."""
     if stage not in STAGES:
         raise ContractError(f"unknown stage {stage!r}")
     epochs = getattr(sched, f"{stage}_epochs")
@@ -217,16 +250,27 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
     fixed = [p for k, p in params.items() if k not in trainable]
     opt = OptimState(lr=lr)
     code = _STAGE_CODE[stage]
+    dtype = params_dtype(params)
 
-    def batch_loss(batch: WindowBatch, mask_seed, rng=None) -> Tensor:
+    def inputs(batch: WindowBatch, mask_seed) -> tuple:
+        """What the network reads of a batch, and the loss of an output for
+        windows `s` of it."""
         if stage != "pretrain":
-            prediction = forward_forecast(batch, params, cfg, rng=rng)
-            return forecast_loss(prediction, batch.target.transpose(0, 2, 1))
-        history_n, _ = normalize_last_value(batch, params_dtype(params))
+            target = batch.target.transpose(0, 2, 1)
+            return batch, lambda output, s: forecast_loss(output, target[s])
+        history_n, _ = normalize_last_value(batch, dtype)
         ps = patchify(history_n, cfg.PL, cfg.S)
         masked = mask_patches(ps, sched.mask_ratio, mask_seed)
-        reconstruction = forward_pretrain(masked, params, cfg, rng=rng)
-        return masked_mse(reconstruction, ps.patches, masked.mask)
+        return masked, lambda output, s: masked_mse(output, ps.patches[s], masked.mask[s])
+
+    def forward(x, rng=None) -> Tensor:
+        if stage != "pretrain":
+            return forward_forecast(x, params, cfg, rng=rng)
+        return forward_pretrain(x, params, cfg, rng=rng)
+
+    def val_loss(batch: WindowBatch, mask_seed) -> Tensor:
+        x, loss_of = inputs(batch, mask_seed)
+        return loss_of(_graph_free(forward, x, _chunks(batch.size, cfg, dtype)), slice(None))
 
     def finite(loss: Tensor, what: str) -> float:
         value = float(loss.data)
@@ -245,15 +289,26 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
         with nm.frozen(fixed):
             for b, batch in enumerate(make_windows(data.train, cfg.L, cfg.T,
                                                    sched.batch_size, shuffle_rng)):
-                loss = batch_loss(batch, [sched.seed, code, epoch, b], train_rng)
-                train_losses.append(finite(loss, "loss"))
-                grads = nm.grad_table(loss, {k: params[k] for k in trainable})
+                x, loss_of = inputs(batch, [sched.seed, code, epoch, b])
+                step_loss, grads = 0.0, None
+                for s in _chunks(batch.size, cfg, dtype):
+                    # masked_mse too: every window holds the same number of masked
+                    # patches, so a chunk's share of them is its share of windows
+                    loss = loss_of(forward(_windows(x, s), train_rng), s) * (
+                        (s.stop - s.start) / batch.size)
+                    step_loss += finite(loss, "loss")
+                    part_grads = nm.grad_table(loss, {k: params[k] for k in trainable})
+                    grads = part_grads if grads is None else {
+                        k: grads[k] + g for k, g in part_grads.items()}
+                    if s.stop < batch.size:
+                        del loss        # free this chunk's graph before the next forward
+                train_losses.append(step_loss)
                 adam_step(params, grads, opt)
                 # free this step's graph before the next forward builds its own
                 del loss, grads
 
         with nm.frozen(params.values()):
-            val_losses = [finite(batch_loss(batch, [sched.seed, 9, b]), "validation loss")
+            val_losses = [finite(val_loss(batch, [sched.seed, 9, b]), "validation loss")
                           for b, batch in enumerate(make_windows(data.val_ext, cfg.L, cfg.T,
                                                                  sched.batch_size))]
 
@@ -351,9 +406,12 @@ def evaluate(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
              batch_size: int = 64) -> EvalReport:
     """MSE/MAE over the ordered test stream, on the values the splits hold
     (standardized ones unless `prepare_data` was told otherwise)."""
+    def predict(batch: WindowBatch) -> np.ndarray:
+        return _graph_free(lambda x: forward_forecast(x, params, cfg), batch,
+                           _chunks(batch.size, cfg, params_dtype(params))).data
+
     with nm.frozen(params.values()):
-        return _score(data, cfg.L, cfg.T, batch_size,
-                      lambda batch: forward_forecast(batch, params, cfg).data)
+        return _score(data, cfg.L, cfg.T, batch_size, predict)
 
 
 def evaluate_persistence(data: DataSplits, L: int, T: int,

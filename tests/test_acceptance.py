@@ -20,10 +20,11 @@ from injecttst.model import (ModelConfig, embed_patches,
                              forward_forecast, forward_pretrain,
                              global_mix_cat, global_mix_pat, init_params,
                              sca_inject)
-from injecttst.numerics import grad_check
 from injecttst.synthetic import sine_mixture
 from injecttst.training import (EvalReport, evaluate, evaluate_persistence,
                                 forecast_loss, masked_mse, prepare_data, run_stage)
+
+from gradcheck import grad_check
 
 TINY = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2, ci_layers=1, mix_layers=1)
 

@@ -10,8 +10,10 @@ from injecttst.data import WindowBatch, mask_patches, patchify
 from injecttst.errors import ContractError, ShapeError
 from injecttst.model import (ModelConfig, forward_forecast,
                              forward_pretrain, init_params)
-from injecttst.numerics import Tensor, backward, grad_check, grad_table
+from injecttst.numerics import Tensor, backward, grad_table
 from injecttst.training import forecast_loss, masked_mse
+
+from gradcheck import grad_check
 
 
 def t(data, req=False):

@@ -11,6 +11,7 @@ import injecttst.numerics as nm
 from injecttst import training
 from injecttst.data import SeriesTable, make_windows, mask_patches, patchify
 from injecttst.errors import ConfigError, ContractError, SizingError, TrainingDiverged
+from injecttst.harness import variant_flags
 from injecttst.model import ModelConfig, forward_forecast, init_params
 from injecttst.synthetic import sine_mixture
 from injecttst.training import (OptimState, StageSchedule, adam_step, evaluate,
@@ -497,3 +498,216 @@ _BAD_SCHEDULES = [("finetune_lr", -1e-2, "train.finetune_lr"),
 def test_schedule_built_in_code_refuses_what_the_cli_refuses(field, value, key):
     with pytest.raises(ConfigError, match=f"^{key} must be"):
         StageSchedule(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# chunks
+
+def _window_bytes(cfg, dtype=np.float32) -> int:
+    return cfg.M * cfg.PN * cfg.D * np.dtype(dtype).itemsize
+
+
+def _chunk_windows(monkeypatch, cfg, windows, dtype=np.float32):
+    """Make every pass run on chunks of `windows` windows of `cfg`'s shape."""
+    monkeypatch.setattr(training, "_CHUNK_BYTES", windows * _window_bytes(cfg, dtype))
+
+
+_PAPER = ModelConfig(L=512, T=96, M=7, D=64, heads=4, ci_layers=2)
+# (config, batch sizes) of the shapes the suite and the benchmark train at
+_ONE_CHUNK = [
+    # desk-ablation (the README demo config) and acceptance criterion 7
+    (ModelConfig(L=48, T=8, M=2, PL=12, S=12, D=32, heads=4, ci_layers=1), (32, 64)),
+    # acceptance criterion 8
+    (ModelConfig(L=48, T=8, M=3, PL=12, S=12, D=32, heads=4, ci_layers=1), (64,)),
+    # the fingerprint's ablation matrix and its CLI flow
+    (ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=16, heads=2, ci_layers=1), (64,)),
+    (ModelConfig(L=24, T=4, M=2, PL=8, S=8, D=16, heads=2, ci_layers=1), (32, 64)),
+]
+
+
+def test_chunk_plan_is_one_chunk_at_desk_shapes_and_ragged_at_the_paper_shape():
+    for cfg, batch_sizes in _ONE_CHUNK:
+        for n in batch_sizes:
+            assert training._chunks(n, cfg, np.float32) == [slice(0, n)], (cfg, n)
+    sizes = [s.stop - s.start for s in training._chunks(64, _PAPER, np.float32)]
+    assert sizes == [6] * 10 + [4]
+    # paper-eval's last batch (393 windows = 6 * 64 + 9); float64 halves a chunk
+    assert training._chunks(9, _PAPER, np.float32) == [slice(0, 6), slice(6, 9)]
+    assert len(training._chunks(64, _PAPER, np.float64)) == 22
+
+
+def _whole_batch_evaluate(params, cfg, data, batch_size):
+    """`evaluate` with one forward per batch: the reference for chunked passes."""
+    with nm.frozen(params.values()):
+        return _aggregate((forward_forecast(b, params, cfg).data, b.target.transpose(0, 2, 1))
+                          for b in make_windows(data.test_ext, cfg.L, cfg.T, batch_size))
+
+
+def _scores(report):
+    return (report.mse, report.mae, report.per_horizon_mse, report.per_channel_mse,
+            report.n_windows)
+
+
+# with chunks of 3 windows: 1, chunk - 1, chunk, chunk + 1, and 3 + 3 + 1
+_BATCH_SIZES = [1, 2, 3, 4, 7]
+
+
+@pytest.mark.parametrize("batch_size", _BATCH_SIZES)
+@pytest.mark.parametrize("variant", ["pat", "cat", "no-gi"])
+def test_chunked_evaluate_is_bitwise_the_whole_batch(monkeypatch, variant, batch_size):
+    cfg = replace(TINY, **variant_flags(variant))
+    data = _splits()
+    params = init_params(cfg, seed=0)
+    want = _whole_batch_evaluate(params, cfg, data, batch_size)
+    _chunk_windows(monkeypatch, cfg, 3)
+    assert _scores(evaluate(params, cfg, data, batch_size)) == _scores(want)
+
+
+def _recorded_epoch(monkeypatch, stage, data, sched, dtype=np.float32, chunk=None):
+    """One epoch of `stage` with Adam replaced by a recorder, so the weights
+    never move and every step's gradients compare across runs; with `chunk`,
+    passes run on chunks of that many windows, else on whole batches."""
+    monkeypatch.setattr(training, "_CHUNK_BYTES", 1 << 62)
+    if chunk is not None:
+        _chunk_windows(monkeypatch, TINY, chunk, dtype)
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda params, grads, opt: steps.append(
+        {k: g.copy() for k, g in grads.items()}))
+    (record,) = run_stage(stage, init_params(TINY, seed=0, dtype=dtype), TINY, data,
+                          replace(sched, **{f"{stage}_epochs": 1}))
+    return steps, record
+
+
+@pytest.mark.parametrize("batch_size", _BATCH_SIZES)
+@pytest.mark.parametrize("stage", training.STAGES)
+def test_chunked_validation_is_bitwise_the_whole_batch(monkeypatch, stage, batch_size):
+    data = _splits(rows=160)
+    sched = StageSchedule(batch_size=batch_size, seed=0)
+    _, whole = _recorded_epoch(monkeypatch, stage, data, sched)
+    _, chunked = _recorded_epoch(monkeypatch, stage, data, sched, chunk=3)
+    assert chunked["val_loss"] == whole["val_loss"]
+    assert chunked["train_loss"] == pytest.approx(whole["train_loss"], rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("stage", training.STAGES)
+def test_chunked_step_sums_the_whole_batch_gradient(monkeypatch, stage, dtype, tol):
+    # batches of 7 run as chunks of 3, 3 and 1 windows: when pretraining,
+    # chunks of a batch hold different masked-patch counts, so a chunk's
+    # loss must be normalised by the batch's count, not its own
+    data = _splits(rows=160)
+    sched = StageSchedule(batch_size=7, mask_ratio=0.5, seed=0)
+    whole_steps, whole = _recorded_epoch(monkeypatch, stage, data, sched, dtype)
+    steps, chunked = _recorded_epoch(monkeypatch, stage, data, sched, dtype, chunk=3)
+    assert len(steps) == len(whole_steps) > 10
+    for got, want in zip(steps, whole_steps):
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            assert got[name].dtype == g.dtype
+            assert np.max(np.abs(got[name] - g)) <= tol * np.max(np.abs(g)), name
+    assert chunked["train_loss"] == pytest.approx(whole["train_loss"], rel=tol / 10, abs=0.0)
+
+
+def _input_batch_sizes(loss) -> set:
+    """The leading sizes of the batch data in `loss`'s graph: its constant
+    leaves of three or more axes (weights have at most two)."""
+    seen, stack, sizes = {id(loss)}, [loss], set()
+    while stack:
+        node = stack.pop()
+        if not node.parents and not node.requires_grad and node.data.ndim >= 3:
+            sizes.add(node.data.shape[0])
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return sizes
+
+
+@pytest.mark.parametrize("stage", training.STAGES)
+def test_each_backward_of_a_chunked_step_sees_one_chunk(monkeypatch, stage):
+    sizes = []
+    grad_table = nm.grad_table
+
+    def spy(loss, wanted):
+        sizes.append(_input_batch_sizes(loss))
+        return grad_table(loss, wanted)
+
+    monkeypatch.setattr(nm, "grad_table", spy)
+    _chunk_windows(monkeypatch, TINY, 3)
+    data = _splits(rows=160)
+    params = init_params(TINY, seed=0)
+    run_stage(stage, params, TINY, data, StageSchedule(batch_size=7, seed=0,
+                                                       **{f"{stage}_epochs": 1}))
+    windows = data.train.rows - TINY.L - TINY.T + 1                  # 85: 12 x 7 + 1
+    assert len(sizes) == (windows // 7) * 3 + 1
+    assert set().union(*sizes) == {3, 1}
+
+
+@pytest.mark.parametrize("stage", training.STAGES)
+def test_chunked_step_frees_each_chunk_graph(monkeypatch, stage):
+    counts = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            counts.append(_live_graph_nodes())
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("forward_pretrain", "forward_forecast"):
+        monkeypatch.setattr(training, name, counting(getattr(training, name)))
+    _chunk_windows(monkeypatch, TINY, 3)
+    sched = StageSchedule(pretrain_epochs=1, head_epochs=1, finetune_epochs=1,
+                          batch_size=7, seed=0)
+    run_stage(stage, init_params(TINY, seed=0), TINY, _splits(rows=160), sched)
+    # every chunk's forward, in training and validation, finds no graph alive
+    assert len(counts) > 30 and counts[1:] == [0] * (len(counts) - 1)
+
+
+def test_chunked_dropout_is_seeded(monkeypatch):
+    # masks are drawn chunk by chunk, in chunk order: the same seed gives
+    # the same run
+    cfg = replace(TINY, dropout=0.2)
+    _chunk_windows(monkeypatch, cfg, 3)
+    data = _splits(rows=160)
+    sched = StageSchedule(pretrain_epochs=1, head_epochs=1, finetune_epochs=1,
+                          batch_size=8, seed=0)
+
+    def run():
+        params = init_params(cfg, seed=0)
+        log = train_pipeline(params, cfg, data, sched)
+        return ([(r["train_loss"], r["val_loss"]) for r in log],
+                {k: p.data.tobytes() for k, p in params.items()})
+
+    assert run() == run()
+
+
+@pytest.mark.parametrize("mix_mode", ["pat", "cat"])
+def test_chunks_straddling_the_softmax_guard_evaluate_within_roundoff(monkeypatch, mix_mode):
+    # The softmax guard decides per call, so per chunk: a batch whose first
+    # windows take the shifted branch scores its other chunks on the
+    # unshifted one, where the whole batch shifts every row
+    cfg = replace(TINY, mix_mode=mix_mode)
+    data = _splits()
+    values = data.test_ext.values.copy()
+    values[:30] *= 30.0
+    data = replace(data, test_ext=replace(data.test_ext, values=values))
+    params = init_params(cfg, seed=0)
+    want = _whole_batch_evaluate(params, cfg, data, 64)
+
+    inside = []
+    softmax = nm.softmax
+
+    def spy(x):
+        xd = x.data if isinstance(x, nm.Tensor) else np.asarray(x)
+        inside.append(bool(-nm._EXP_SAFE <= xd.min() and xd.max() <= nm._EXP_SAFE))
+        return softmax(x)
+
+    monkeypatch.setattr(nm, "softmax", spy)
+    _chunk_windows(monkeypatch, cfg, 3)
+    got = evaluate(params, cfg, data, 64)
+    assert True in inside and False in inside
+    # measured: 1.3e-9 (pat) and 1.9e-9 (cat) relative on the mse
+    assert got.n_windows == want.n_windows
+    for g, w in zip([got.mse, got.mae, *got.per_horizon_mse, *got.per_channel_mse],
+                    [want.mse, want.mae, *want.per_horizon_mse, *want.per_channel_mse]):
+        assert g == pytest.approx(w, rel=1e-7, abs=0.0)
