@@ -49,7 +49,6 @@ class PatchSet:
 
     patches: np.ndarray             # (B, M, PN, PL)
     mask: np.ndarray                # (B, M, PN) bool
-    S: int
 
     @property
     def PN(self) -> int:
@@ -166,37 +165,30 @@ def make_windows(table: SeriesTable, L: int, T: int, batch_size: int,
         yield WindowBatch(history=history, target=target)
 
 
-def patch_count(L: int, PL: int, S: int) -> int:
+def patch_count(L: int, PL: int) -> int:
     if PL > L:
         raise SizingError(f"patch length {PL} exceeds history length {L}")
-    if S < 1:
-        raise ContractError(f"stride must be >= 1, got {S}")
-    return (L - PL) // S + 2
+    return (L - PL) // PL + 2
 
 
-def patchify(history: np.ndarray, PL: int, S: int) -> PatchSet:
-    """Slice each channel into patches after end-padding with S repeats of
-    the final value (this padding is what yields the +2 in the patch count)."""
+def patchify(history: np.ndarray, PL: int) -> PatchSet:
+    """Slice each channel into non-overlapping PL-long patches, so no masked
+    patch's values lie in another, after end-padding with PL repeats of the
+    final value (this padding is what yields the +2 in the patch count)."""
     B, L, M = history.shape
-    PN = patch_count(L, PL, S)
-    pad = np.repeat(history[:, -1:, :], S, axis=1)
-    padded = np.concatenate([history, pad], axis=1)            # (B, L+S, M)
-    idx = np.arange(PN)[:, None] * S + np.arange(PL)[None, :]  # (PN, PL)
-    patches = padded[:, idx, :]                                # (B, PN, PL, M)
+    PN = patch_count(L, PL)
+    pad = np.repeat(history[:, -1:, :], PL, axis=1)
+    padded = np.concatenate([history, pad], axis=1)            # (B, L+PL, M)
+    patches = padded[:, :PN * PL].reshape(B, PN, PL, M)
     patches = patches.transpose(0, 3, 1, 2).copy()             # (B, M, PN, PL)
     mask = np.zeros((B, M, PN), dtype=bool)
-    return PatchSet(patches=patches, mask=mask, S=S)
+    return PatchSet(patches=patches, mask=mask)
 
 
 def sequence_from_patches(ps: PatchSet, L: int) -> np.ndarray:
-    """Rebuild a (B, L, M) sequence from patches (later patches overwrite
-    overlap, exact for non-overlapping strides)."""
+    """The (B, L, M) sequence behind the patches, as a view of them."""
     B, M, PN, PL = ps.patches.shape
-    padded_len = (PN - 1) * ps.S + PL
-    seq = np.zeros((B, M, padded_len), dtype=ps.patches.dtype)
-    for p in range(PN):
-        seq[:, :, p * ps.S:p * ps.S + PL] = ps.patches[:, :, p, :]
-    return seq[:, :, :L].transpose(0, 2, 1).copy()
+    return ps.patches.reshape(B, M, PN * PL)[:, :, :L].transpose(0, 2, 1)
 
 
 def mask_count(ratio: float, PN: int) -> int:
@@ -221,4 +213,4 @@ def mask_patches(ps: PatchSet, ratio: float, seed) -> PatchSet:
     np.put_along_axis(mask, picked, True, axis=-1)
     patches = ps.patches.copy()
     patches[mask] = 0.0
-    return PatchSet(patches=patches, mask=mask, S=ps.S)
+    return PatchSet(patches=patches, mask=mask)

@@ -70,9 +70,8 @@ class RunConfig(ModelSettings, StageSchedule):
             variant_flags(self.variant)
         if self.pretrain_epochs > 0 and mask_count(self.mask_ratio, self.PN) == 0:
             raise ConfigError(f"train.mask_ratio {self.mask_ratio} masks no patch of the "
-                              f"{self.PN} patches (model.L={self.L}, model.PL={self.PL}, "
-                              f"model.S={self.S}); pretraining needs at least one "
-                              f"(train.pretrain_epochs = 0 runs without it)")
+                              f"{self.PN} patches (model.L={self.L}, model.PL={self.PL}); pretraining "
+                              f"needs at least one (train.pretrain_epochs = 0 runs without it)")
 
 
 # field name -> (dotted key, parser)
@@ -83,7 +82,6 @@ _FIELD_KEYS = {
     "L": ("model.L", int),
     "T": ("model.T", int),
     "PL": ("model.PL", int),
-    "S": ("model.S", int),
     "D": ("model.D", int),
     "heads": ("model.heads", int),
     "ci_layers": ("model.ci_layers", int),

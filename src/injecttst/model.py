@@ -22,7 +22,7 @@ from .numerics import Tensor
 
 
 # the lowest accepted value of each integer `model.*` setting
-_MINIMUM = {"L": 1, "T": 1, "PL": 1, "S": 1, "D": 1, "heads": 1,
+_MINIMUM = {"L": 1, "T": 1, "PL": 1, "D": 1, "heads": 1,
             "ci_layers": 0, "mix_layers": 0, "ffn_mult": 1}
 
 
@@ -31,8 +31,7 @@ class ModelSettings:
     """The `model.*` settings of a run; each error names its key."""
     L: int = 512                    # history length
     T: int = 96                     # forecast horizon
-    PL: int = 12                    # patch length
-    S: int = 12                     # patch stride
+    PL: int = 12                    # patch length (and stride: patches never overlap)
     D: int = 64                     # model width
     heads: int = 4
     ci_layers: int = 2
@@ -50,13 +49,10 @@ class ModelSettings:
             raise ConfigError(f"model.dropout must be in [0, 1), got {self.dropout}")
         if self.PL > self.L:
             raise ConfigError(f"model.PL must be <= model.L, got PL={self.PL}, L={self.L}")
-        if self.S > self.PL:
-            # gaps would zero part of the cat mixer's pretraining sequence only
-            raise ConfigError(f"model.S must be <= model.PL, got S={self.S}, PL={self.PL}")
 
     @property
     def PN(self) -> int:
-        return patch_count(self.L, self.PL, self.S)
+        return patch_count(self.L, self.PL)
 
 
 @dataclass(kw_only=True)
@@ -262,11 +258,9 @@ def normalize_last_value(batch: WindowBatch, dtype) -> tuple[np.ndarray, np.ndar
     return history - history[:, -1:, :], history[:, -1, :]
 
 
-def _trunk(ps: PatchSet, seq: Optional[np.ndarray], params: dict, cfg: ModelConfig,
-           trace: Optional[dict], rng) -> Tensor:
+def _trunk(ps: PatchSet, params: dict, cfg: ModelConfig, trace: Optional[dict], rng) -> Tensor:
     """Patch embedding, channel-independent encoding, then global mixing and
-    injection when enabled. `seq` is the (B, L, M) sequence behind `ps`,
-    consumed only by the cat mixer; None rebuilds it from the patches. A
+    injection when enabled; the cat mixer reads the sequence behind `ps`. A
     `trace` dict receives `tokens`, `z_ci`, `z_glb` (injection only), `z_out`
     and every attention layer's weights, named by its parameter prefix."""
     tokens = embed_patches(ps, params, cfg)
@@ -274,9 +268,7 @@ def _trunk(ps: PatchSet, seq: Optional[np.ndarray], params: dict, cfg: ModelConf
     z_out = z_ci
     if cfg.use_global_injection:
         if cfg.mix_mode == "cat":
-            if seq is None:
-                seq = sequence_from_patches(ps, cfg.L)
-            z_glb = global_mix_cat(seq, params, cfg, trace, rng)
+            z_glb = global_mix_cat(sequence_from_patches(ps, cfg.L), params, cfg, trace, rng)
         else:
             z_glb = global_mix_pat(ps, params, cfg, trace, rng)
         z_out = sca_inject(z_ci, z_glb, params, cfg, trace, rng)
@@ -300,8 +292,8 @@ def forward_forecast(batch: WindowBatch, params: dict, cfg: ModelConfig,
         raise ShapeError(f"batch history {batch.history.shape} inconsistent with "
                          f"config (L={cfg.L}, M={cfg.M})")
     history_n, last = normalize_last_value(batch, params_dtype(params))
-    ps = patchify(history_n, cfg.PL, cfg.S)
-    pred = forecast_head(_trunk(ps, history_n, params, cfg, trace, rng), params, cfg)
+    ps = patchify(history_n, cfg.PL)
+    pred = forecast_head(_trunk(ps, params, cfg, trace, rng), params, cfg)
     return pred + nm.constant(last[:, :, None])                         # (B, M, T)
 
 
@@ -309,6 +301,6 @@ def forward_pretrain(masked: PatchSet, params: dict, cfg: ModelConfig,
                      trace: Optional[dict] = None, rng=None) -> Tensor:
     """Reconstruction pass over a masked PatchSet (already last-value
     normalized). The global branch consumes the same masked inputs; for the
-    cat mixer the masked sequence is rebuilt from the patches."""
-    z_out = _trunk(masked, None, params, cfg, trace, rng)
+    cat mixer reads the masked sequence as a view of the patches."""
+    z_out = _trunk(masked, params, cfg, trace, rng)
     return pretrain_head(z_out, params, cfg)                            # (B, M, PN, PL)

@@ -216,7 +216,7 @@ def _windows(x, s: slice):
     """Windows `s` of a WindowBatch or a PatchSet, as views."""
     if isinstance(x, WindowBatch):
         return WindowBatch(history=x.history[s], target=x.target[s])
-    return PatchSet(patches=x.patches[s], mask=x.mask[s], S=x.S)
+    return PatchSet(patches=x.patches[s], mask=x.mask[s])
 
 
 def _graph_free(forward: Callable, x, chunks: list[slice]) -> Tensor:
@@ -259,7 +259,7 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
             target = batch.target.transpose(0, 2, 1)
             return batch, lambda output, s: forecast_loss(output, target[s])
         history_n, _ = normalize_last_value(batch, dtype)
-        ps = patchify(history_n, cfg.PL, cfg.S)
+        ps = patchify(history_n, cfg.PL)
         masked = mask_patches(ps, sched.mask_ratio, mask_seed)
         return masked, lambda output, s: masked_mse(output, ps.patches[s], masked.mask[s])
 

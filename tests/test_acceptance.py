@@ -26,7 +26,7 @@ from injecttst.training import (EvalReport, evaluate, evaluate_persistence,
 
 from gradcheck import grad_check
 
-TINY = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2, ci_layers=1, mix_layers=1)
+TINY = ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2, ci_layers=1, mix_layers=1)
 
 LEADLAG_DATA = "synthetic:lead-lag:rows=900,lag=6,seed=7,noise=0.05,smooth=6"
 PIPELINE_DATA = "synthetic:sines:rows=2000,channels=3,seed=11"
@@ -60,7 +60,7 @@ def test_criterion_1_full_model_gradients():
         dtype = p["patch_proj"].data.dtype
         hist_n = (batch.history.astype(dtype)
                   - batch.history[:, -1, :].astype(dtype)[:, None, :])
-        ps = patchify(hist_n, TINY.PL, TINY.S)
+        ps = patchify(hist_n, TINY.PL)
         masked = mask_patches(ps, 0.5, seed=42)
         rec = forward_pretrain(masked, p, TINY)
         return total + masked_mse(rec, ps.patches, masked.mask)
@@ -126,12 +126,12 @@ def test_criterion_2_equation_oracles():
     for trial in range(20):
         rng = np.random.default_rng(100 + trial)
         M = int(rng.integers(2, 5))
-        cfg = ModelConfig(L=24, T=4, M=M, PL=8, S=8, D=8, heads=2,
+        cfg = ModelConfig(L=24, T=4, M=M, PL=8, D=8, heads=2,
                           ci_layers=1, mix_layers=0,
                           sca_residual=bool(trial % 2))
         params = init_params(cfg, seed=trial)
         hist = rng.normal(size=(2, cfg.L, M)).astype(np.float32)
-        ps = patchify(hist, cfg.PL, cfg.S)
+        ps = patchify(hist, cfg.PL)
         W = params["patch_proj"].data.astype(np.float64)
         U = params["pos_embed"].data.astype(np.float64)
         V = params["chan_embed"].data.astype(np.float64)
@@ -215,11 +215,11 @@ def test_criterion_3_channel_isolation():
 def test_criterion_4_patching_formula():
     from injecttst.data import patch_count
     expected = {48: 5, 96: 9, 192: 17, 336: 29, 512: 43, 720: 61}
-    ok = patch_count(512, 12, 12) == 43
+    ok = patch_count(512, 12) == 43
     for L, want in expected.items():
-        ok = ok and patch_count(L, 12, 12) == want
+        ok = ok and patch_count(L, 12) == want
         history = np.zeros((1, L, 1), dtype=np.float32)
-        ok = ok and patchify(history, 12, 12).PN == want
+        ok = ok and patchify(history, 12).PN == want
     _report(4, "patch-count formula across history lengths", ok,
             str(sorted(expected.values())))
 
@@ -228,7 +228,7 @@ def test_criterion_4_patching_formula():
 
 def test_criterion_5_masked_loss_locality():
     rng = np.random.default_rng(0)
-    ps = patchify(rng.normal(size=(3, 48, 4)).astype(np.float32), 12, 12)
+    ps = patchify(rng.normal(size=(3, 48, 4)).astype(np.float32), 12)
     masked = mask_patches(ps, 0.5, seed=5)
     corrupted = ps.patches.copy()
     corrupted[~masked.mask] += rng.normal(scale=10.0,
@@ -247,7 +247,7 @@ def _metrics_equal(a: EvalReport, b: EvalReport) -> bool:
 
 def test_criterion_6_normalization_identity():
     table = sine_mixture(rows=300, channels=3, seed=2)
-    cfg = ModelConfig(L=24, T=6, M=3, PL=8, S=8, D=8, heads=2,
+    cfg = ModelConfig(L=24, T=6, M=3, PL=8, D=8, heads=2,
                       ci_layers=1, mix_layers=1)
     data = prepare_data(table, cfg.L)
     params = init_params(cfg, seed=0)
@@ -264,7 +264,7 @@ def test_criterion_6_normalization_identity():
 
 def test_criterion_7_mechanism_efficacy(tmp_path):
     t0 = time.perf_counter()
-    base = RunConfig(data_path=LEADLAG_DATA, L=48, T=8, PL=12, S=12, D=32,
+    base = RunConfig(data_path=LEADLAG_DATA, L=48, T=8, PL=12, D=32,
                      heads=4, ci_layers=1, mix_layers=1,
                      pretrain_epochs=3, head_epochs=2, finetune_epochs=40,
                      finetune_lr=1e-3, batch_size=32, out=str(tmp_path))
@@ -286,7 +286,7 @@ def test_criterion_7_mechanism_efficacy(tmp_path):
 
 def test_criterion_8_three_stage_pipeline(tmp_path):
     t0 = time.perf_counter()
-    rc = RunConfig(data_path=PIPELINE_DATA, L=48, T=8, PL=12, S=12, D=32,
+    rc = RunConfig(data_path=PIPELINE_DATA, L=48, T=8, PL=12, D=32,
                    heads=4, ci_layers=1, mix_layers=1, profile="desk",
                    pretrain_epochs=5, head_epochs=3, finetune_epochs=10,
                    batch_size=64, seed=0, out=str(tmp_path))
@@ -332,7 +332,7 @@ def test_criterion_9_ablation_matrix(tmp_path):
     variants = ["pat", "cat", "pat-rc", "cat-rc", "no-cid", "no-gi"]
     horizons = [4, 8]
     base = RunConfig(data_path="synthetic:sines:rows=300,channels=3,seed=4",
-                     L=24, T=4, PL=8, S=8, D=16, heads=2,
+                     L=24, T=4, PL=8, D=16, heads=2,
                      ci_layers=1, mix_layers=1,
                      pretrain_epochs=1, head_epochs=1, finetune_epochs=1,
                      batch_size=64, seed=0, out=str(tmp_path))

@@ -63,7 +63,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_model_params_rejected_across_ablation_flags(tmp_path):
     # a variant without the identifier or the global branch has fewer
     # tensors, so the full model's checkpoint does not load into it
-    cfg = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2,
+    cfg = ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2,
                       ci_layers=1, mix_layers=1)
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(init_params(cfg, seed=0), path)
@@ -74,7 +74,7 @@ def test_model_params_rejected_across_ablation_flags(tmp_path):
 
 
 def test_apply_rejects_name_mismatch(tmp_path, rng):
-    cfg = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2,
+    cfg = ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2,
                       ci_layers=1, mix_layers=1)
     params = init_params(cfg, seed=0)
     path = str(tmp_path / "m.ckpt")

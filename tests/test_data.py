@@ -217,22 +217,24 @@ def test_window_shuffle_is_seeded():
 @pytest.mark.parametrize("L,PL,S,want", [(512, 12, 12, 43), (12, 12, 12, 2),
                                          (48, 12, 12, 5), (96, 12, 12, 9)])
 def test_patch_count_values(L, PL, S, want):
-    assert patch_count(L, PL, S) == want
+    assert patch_count(L, PL) == want
+    # patch p starts at value p * S, S = PL, or in the end padding past L
+    ps = patchify(np.arange(L, dtype=np.float32)[None, :, None], PL)
+    assert np.array_equal(ps.patches[0, 0, :, 0], np.minimum(np.arange(want) * S, L - 1))
 
 
 def test_patch_count_property_over_ranges(rng):
     for _ in range(200):
         PL = int(rng.integers(2, 17))
         L = int(rng.integers(PL, 65))
-        S = int(rng.integers(1, PL + 1))
         history = rng.normal(size=(1, L, 1)).astype(np.float32)
-        ps = patchify(history, PL, S)
-        assert ps.PN == (L - PL) // S + 2
+        ps = patchify(history, PL)
+        assert ps.PN == (L - PL) // PL + 2
 
 
 def test_patchify_hand_unrolled():
     channel = np.arange(24, dtype=np.float32)
-    ps = patchify(channel[None, :, None], PL=12, S=12)
+    ps = patchify(channel[None, :, None], PL=12)
     assert ps.PN == 3
     np.testing.assert_array_equal(ps.patches[0, 0, 0], channel[:12])
     np.testing.assert_array_equal(ps.patches[0, 0, 1], channel[12:])
@@ -241,14 +243,15 @@ def test_patchify_hand_unrolled():
 
 def test_patchify_rejects_long_patch():
     with pytest.raises(SizingError):
-        patchify(np.zeros((1, 8, 1), dtype=np.float32), PL=12, S=4)
+        patchify(np.zeros((1, 8, 1), dtype=np.float32), PL=12)
 
 
 def test_patch_reconstruction_bitwise(rng):
-    history = rng.normal(size=(2, 24, 3)).astype(np.float32)
-    ps = patchify(history, PL=8, S=8)
-    recon = sequence_from_patches(ps, 24)
-    assert np.array_equal(recon, history)
+    # at L=50 PL=12 does not divide L: the sequence ends inside the last patch
+    for L, PL in ((24, 8), (50, 12)):
+        history = rng.normal(size=(2, L, 3)).astype(np.float32)
+        recon = sequence_from_patches(patchify(history, PL=PL), L)
+        assert np.array_equal(recon, history)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,7 @@ def test_mask_count_round_half_up():
 
 def test_mask_patches_counts_and_locality(rng):
     history = rng.normal(size=(3, 48, 4)).astype(np.float32)
-    ps = patchify(history, PL=12, S=12)
+    ps = patchify(history, PL=12)
     masked = mask_patches(ps, 0.5, seed=9)
     assert masked.mask.sum(axis=-1).min() == masked.mask.sum(axis=-1).max() == 3  # round(0.5*5)
     # untouched outside masked positions, zero inside
@@ -272,7 +275,7 @@ def test_mask_patches_counts_and_locality(rng):
 
 
 def test_mask_patches_deterministic_by_seed(rng):
-    ps = patchify(rng.normal(size=(2, 48, 3)).astype(np.float32), 12, 12)
+    ps = patchify(rng.normal(size=(2, 48, 3)).astype(np.float32), 12)
     a = mask_patches(ps, 0.5, seed=3)
     b = mask_patches(ps, 0.5, seed=3)
     c = mask_patches(ps, 0.5, seed=4)
@@ -281,7 +284,7 @@ def test_mask_patches_deterministic_by_seed(rng):
 
 
 def test_mask_patches_rejects_degenerate_ratio(rng):
-    ps = patchify(rng.normal(size=(1, 24, 1)).astype(np.float32), 12, 12)
+    ps = patchify(rng.normal(size=(1, 24, 1)).astype(np.float32), 12)
     with pytest.raises(ContractError):
         mask_patches(ps, 0.0, seed=0)
     with pytest.raises(ContractError):

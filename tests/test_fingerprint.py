@@ -29,45 +29,45 @@ HOST = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64 Intel(R) Xeon(R) Proces
 
 # sha256 of every checkpoint the flow writes, by path under the work directory
 CHECKPOINTS = {
-    "cli/cat-rc-T4-s0-ac58885cf197ab11/stage-finetune-best.ckpt": "29b297389af982086442bf9d47b95869bd07d45737991eb072d37777afd666ad",
-    "cli/cat-rc-T4-s0-ac58885cf197ab11/stage-head-best.ckpt": "dec94388767d0246e35dfd46d5b2d497aac444e746e526f04312989b6fda1d53",
-    "cli/cat-rc-T4-s0-ac58885cf197ab11/stage-pretrain-best.ckpt": "94860b65981ea7349d1c00d03fc585bf30000563aaac3d76b689d001f226ccce",
-    "matrix/cat-T4-s0-ed8e8fc0e2097c82/stage-finetune-best.ckpt": "ef45c9e405f89d9931b1c9ab240afa983e2b0cfdf599e2afd56127b46c55d72e",
-    "matrix/cat-T4-s0-ed8e8fc0e2097c82/stage-head-best.ckpt": "a085f17fb04cc6c3f08c0fd1258757f2380db48ecc30f919e30c62643c47a1f9",
-    "matrix/cat-T4-s0-ed8e8fc0e2097c82/stage-pretrain-best.ckpt": "84aa7a74dfa3f4f97022c501b25c65e0afd55d65f574590f1ae7fc68c1d67a14",
-    "matrix/cat-T8-s0-7b3776348990114a/stage-finetune-best.ckpt": "608ea146ff3cfd9f8cfbd41a4afad981057e6ee9747829e3deb3558510882b05",
-    "matrix/cat-T8-s0-7b3776348990114a/stage-head-best.ckpt": "3af42db946a6401adde66b9f4fb9833daee25e0961975670292fabb96696688b",
-    "matrix/cat-T8-s0-7b3776348990114a/stage-pretrain-best.ckpt": "fa95c758b3897047b8dfbdcfd1b484981909813db757be165eb35b2841073c1d",
-    "matrix/cat-rc-T4-s0-9c28645056dce228/stage-finetune-best.ckpt": "d88d39f206cb57607f3d3461962244eb2d2c445ea8cb25bbaceff9a9ddf09a28",
-    "matrix/cat-rc-T4-s0-9c28645056dce228/stage-head-best.ckpt": "b4e3d6e05263b6f84307ce2153dcd86494ff0e191878da139e946ff2188b86bc",
-    "matrix/cat-rc-T4-s0-9c28645056dce228/stage-pretrain-best.ckpt": "65630f94d49c67ddd2f9d35de88e12846e0a62566ada47dbb8a5ec384ebbbae2",
-    "matrix/cat-rc-T8-s0-ec3f5a7e4aaf623e/stage-finetune-best.ckpt": "7555f6e758cc3beda8d607261ad363d38ad029cddbf9715e9de183d72deac4bc",
-    "matrix/cat-rc-T8-s0-ec3f5a7e4aaf623e/stage-head-best.ckpt": "7fb5c8e145866c22643ea2d327c0eaa5e545da27c9f56cc5a7a1e19f19efe2a3",
-    "matrix/cat-rc-T8-s0-ec3f5a7e4aaf623e/stage-pretrain-best.ckpt": "da0a19a18381b51270117c3ba417ca99c9d89f1ce3fcf736685c4a1066fdb6d0",
-    "matrix/no-cid-T4-s0-62068d455704b38d/stage-finetune-best.ckpt": "d2cfd89c52d91f8ce3ef87f0668f66358632d4861de12ac0ceeb83cc34d44fef",
-    "matrix/no-cid-T4-s0-62068d455704b38d/stage-head-best.ckpt": "f5557571f81cc6e2042a8c3e9ba353a5eef5fe5e73b5af492e1f9856de004266",
-    "matrix/no-cid-T4-s0-62068d455704b38d/stage-pretrain-best.ckpt": "c5baf83772e06d4bfe53ce9766dc8731cd9454a029b4e912b732d12f1477090c",
-    "matrix/no-cid-T8-s0-86bc3c8ab865a27d/stage-finetune-best.ckpt": "4bedc44bf38d0d22c9f8e66274837ab4b1623885e48f8ea77916a55b660e0b6e",
-    "matrix/no-cid-T8-s0-86bc3c8ab865a27d/stage-head-best.ckpt": "ed64bb609504fe25d5d2ee3b8250237a77e965f57fd954aa7663f17477fc7d28",
-    "matrix/no-cid-T8-s0-86bc3c8ab865a27d/stage-pretrain-best.ckpt": "cba5e827e3778151b013b78798bcf49a2c562818c1329c2dbac1b7c8581c3201",
-    "matrix/no-gi-T4-s0-daecdb8cba7195fa/stage-finetune-best.ckpt": "cd3da8d14d070fb5832a272944a06d2936ed7248c9753b46972b81a27c6d1d56",
-    "matrix/no-gi-T4-s0-daecdb8cba7195fa/stage-head-best.ckpt": "2beb67fc40c861b25dc1ca776202fb2023a653b871dcfa097be3509ed2b8c7a4",
-    "matrix/no-gi-T4-s0-daecdb8cba7195fa/stage-pretrain-best.ckpt": "b9eda3bd73efae197986a7f5838bbe72cd44d28420ff4932ef94d27445ebc6e2",
-    "matrix/no-gi-T8-s0-4cf62c7a5bab43dd/stage-finetune-best.ckpt": "22d13959c8fa6f97314ebb1fb91265f645fc7f049f59b28e2edccb295a6bf5e0",
-    "matrix/no-gi-T8-s0-4cf62c7a5bab43dd/stage-head-best.ckpt": "10ffaf0e3db0742b11b8727012f2c5254283afb41aa4f63e96c3a300a85d8fdf",
-    "matrix/no-gi-T8-s0-4cf62c7a5bab43dd/stage-pretrain-best.ckpt": "6d111b57a33ae72004be34fd0643c98453e621d799676ac593f84c55081a5625",
-    "matrix/pat-T4-s0-1cea5cb6e0c5eb54/stage-finetune-best.ckpt": "a358c737e54d637eb8d1bdbbbd0a383922385a56262bc78bb0c2ac33efa5c3c4",
-    "matrix/pat-T4-s0-1cea5cb6e0c5eb54/stage-head-best.ckpt": "1faf8300b294fde042f1121263babbf0bb4a0aedf873dbb766abeab8ab5a52db",
-    "matrix/pat-T4-s0-1cea5cb6e0c5eb54/stage-pretrain-best.ckpt": "8f609a39aa76ce7efa9bbd31ca89f3bf51e15be5e5291975117754420faaff8f",
-    "matrix/pat-T8-s0-19ea7030e2464189/stage-finetune-best.ckpt": "26b450e3cd237342a78e6491f8cc405d56cf40e63d31639bf65a7aef0c4a0f81",
-    "matrix/pat-T8-s0-19ea7030e2464189/stage-head-best.ckpt": "7fcf81547ccd1e50ce586726e93f3d2c0e9cd2e08aaac444c11ce1cbceed08ab",
-    "matrix/pat-T8-s0-19ea7030e2464189/stage-pretrain-best.ckpt": "4b3746cf06477ef1f0604baef4e02ca8eff6bffbcd7ed8829adc4b669b69c7a5",
-    "matrix/pat-rc-T4-s0-80697e82a66c24cd/stage-finetune-best.ckpt": "5490d69c87b76c37b3d58df20e8151704cbc64dbdc040eca4b8fdb9ac6b951b3",
-    "matrix/pat-rc-T4-s0-80697e82a66c24cd/stage-head-best.ckpt": "369a1caa5e6544094154058c304530b74fa256964fd756c2ba8fecd5daad5347",
-    "matrix/pat-rc-T4-s0-80697e82a66c24cd/stage-pretrain-best.ckpt": "0bd784d5144c332789c5e7ea36ff277d2811ab709b2162041ab8dd9168f0044e",
-    "matrix/pat-rc-T8-s0-adea78f011470d71/stage-finetune-best.ckpt": "9910dc55d4397dc99d646eb04efe5406264218a94ebdeab2f0a6b838e019065f",
-    "matrix/pat-rc-T8-s0-adea78f011470d71/stage-head-best.ckpt": "2e4a523e5c97d531c53b0791ede5cf4052dab508b7ec4275dd644b78e6e67ef5",
-    "matrix/pat-rc-T8-s0-adea78f011470d71/stage-pretrain-best.ckpt": "e6df774ceaa4b034c3adc8b4913caf4c87922ef0b385be73927dd2d577e3051f",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-finetune-best.ckpt": "29b297389af982086442bf9d47b95869bd07d45737991eb072d37777afd666ad",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-head-best.ckpt": "dec94388767d0246e35dfd46d5b2d497aac444e746e526f04312989b6fda1d53",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-pretrain-best.ckpt": "94860b65981ea7349d1c00d03fc585bf30000563aaac3d76b689d001f226ccce",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-finetune-best.ckpt": "ef45c9e405f89d9931b1c9ab240afa983e2b0cfdf599e2afd56127b46c55d72e",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-head-best.ckpt": "a085f17fb04cc6c3f08c0fd1258757f2380db48ecc30f919e30c62643c47a1f9",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-pretrain-best.ckpt": "84aa7a74dfa3f4f97022c501b25c65e0afd55d65f574590f1ae7fc68c1d67a14",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-finetune-best.ckpt": "608ea146ff3cfd9f8cfbd41a4afad981057e6ee9747829e3deb3558510882b05",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-head-best.ckpt": "3af42db946a6401adde66b9f4fb9833daee25e0961975670292fabb96696688b",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-pretrain-best.ckpt": "fa95c758b3897047b8dfbdcfd1b484981909813db757be165eb35b2841073c1d",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-finetune-best.ckpt": "d88d39f206cb57607f3d3461962244eb2d2c445ea8cb25bbaceff9a9ddf09a28",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-head-best.ckpt": "b4e3d6e05263b6f84307ce2153dcd86494ff0e191878da139e946ff2188b86bc",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-pretrain-best.ckpt": "65630f94d49c67ddd2f9d35de88e12846e0a62566ada47dbb8a5ec384ebbbae2",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-finetune-best.ckpt": "7555f6e758cc3beda8d607261ad363d38ad029cddbf9715e9de183d72deac4bc",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-head-best.ckpt": "7fb5c8e145866c22643ea2d327c0eaa5e545da27c9f56cc5a7a1e19f19efe2a3",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-pretrain-best.ckpt": "da0a19a18381b51270117c3ba417ca99c9d89f1ce3fcf736685c4a1066fdb6d0",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-finetune-best.ckpt": "d2cfd89c52d91f8ce3ef87f0668f66358632d4861de12ac0ceeb83cc34d44fef",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-head-best.ckpt": "f5557571f81cc6e2042a8c3e9ba353a5eef5fe5e73b5af492e1f9856de004266",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-pretrain-best.ckpt": "c5baf83772e06d4bfe53ce9766dc8731cd9454a029b4e912b732d12f1477090c",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-finetune-best.ckpt": "4bedc44bf38d0d22c9f8e66274837ab4b1623885e48f8ea77916a55b660e0b6e",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-head-best.ckpt": "ed64bb609504fe25d5d2ee3b8250237a77e965f57fd954aa7663f17477fc7d28",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-pretrain-best.ckpt": "cba5e827e3778151b013b78798bcf49a2c562818c1329c2dbac1b7c8581c3201",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-finetune-best.ckpt": "cd3da8d14d070fb5832a272944a06d2936ed7248c9753b46972b81a27c6d1d56",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-head-best.ckpt": "2beb67fc40c861b25dc1ca776202fb2023a653b871dcfa097be3509ed2b8c7a4",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-pretrain-best.ckpt": "b9eda3bd73efae197986a7f5838bbe72cd44d28420ff4932ef94d27445ebc6e2",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-finetune-best.ckpt": "22d13959c8fa6f97314ebb1fb91265f645fc7f049f59b28e2edccb295a6bf5e0",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-head-best.ckpt": "10ffaf0e3db0742b11b8727012f2c5254283afb41aa4f63e96c3a300a85d8fdf",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-pretrain-best.ckpt": "6d111b57a33ae72004be34fd0643c98453e621d799676ac593f84c55081a5625",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-finetune-best.ckpt": "a358c737e54d637eb8d1bdbbbd0a383922385a56262bc78bb0c2ac33efa5c3c4",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-head-best.ckpt": "1faf8300b294fde042f1121263babbf0bb4a0aedf873dbb766abeab8ab5a52db",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-pretrain-best.ckpt": "8f609a39aa76ce7efa9bbd31ca89f3bf51e15be5e5291975117754420faaff8f",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-finetune-best.ckpt": "26b450e3cd237342a78e6491f8cc405d56cf40e63d31639bf65a7aef0c4a0f81",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-head-best.ckpt": "7fcf81547ccd1e50ce586726e93f3d2c0e9cd2e08aaac444c11ce1cbceed08ab",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-pretrain-best.ckpt": "4b3746cf06477ef1f0604baef4e02ca8eff6bffbcd7ed8829adc4b669b69c7a5",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-finetune-best.ckpt": "5490d69c87b76c37b3d58df20e8151704cbc64dbdc040eca4b8fdb9ac6b951b3",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-head-best.ckpt": "369a1caa5e6544094154058c304530b74fa256964fd756c2ba8fecd5daad5347",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-pretrain-best.ckpt": "0bd784d5144c332789c5e7ea36ff277d2811ab709b2162041ab8dd9168f0044e",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-finetune-best.ckpt": "9910dc55d4397dc99d646eb04efe5406264218a94ebdeab2f0a6b838e019065f",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-head-best.ckpt": "2e4a523e5c97d531c53b0791ede5cf4052dab508b7ec4275dd644b78e6e67ef5",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-pretrain-best.ckpt": "e6df774ceaa4b034c3adc8b4913caf4c87922ef0b385be73927dd2d577e3051f",
 }
 
 # (repr(mse), repr(mae)) of every record the flow writes
@@ -98,7 +98,6 @@ data.path = synthetic:lead-lag:rows=300,lag=3,seed=5
 model.L = 24
 model.T = 4
 model.PL = 8
-model.S = 8
 model.D = 16
 model.heads = 2
 model.ci_layers = 1
@@ -132,7 +131,7 @@ def run_flow() -> tuple[dict, dict]:
     """Run the flow in the current directory; return its checkpoint hashes
     and its records' metrics."""
     base = RunConfig(data_path="synthetic:sines:rows=300,channels=3,seed=4",
-                     L=24, T=4, PL=8, S=8, D=16, heads=2, ci_layers=1, mix_layers=1,
+                     L=24, T=4, PL=8, D=16, heads=2, ci_layers=1, mix_layers=1,
                      pretrain_epochs=1, head_epochs=1, finetune_epochs=1,
                      batch_size=64, seed=0, out="matrix")
     records = run_ablation(["pat", "cat", "pat-rc", "cat-rc", "no-cid", "no-gi"],

@@ -24,7 +24,7 @@ from injecttst.training import StageSchedule, prepare_data
 from test_data import save_csv
 
 FAST = dict(data_path="synthetic:sines:rows=260,channels=2,seed=4",
-            L=24, T=4, PL=8, S=8, D=8, heads=2, ci_layers=1, mix_layers=1,
+            L=24, T=4, PL=8, D=8, heads=2, ci_layers=1, mix_layers=1,
             pretrain_epochs=0, head_epochs=1, finetune_epochs=1,
             batch_size=64, out="")
 
@@ -46,7 +46,6 @@ data.standardize = true
 model.L = 512
 model.T = 96
 model.PL = 12
-model.S = 12
 model.D = 64
 model.heads = 4
 model.ci_layers = 2
@@ -72,7 +71,7 @@ def test_default_config_text_and_digest_are_pinned():
     # the serialised key order, and with it every digest and run-directory
     # name, does not follow the order of RunConfig's (inherited) fields
     assert serialize_config(RunConfig()) == _DEFAULT_TEXT
-    assert config_digest(RunConfig()) == "cd35aa1cb83b8c43"
+    assert config_digest(RunConfig()) == "aa7eb49d02d43e49"
 
 
 def test_run_config_checks_the_schedule_fields_it_inherits():
@@ -109,11 +108,22 @@ def test_config_digest_ignores_key_order():
 
 
 @pytest.mark.parametrize("line", ["model.depth = 4", "model.pre_norm = true",
-                                  "model.share_cid = false"],
-                         ids=["depth", "pre_norm", "share_cid"])
+                                  "model.share_cid = false", "model.S = 12"],
+                         ids=["depth", "pre_norm", "share_cid", "S"])
 def test_config_rejects_unknown_key(line):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(line + "\n")
+
+
+def test_cli_config_that_sets_a_patch_stride_exits_2(tmp_path, capsys):
+    # patches never overlap, so their stride is the patch length and no key
+    # sets it: a stride below it would show pretraining its masked values
+    cfg_path = _write_cfg(tmp_path)
+    with open(cfg_path, "a") as fh:
+        fh.write("model.S = 12\n")
+    assert cli_main(["baseline", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "unknown key 'model.S'" in err
 
 
 def test_config_rejects_a_repeated_key():
@@ -177,8 +187,8 @@ def test_flag_replaces_an_out_of_range_file_value(tmp_path):
 
 
 def test_mask_ratio_that_masks_no_patch_is_rejected_only_with_pretraining():
-    # L=48, PL=S=12: 5 patches, and round(0.05 * 5) = 0
-    small = dict(FAST, L=48, PL=12, S=12, mask_ratio=0.05)
+    # L=48, PL=12: 5 patches, and round(0.05 * 5) = 0
+    small = dict(FAST, L=48, PL=12, mask_ratio=0.05)
     with pytest.raises(ConfigError, match=r"train\.mask_ratio .* 5 patches"):
         RunConfig(**{**small, "pretrain_epochs": 1})
     assert RunConfig(**small).pretrain_epochs == 0
@@ -359,7 +369,7 @@ def test_ablation_failure_becomes_failed_record(tmp_path):
 def test_sweep_history_recomputes_patch_count(tmp_path):
     rc = RunConfig(**{**FAST, "out": str(tmp_path),
                       "data_path": "synthetic:sines:rows=700,channels=2,seed=4",
-                      "PL": 12, "S": 12})
+                      "PL": 12})
     records = sweep_history([48, 96], rc)
     assert [r.L for r in records] == [48, 96]
     assert all(r.status == "ok" for r in records)
@@ -379,7 +389,7 @@ def test_sweep_history_validates_lengths():
 
 def test_sweep_history_checks_every_length_before_training(tmp_path):
     # 0.08 masks one of L=96's 9 patches but none of L=48's 5
-    rc = RunConfig(**{**FAST, "out": str(tmp_path / "runs"), "L": 96, "PL": 12, "S": 12,
+    rc = RunConfig(**{**FAST, "out": str(tmp_path / "runs"), "L": 96, "PL": 12,
                       "pretrain_epochs": 1, "mask_ratio": 0.08})
     with pytest.raises(ConfigError, match="5 patches"):
         sweep_history([96, 48], rc)
@@ -452,8 +462,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case):
 # each ordered key: its lowest accepted value, the value just below it, and
 # the other settings that lowest value needs on top of FAST
 _LIMITS = {
-    "model.L": ("1", "0", dict(PL=1, S=1)), "model.T": ("1", "0", {}),
-    "model.PL": ("1", "0", dict(S=1)), "model.S": ("1", "0", {}),
+    "model.L": ("1", "0", dict(PL=1)), "model.T": ("1", "0", {}),
+    "model.PL": ("1", "0", {}),
     "model.D": ("1", "0", dict(heads=1)), "model.heads": ("1", "0", {}),
     "model.ci_layers": ("0", "-1", {}), "model.mix_layers": ("0", "-1", {}),
     "model.ffn_mult": ("1", "0", {}), "model.dropout": ("0.0", "-1e-09", {}),
@@ -472,7 +482,7 @@ _OUT_OF_RANGE = [("train.mask_ratio", "0"), ("train.mask_ratio", "1.5"),
                  ("model.heads", "0"), ("model.PL", "0"), ("train.pretrain_lr", "nan"),
                  ("train.pretrain_lr", "-1"), ("model.T", "0"), ("run.seed", "-1"),
                  ("train.batch_size", "abc"), ("data.split", "bogus"),
-                 ("model.PL", "100"), ("model.S", "9"), ("run.profile", "bogus")]
+                 ("model.PL", "100"), ("run.profile", "bogus")]
 # and for every key, each value below its lowest, NaN, an infinity and text
 # that parses as no number
 _OUT_OF_RANGE += [case for case in
@@ -531,11 +541,11 @@ def test_each_setting_is_declared_in_one_class():
                               "profile"]
     declared = own(RunConfig) + own(ModelSettings) + own(StageSchedule)
     assert sorted(declared) == sorted(harness._FIELD_KEYS)
-    assert [len(fields(c)) for c in (RunConfig, ModelConfig, StageSchedule)] == [25, 15, 9]
+    assert [len(fields(c)) for c in (RunConfig, ModelConfig, StageSchedule)] == [24, 14, 9]
 
 
 def test_cli_pretrain_mask_ratio_that_masks_no_patch_exits_2(tmp_path, capsys):
-    cfg_path = _write_cfg(tmp_path, L=48, PL=12, S=12, pretrain_epochs=1)
+    cfg_path = _write_cfg(tmp_path, L=48, PL=12, pretrain_epochs=1)
     _set_key(cfg_path, "train.mask_ratio", 0.05)
     assert cli_main(["pretrain", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
@@ -545,7 +555,7 @@ def test_cli_pretrain_mask_ratio_that_masks_no_patch_exits_2(tmp_path, capsys):
 
 def test_cli_finetune_checks_mask_ratio_unless_pretraining_is_off(tmp_path, capsys):
     # the config describes the whole run, so finetune rejects it too
-    cfg_path = _write_cfg(tmp_path, L=48, PL=12, S=12, pretrain_epochs=1, mask_ratio=0.1)
+    cfg_path = _write_cfg(tmp_path, L=48, PL=12, pretrain_epochs=1, mask_ratio=0.1)
     with open(cfg_path) as fh:
         text = fh.read().replace("train.mask_ratio = 0.1", "train.mask_ratio = 0.05")
     with open(cfg_path, "w") as fh:

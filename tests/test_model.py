@@ -18,7 +18,7 @@ from injecttst.model import (ModelConfig, _attention, _drop, _encoder, _ffn, _no
                              init_params, pretrain_head, sca_inject)
 from injecttst.training import OptimState, adam_step, forecast_loss, masked_mse
 
-CFG = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2, ci_layers=1, mix_layers=1)
+CFG = ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2, ci_layers=1, mix_layers=1)
 
 
 def _params(cfg=CFG, seed=0):
@@ -59,7 +59,7 @@ def _np_softmax(x):
 
 def test_config_rejects_bad_width():
     with pytest.raises(ConfigError, match=r"model\.D 10 .* model\.heads 4"):
-        ModelConfig(L=24, T=4, M=2, PL=8, S=8, D=10, heads=4)
+        ModelConfig(L=24, T=4, M=2, PL=8, D=10, heads=4)
 
 
 @pytest.mark.parametrize("dropout", [-0.5, 1.0])
@@ -75,16 +75,9 @@ def test_config_defaults_all_but_the_keyword_only_channel_count():
         ModelConfig(24, 4, 2)           # M is not positional and has no default
 
 
-def test_config_rejects_a_stride_that_leaves_gaps_between_patches():
-    # the cat mixer would pretrain on a sequence with the gaps zeroed but
-    # forecast from the full history
-    with pytest.raises(ConfigError, match=r"model\.S must be <= model\.PL"):
-        ModelConfig(L=24, T=4, M=2, PL=4, S=8)
-
-
 def test_config_rejects_unknown_mix_mode():
     with pytest.raises(ConfigError):
-        ModelConfig(L=24, T=4, M=2, PL=8, S=8, D=8, heads=2, mix_mode="both")
+        ModelConfig(L=24, T=4, M=2, PL=8, D=8, heads=2, mix_mode="both")
 
 
 def test_channel_identifier_allocated_only_when_enabled():
@@ -99,7 +92,7 @@ def test_every_allocated_tensor_gets_a_gradient(tag):
     params = _params(cfg)
     batch = _batch(cfg)
     loss = forecast_loss(forward_forecast(batch, params, cfg), batch.target.transpose(0, 2, 1))
-    ps = patchify(batch.history - batch.history[:, -1:, :], cfg.PL, cfg.S)
+    ps = patchify(batch.history - batch.history[:, -1:, :], cfg.PL)
     masked = mask_patches(ps, 0.5, seed=0)
     nm.backward(loss + masked_mse(forward_pretrain(masked, params, cfg), ps.patches, masked.mask))
     assert not [k for k in params if k.endswith("attn.bk")]
@@ -121,7 +114,7 @@ def test_variants_share_their_common_tensors_bitwise():
 def test_embed_zero_everything_is_zero():
     params = _params()
     _zero_params(params)
-    ps = patchify(np.zeros((2, CFG.L, CFG.M), dtype=np.float32), CFG.PL, CFG.S)
+    ps = patchify(np.zeros((2, CFG.L, CFG.M), dtype=np.float32), CFG.PL)
     out = embed_patches(ps, params, CFG)
     np.testing.assert_array_equal(out.data, 0.0)
 
@@ -129,7 +122,7 @@ def test_embed_zero_everything_is_zero():
 def test_embed_ignores_identifier_when_disabled(rng):
     cfg = replace(CFG, use_channel_identifier=False)
     params = _params()
-    ps = patchify(rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32), cfg.PL, cfg.S)
+    ps = patchify(rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32), cfg.PL)
     before = embed_patches(ps, params, cfg).data.copy()
     params["chan_embed"].data = rng.normal(size=params["chan_embed"].data.shape).astype(np.float32)
     after = embed_patches(ps, params, cfg).data
@@ -138,7 +131,7 @@ def test_embed_ignores_identifier_when_disabled(rng):
 
 def test_embed_vs_loop_oracle(rng):
     params = _params()
-    ps = patchify(rng.normal(size=(2, CFG.L, CFG.M)).astype(np.float32), CFG.PL, CFG.S)
+    ps = patchify(rng.normal(size=(2, CFG.L, CFG.M)).astype(np.float32), CFG.PL)
     got = embed_patches(ps, params, CFG).data
     W = params["patch_proj"].data.astype(np.float64)
     U = params["pos_embed"].data.astype(np.float64)
@@ -152,7 +145,7 @@ def test_embed_vs_loop_oracle(rng):
 
 def test_embed_shape_mismatch():
     params = _params()
-    ps = patchify(np.zeros((1, CFG.L, CFG.M + 1), dtype=np.float32), CFG.PL, CFG.S)
+    ps = patchify(np.zeros((1, CFG.L, CFG.M + 1), dtype=np.float32), CFG.PL)
     with pytest.raises(ShapeError):
         embed_patches(ps, params, CFG)
 
@@ -289,12 +282,12 @@ def test_cat_permutation_equivariance(rng):
 
 def test_pat_grouping_is_channel_major(rng):
     # identity projection exposes the grouped layout directly
-    cfg = ModelConfig(L=9, T=2, M=2, PL=3, S=3, D=6, heads=2,
+    cfg = ModelConfig(L=9, T=2, M=2, PL=3, D=6, heads=2,
                       ci_layers=1, mix_layers=0, mix_mode="pat")
     params = _params(cfg)
     params["mix_proj"].data = np.eye(6, dtype=np.float32)
     params["pos_embed"].data = np.zeros_like(params["pos_embed"].data)
-    ps = patchify(rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32), cfg.PL, cfg.S)
+    ps = patchify(rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32), cfg.PL)
     got = global_mix_pat(ps, params, cfg).data
     for b in range(2):
         for p in range(cfg.PN):
@@ -303,12 +296,12 @@ def test_pat_grouping_is_channel_major(rng):
 
 
 def test_pat_single_channel_grouping_is_identity_reshape(rng):
-    cfg = ModelConfig(L=9, T=2, M=1, PL=3, S=3, D=3, heads=1,
+    cfg = ModelConfig(L=9, T=2, M=1, PL=3, D=3, heads=1,
                       ci_layers=1, mix_layers=0, mix_mode="pat")
     params = _params(cfg)
     params["mix_proj"].data = np.eye(3, dtype=np.float32)
     params["pos_embed"].data = np.zeros_like(params["pos_embed"].data)
-    ps = patchify(rng.normal(size=(1, cfg.L, 1)).astype(np.float32), cfg.PL, cfg.S)
+    ps = patchify(rng.normal(size=(1, cfg.L, 1)).astype(np.float32), cfg.PL)
     got = global_mix_pat(ps, params, cfg).data
     np.testing.assert_array_equal(got[0], ps.patches[0, 0])
 
@@ -316,7 +309,7 @@ def test_pat_single_channel_grouping_is_identity_reshape(rng):
 def test_pat_zero_patches_encode_positional_only(rng):
     cfg = replace(CFG, mix_mode="pat")
     params = _params(cfg)
-    ps = patchify(np.zeros((2, cfg.L, cfg.M), dtype=np.float32), cfg.PL, cfg.S)
+    ps = patchify(np.zeros((2, cfg.L, cfg.M), dtype=np.float32), cfg.PL)
     got = global_mix_pat(ps, params, cfg).data
     u = np.broadcast_to(params["pos_embed"].data, (2, cfg.PN, cfg.D))
     want = _encoder(nm.constant(u.copy()), params, "mix", cfg.mix_layers, cfg, None, None).data
@@ -466,7 +459,7 @@ def test_forecast_head_zero_weights(rng):
 
 
 def test_head_shapes_large_config():
-    cfg = ModelConfig(L=512, T=96, M=7, PL=12, S=12, D=16, heads=2,
+    cfg = ModelConfig(L=512, T=96, M=7, PL=12, D=16, heads=2,
                       ci_layers=1, mix_layers=1)
     assert cfg.PN == 43
     params = _params(cfg)
@@ -572,15 +565,33 @@ def test_pretrain_output_shape(mix_mode, rng):
     cfg = replace(CFG, mix_mode=mix_mode)
     params = _params(cfg)
     hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32)
-    ps = patchify(hist, cfg.PL, cfg.S)
+    ps = patchify(hist, cfg.PL)
     masked = mask_patches(ps, 0.5, seed=0)
     rec = forward_pretrain(masked, params, cfg)
     assert rec.shape == ps.patches.shape
 
 
+def test_masked_values_reach_neither_the_patches_nor_the_cat_mixer(rng, monkeypatch):
+    # patches never overlap, so a masked patch's values lie in no other patch
+    # and the pretraining pass cannot read its own target; PL does not divide L
+    cfg = ModelConfig(L=50, T=4, M=3, PL=12, D=8, heads=2, ci_layers=1, mix_mode="cat")
+    hist = rng.normal(size=(4, cfg.L, cfg.M)).astype(np.float32)
+    masked = mask_patches(patchify(hist, cfg.PL), 0.5, seed=3)
+    seen = []
+    monkeypatch.setattr(model, "global_mix_cat",
+                        lambda seq, *args: seen.append(seq.copy()) or global_mix_cat(seq, *args))
+    forward_pretrain(masked, _params(cfg), cfg)
+    (seq,) = seen
+    for b, m, p in np.ndindex(masked.mask.shape):
+        t = slice(p * cfg.PL, min((p + 1) * cfg.PL, cfg.L))
+        want = 0.0 if masked.mask[b, m, p] else hist[b, t, m]
+        np.testing.assert_array_equal(masked.patches[b, m, p, :t.stop - t.start], want)
+        np.testing.assert_array_equal(seq[b, t, m], want)
+
+
 def test_pretrain_runs_without_mask(rng):
     params = _params()
-    ps = patchify(rng.normal(size=(1, CFG.L, CFG.M)).astype(np.float32), CFG.PL, CFG.S)
+    ps = patchify(rng.normal(size=(1, CFG.L, CFG.M)).astype(np.float32), CFG.PL)
     rec = forward_pretrain(ps, params, CFG)     # nothing masked, still well-defined
     assert rec.shape == ps.patches.shape
 
@@ -589,7 +600,7 @@ def test_injection_contributes_after_brief_pretrain(rng):
     cfg = replace(CFG, mix_mode="pat")
     params = _params(cfg, seed=2)
     hist = rng.normal(size=(8, cfg.L, cfg.M)).astype(np.float32)
-    ps = patchify(hist, cfg.PL, cfg.S)
+    ps = patchify(hist, cfg.PL)
     opt = OptimState(lr=1e-3)
     for step in range(30):
         masked = mask_patches(ps, 0.5, seed=step)
@@ -627,7 +638,7 @@ def test_trace_names_each_attention_map_by_its_layer(tag, pass_, monkeypatch):
     if pass_ == "forecast":
         forward_forecast(batch, _params(cfg), cfg, trace)
     else:
-        ps = patchify(batch.history, cfg.PL, cfg.S)
+        ps = patchify(batch.history, cfg.PL)
         forward_pretrain(mask_patches(ps, 0.5, seed=0), _params(cfg), cfg, trace)
 
     shapes = {"tokens": (B, M, PN, cfg.D), "z_ci": (B, M, PN, cfg.D),

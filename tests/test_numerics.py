@@ -510,7 +510,7 @@ def test_attention_backward_keeps_captured_map_and_gradients(dtype, rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_forward_trace_attention_maps_survive_backward(dtype, rng):
-    cfg = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=12, heads=2, ci_layers=1, mix_layers=1)
+    cfg = ModelConfig(L=24, T=4, M=3, PL=8, D=12, heads=2, ci_layers=1, mix_layers=1)
     params = init_params(cfg, 0, dtype=dtype)
     hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype)
     batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype))
@@ -657,12 +657,12 @@ def test_parameter_used_twice_gets_exactly_twice_the_gradient(rng):
 @pytest.mark.parametrize("mix_mode", ["pat", "cat"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_grad_table_matches_parameter_shape_and_dtype(dtype, mix_mode, rng):
-    cfg = ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2, ci_layers=1,
+    cfg = ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2, ci_layers=1,
                       mix_layers=1, mix_mode=mix_mode)
     params = init_params(cfg, 0, dtype=dtype)
     hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype)
     batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype))
-    ps = patchify(hist, cfg.PL, cfg.S)
+    ps = patchify(hist, cfg.PL)
     masked = mask_patches(ps, 0.5, seed=0)
     losses = (forecast_loss(forward_forecast(batch, params, cfg), batch.target.transpose(0, 2, 1)),
               masked_mse(forward_pretrain(masked, params, cfg), ps.patches, masked.mask))

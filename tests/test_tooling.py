@@ -50,7 +50,7 @@ def test_one_training_step_calls_every_numerics_layer_a_workload_uses(tag, rng):
     # node that stops calling one of them must fail here too
     uses = {name for w in _load("workloads").WORKLOADS.values() for name in w.uses
             if name.startswith("numerics.")}
-    cfg = model.ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=8, heads=2, ci_layers=1,
+    cfg = model.ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2, ci_layers=1,
                             mix_layers=1, **harness.VARIANT_FLAGS[tag])
     params = model.init_params(cfg, 0)
     hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32)
@@ -127,7 +127,7 @@ def test_tiny_desk_ablation_calls_every_layer_its_traced_run_requires(tmp_path):
     # `run_single` or `train_pipeline` must fail here too
     desk = _load("workloads").WORKLOADS["desk-ablation"]
     base = harness.RunConfig(data_path="synthetic:lead-lag:rows=300,lag=6,seed=0",
-                             L=24, T=4, PL=8, S=8, D=8, heads=2, ci_layers=1,
+                             L=24, T=4, PL=8, D=8, heads=2, ci_layers=1,
                              pretrain_epochs=1, head_epochs=1, finetune_epochs=1,
                              batch_size=32, out=str(tmp_path))
     tracer = _load_tracer().Tracer("test")

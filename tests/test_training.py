@@ -18,7 +18,7 @@ from injecttst.training import (OptimState, StageSchedule, adam_step, evaluate,
                                 evaluate_persistence, forecast_loss, masked_mse,
                                 prepare_data, run_stage, train_pipeline, _aggregate)
 
-TINY = ModelConfig(L=24, T=4, M=2, PL=8, S=8, D=16, heads=2, ci_layers=1, mix_layers=1)
+TINY = ModelConfig(L=24, T=4, M=2, PL=8, D=16, heads=2, ci_layers=1, mix_layers=1)
 
 
 def _splits(rows=260, channels=2, seed=3, L=24):
@@ -29,14 +29,14 @@ def _splits(rows=260, channels=2, seed=3, L=24):
 # losses
 
 def test_masked_mse_exact_recovery(rng):
-    ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32), 8, 8)
+    ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32), 8)
     masked = mask_patches(ps, 0.5, seed=0)
     loss = masked_mse(nm.constant(ps.patches), ps.patches, masked.mask)
     assert float(loss.data) == 0.0
 
 
 def test_masked_mse_ignores_unmasked_positions(rng):
-    ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32), 8, 8)
+    ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32), 8)
     masked = mask_patches(ps, 0.5, seed=0)
     corrupted = ps.patches.copy()
     corrupted[~masked.mask] += 100.0          # wrong only where unmasked
@@ -45,7 +45,7 @@ def test_masked_mse_ignores_unmasked_positions(rng):
 
 
 def test_masked_mse_vs_loop_oracle(rng):
-    ps = patchify(rng.normal(size=(2, 24, 3)).astype(np.float32), 8, 8)
+    ps = patchify(rng.normal(size=(2, 24, 3)).astype(np.float32), 8)
     masked = mask_patches(ps, 0.5, seed=1)
     rec = rng.normal(size=ps.patches.shape).astype(np.float32)
     got = float(masked_mse(nm.constant(rec), ps.patches, masked.mask).data)
@@ -62,7 +62,7 @@ def test_masked_mse_vs_loop_oracle(rng):
 
 
 def test_masked_mse_empty_mask_rejected(rng):
-    ps = patchify(rng.normal(size=(1, 24, 1)).astype(np.float32), 8, 8)
+    ps = patchify(rng.normal(size=(1, 24, 1)).astype(np.float32), 8)
     with pytest.raises(ContractError):
         masked_mse(nm.constant(ps.patches), ps.patches, ps.mask)
 
@@ -516,12 +516,12 @@ _PAPER = ModelConfig(L=512, T=96, M=7, D=64, heads=4, ci_layers=2)
 # (config, batch sizes) of the shapes the suite and the benchmark train at
 _ONE_CHUNK = [
     # desk-ablation (the README demo config) and acceptance criterion 7
-    (ModelConfig(L=48, T=8, M=2, PL=12, S=12, D=32, heads=4, ci_layers=1), (32, 64)),
+    (ModelConfig(L=48, T=8, M=2, PL=12, D=32, heads=4, ci_layers=1), (32, 64)),
     # acceptance criterion 8
-    (ModelConfig(L=48, T=8, M=3, PL=12, S=12, D=32, heads=4, ci_layers=1), (64,)),
+    (ModelConfig(L=48, T=8, M=3, PL=12, D=32, heads=4, ci_layers=1), (64,)),
     # the fingerprint's ablation matrix and its CLI flow
-    (ModelConfig(L=24, T=4, M=3, PL=8, S=8, D=16, heads=2, ci_layers=1), (64,)),
-    (ModelConfig(L=24, T=4, M=2, PL=8, S=8, D=16, heads=2, ci_layers=1), (32, 64)),
+    (ModelConfig(L=24, T=4, M=3, PL=8, D=16, heads=2, ci_layers=1), (64,)),
+    (ModelConfig(L=24, T=4, M=2, PL=8, D=16, heads=2, ci_layers=1), (32, 64)),
 ]
 
 
