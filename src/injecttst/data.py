@@ -127,15 +127,15 @@ def standardize(train: SeriesTable, val: SeriesTable, test: SeriesTable,
 
 
 def with_history(prev: SeriesTable, cur: SeriesTable, L: int) -> SeriesTable:
-    """Prepend the last L-1 rows of the preceding split as window context.
+    """Prepend the last L rows of the preceding split (all of them, if it has
+    fewer) as window context.
 
     Windows over the result keep every target inside `cur` while their
-    histories may reach back into `prev`.
+    histories may reach back into `prev`; with L rows, the first window's
+    target starts at the first row of `cur`.
     """
-    k = min(L - 1, prev.rows)
-    if k <= 0:
-        return cur
-    return SeriesTable(values=np.concatenate([prev.values[-k:], cur.values], axis=0),
+    k = min(L, prev.rows)
+    return SeriesTable(values=np.concatenate([prev.values[prev.rows - k:], cur.values], axis=0),
                        channel_names=cur.channel_names)
 
 

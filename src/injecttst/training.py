@@ -179,8 +179,8 @@ class StageSchedule:
 @dataclass
 class DataSplits:
     """The train table and the validation and test tables, each of the
-    latter with L-1 rows of context from the preceding split so that early
-    targets keep full histories."""
+    latter after the last L rows of the preceding split (all of them, if
+    fewer), so that targets start at its first row when that split has L."""
 
     train: SeriesTable
     val_ext: SeriesTable

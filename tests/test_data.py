@@ -10,6 +10,7 @@ from injecttst.data import (SeriesTable, load_csv, make_windows, mask_count,
                             sequence_from_patches, split, standardize,
                             window_count, with_history)
 from injecttst.errors import ContractError, DataError, SizingError
+from injecttst.training import prepare_data
 
 
 def _table(values, names=None):
@@ -132,11 +133,24 @@ def test_split_too_few_rows():
 def test_with_history_prepends_context():
     tr, va, _ = split(_table(np.arange(200, dtype=np.float32).reshape(100, 2)), "ratio")
     ext = with_history(tr, va, L=8)
-    assert ext.rows == va.rows + 7
-    assert np.array_equal(ext.values[:7], tr.values[-7:])
+    assert ext.rows == va.rows + 8
+    assert np.array_equal(ext.values[:8], tr.values[-8:])
     # every target of the extended stream stays inside the val block
     first = next(make_windows(ext, 8, 2, batch_size=1))
-    assert np.array_equal(first.target[0, 0], va.values[1])
+    assert np.array_equal(first.target[0, 0], va.values[0])
+
+
+def test_first_row_of_the_test_split_is_a_target():
+    # Informer's border: the test stream starts L rows before the test split
+    table = _table(np.arange(200, dtype=np.float32).reshape(100, 2))
+    tr, va, te = split(table, "ratio")
+    data = prepare_data(table, L=8, standardize_inputs=False)
+    windows = list(make_windows(data.test_ext, 8, 4, batch_size=64))
+    assert sum(w.size for w in windows) == te.rows - 4 + 1 == 17
+    assert np.array_equal(windows[0].target[0, 0], te.values[0])
+    # a shorter preceding split is prepended whole, and L = 0 prepends nothing
+    assert np.array_equal(with_history(va, te, L=12).values, table.values[70:])
+    assert np.array_equal(with_history(va, te, L=0).values, te.values)
 
 
 # ---------------------------------------------------------------------------

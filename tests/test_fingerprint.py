@@ -72,20 +72,20 @@ CHECKPOINTS = {
 
 # (repr(mse), repr(mae)) of every record the flow writes
 METRICS = {
-    "cat-T4": ("0.3318295788210874", "0.4634681710872211"),
-    "cat-T8": ("0.6767869399371936", "0.649526114256169"),
-    "cat-rc-T4": ("0.5796835683012993", "0.6478466036475895"),
-    "cat-rc-T8": ("0.5704716718241899", "0.5822645422360018"),
-    "cli-evaluate": ("0.6586673874554763", "0.6457471828060599"),
-    "cli-finetune": ("0.6586673874554763", "0.6457471828060599"),
-    "no-cid-T4": ("0.4520313074742172", "0.5045157361400058"),
-    "no-cid-T8": ("0.6853534499643837", "0.6608208662540002"),
-    "no-gi-T4": ("0.6673721456615219", "0.6588437609281669"),
-    "no-gi-T8": ("0.5867947205685842", "0.5994044218319826"),
-    "pat-T4": ("0.449195870400986", "0.5005280119803501"),
-    "pat-T8": ("0.6937939688705718", "0.6640514980636697"),
-    "pat-rc-T4": ("0.5880035741432625", "0.6500513446967705"),
-    "pat-rc-T8": ("0.574021147332117", "0.5909751311869164"),
+    "cat-T4": ("0.3303648863388083", "0.46297542043561274"),
+    "cat-T8": ("0.6840216580704617", "0.6517747624567857"),
+    "cat-rc-T4": ("0.5772651621241298", "0.645896577884236"),
+    "cat-rc-T8": ("0.5723408691983557", "0.5834914491685406"),
+    "cli-evaluate": ("0.6556506936420303", "0.6452233368809654"),
+    "cli-finetune": ("0.6556506936420303", "0.6452233368809654"),
+    "no-cid-T4": ("0.4501737867056823", "0.504946847253599"),
+    "no-cid-T8": ("0.7108454805844054", "0.6719932285750302"),
+    "no-gi-T4": ("0.6631557303976132", "0.6563352266856203"),
+    "no-gi-T8": ("0.5889193852139631", "0.601258517732791"),
+    "pat-T4": ("0.4473988426174429", "0.501038940938609"),
+    "pat-T8": ("0.7189880430325891", "0.6752089262026971"),
+    "pat-rc-T4": ("0.5852298595402744", "0.6481960623461088"),
+    "pat-rc-T8": ("0.577993882076847", "0.5941688384199603"),
 }
 
 # Off the pinned host: the largest relative change of a test metric that any
