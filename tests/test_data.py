@@ -143,7 +143,7 @@ def test_with_history_prepends_context():
 def test_first_row_of_the_test_split_is_a_target():
     # Informer's border: the test stream starts L rows before the test split
     table = _table(np.arange(200, dtype=np.float32).reshape(100, 2))
-    tr, va, te = split(table, "ratio")
+    _, va, te = split(table, "ratio")
     data = prepare_data(table, L=8, standardize_inputs=False)
     windows = list(make_windows(data.test_ext, 8, 4, batch_size=64))
     assert sum(w.size for w in windows) == te.rows - 4 + 1 == 17

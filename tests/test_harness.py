@@ -115,17 +115,6 @@ def test_config_rejects_unknown_key(line):
         parse_config(line + "\n")
 
 
-def test_cli_config_that_sets_a_patch_stride_exits_2(tmp_path, capsys):
-    # patches never overlap, so their stride is the patch length and no key
-    # sets it: a stride below it would show pretraining its masked values
-    cfg_path = _write_cfg(tmp_path)
-    with open(cfg_path, "a") as fh:
-        fh.write("model.S = 12\n")
-    assert cli_main(["baseline", "--config", cfg_path]) == 2
-    err = capsys.readouterr().err
-    assert "ConfigError" in err and "unknown key 'model.S'" in err
-
-
 def test_config_rejects_a_repeated_key():
     # were the last line to win, an appended line would silently change the run
     with pytest.raises(ConfigError, match="line 3: model.L is already set on line 2"):
@@ -446,17 +435,25 @@ def test_cli_unknown_flag_exits_2(tmp_path, capsys):
     assert cli_main(["baseline", "--config", _write_cfg(tmp_path), "--frobnicate"]) == 2
 
 
-@pytest.mark.parametrize("case", ["unknown-key", "unknown-variant"])
+# patches never overlap, so their stride is the patch length and no key sets
+# it: a stride below it would show pretraining part of its masked values
+_UNKNOWN_KEYS = {"unknown-key": "model.bogus", "patch-stride": "model.S"}
+
+
+@pytest.mark.parametrize("case", ["unknown-key", "unknown-variant", "patch-stride"])
 def test_cli_config_errors_exit_2(tmp_path, capsys, case):
     cfg_path = _write_cfg(tmp_path)
-    if case == "unknown-key":
+    if case in _UNKNOWN_KEYS:
         with open(cfg_path, "a") as fh:
-            fh.write("model.bogus = 1\n")
+            fh.write(f"{_UNKNOWN_KEYS[case]} = 1\n")
         argv = ["baseline", "--config", cfg_path]
     else:
         argv = ["pretrain", "--config", cfg_path, "--variant", "bogus"]
     assert cli_main(argv) == 2
-    assert "ConfigError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    if case in _UNKNOWN_KEYS:
+        assert f"unknown key {_UNKNOWN_KEYS[case]!r}" in err
 
 
 # each ordered key: its lowest accepted value, the value just below it, and
