@@ -217,6 +217,8 @@ class ResultRecord:
     seed: int
     mse: float
     mae: float
+    per_horizon_mse: list[float]
+    per_channel_mse: list[float]
     epochs_run: int
     seconds: float
     checkpoint: str
@@ -227,9 +229,14 @@ class ResultRecord:
         """One strict-JSON line: a missing or non-finite metric is null."""
         record = dataclasses.asdict(self)
         for key in ("mse", "mae"):
-            if not math.isfinite(record[key]):
-                record[key] = None
+            record[key] = _finite_or_none(record[key])
+        for key in ("per_horizon_mse", "per_channel_mse"):
+            record[key] = [_finite_or_none(v) for v in record[key]]
         return json.dumps(record)
+
+
+def _finite_or_none(value: float) -> Optional[float]:
+    return value if math.isfinite(value) else None
 
 
 def result_record(rc: RunConfig, report: Optional[EvalReport] = None,
@@ -237,12 +244,15 @@ def result_record(rc: RunConfig, report: Optional[EvalReport] = None,
                   error: str = "") -> ResultRecord:
     """The record of one run: `log` holds its training epochs, whose seconds
     count toward the wall time together with the evaluation's. A run without
-    a report failed with `error`."""
+    a report failed with `error`, and has no metrics."""
     nan = float("nan")
     seconds = sum(rec["seconds"] for rec in log) + (report.seconds if report else 0.0)
     return ResultRecord(digest=config_digest(rc), variant=rc.variant, L=rc.L, T=rc.T,
                         seed=rc.seed, mse=report.mse if report else nan,
-                        mae=report.mae if report else nan, epochs_run=len(log),
+                        mae=report.mae if report else nan,
+                        per_horizon_mse=report.per_horizon_mse if report else [],
+                        per_channel_mse=report.per_channel_mse if report else [],
+                        epochs_run=len(log),
                         seconds=round(seconds, 3), checkpoint=checkpoint,
                         status="ok" if report else "failed", error=error)
 

@@ -29,63 +29,63 @@ HOST = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64 Intel(R) Xeon(R) Proces
 
 # sha256 of every checkpoint the flow writes, by path under the work directory
 CHECKPOINTS = {
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-finetune-best.ckpt": "29b297389af982086442bf9d47b95869bd07d45737991eb072d37777afd666ad",
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-head-best.ckpt": "dec94388767d0246e35dfd46d5b2d497aac444e746e526f04312989b6fda1d53",
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-pretrain-best.ckpt": "94860b65981ea7349d1c00d03fc585bf30000563aaac3d76b689d001f226ccce",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-finetune-best.ckpt": "ef45c9e405f89d9931b1c9ab240afa983e2b0cfdf599e2afd56127b46c55d72e",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-head-best.ckpt": "a085f17fb04cc6c3f08c0fd1258757f2380db48ecc30f919e30c62643c47a1f9",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-pretrain-best.ckpt": "84aa7a74dfa3f4f97022c501b25c65e0afd55d65f574590f1ae7fc68c1d67a14",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-finetune-best.ckpt": "608ea146ff3cfd9f8cfbd41a4afad981057e6ee9747829e3deb3558510882b05",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-head-best.ckpt": "3af42db946a6401adde66b9f4fb9833daee25e0961975670292fabb96696688b",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-pretrain-best.ckpt": "fa95c758b3897047b8dfbdcfd1b484981909813db757be165eb35b2841073c1d",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-finetune-best.ckpt": "d88d39f206cb57607f3d3461962244eb2d2c445ea8cb25bbaceff9a9ddf09a28",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-head-best.ckpt": "b4e3d6e05263b6f84307ce2153dcd86494ff0e191878da139e946ff2188b86bc",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-pretrain-best.ckpt": "65630f94d49c67ddd2f9d35de88e12846e0a62566ada47dbb8a5ec384ebbbae2",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-finetune-best.ckpt": "7555f6e758cc3beda8d607261ad363d38ad029cddbf9715e9de183d72deac4bc",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-head-best.ckpt": "7fb5c8e145866c22643ea2d327c0eaa5e545da27c9f56cc5a7a1e19f19efe2a3",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-pretrain-best.ckpt": "da0a19a18381b51270117c3ba417ca99c9d89f1ce3fcf736685c4a1066fdb6d0",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-finetune-best.ckpt": "d2cfd89c52d91f8ce3ef87f0668f66358632d4861de12ac0ceeb83cc34d44fef",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-head-best.ckpt": "f5557571f81cc6e2042a8c3e9ba353a5eef5fe5e73b5af492e1f9856de004266",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-pretrain-best.ckpt": "c5baf83772e06d4bfe53ce9766dc8731cd9454a029b4e912b732d12f1477090c",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-finetune-best.ckpt": "4bedc44bf38d0d22c9f8e66274837ab4b1623885e48f8ea77916a55b660e0b6e",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-head-best.ckpt": "ed64bb609504fe25d5d2ee3b8250237a77e965f57fd954aa7663f17477fc7d28",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-pretrain-best.ckpt": "cba5e827e3778151b013b78798bcf49a2c562818c1329c2dbac1b7c8581c3201",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-finetune-best.ckpt": "cd3da8d14d070fb5832a272944a06d2936ed7248c9753b46972b81a27c6d1d56",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-head-best.ckpt": "2beb67fc40c861b25dc1ca776202fb2023a653b871dcfa097be3509ed2b8c7a4",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-pretrain-best.ckpt": "b9eda3bd73efae197986a7f5838bbe72cd44d28420ff4932ef94d27445ebc6e2",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-finetune-best.ckpt": "22d13959c8fa6f97314ebb1fb91265f645fc7f049f59b28e2edccb295a6bf5e0",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-head-best.ckpt": "10ffaf0e3db0742b11b8727012f2c5254283afb41aa4f63e96c3a300a85d8fdf",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-pretrain-best.ckpt": "6d111b57a33ae72004be34fd0643c98453e621d799676ac593f84c55081a5625",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-finetune-best.ckpt": "a358c737e54d637eb8d1bdbbbd0a383922385a56262bc78bb0c2ac33efa5c3c4",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-head-best.ckpt": "1faf8300b294fde042f1121263babbf0bb4a0aedf873dbb766abeab8ab5a52db",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-pretrain-best.ckpt": "8f609a39aa76ce7efa9bbd31ca89f3bf51e15be5e5291975117754420faaff8f",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-finetune-best.ckpt": "26b450e3cd237342a78e6491f8cc405d56cf40e63d31639bf65a7aef0c4a0f81",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-head-best.ckpt": "7fcf81547ccd1e50ce586726e93f3d2c0e9cd2e08aaac444c11ce1cbceed08ab",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-pretrain-best.ckpt": "4b3746cf06477ef1f0604baef4e02ca8eff6bffbcd7ed8829adc4b669b69c7a5",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-finetune-best.ckpt": "5490d69c87b76c37b3d58df20e8151704cbc64dbdc040eca4b8fdb9ac6b951b3",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-head-best.ckpt": "369a1caa5e6544094154058c304530b74fa256964fd756c2ba8fecd5daad5347",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-pretrain-best.ckpt": "0bd784d5144c332789c5e7ea36ff277d2811ab709b2162041ab8dd9168f0044e",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-finetune-best.ckpt": "9910dc55d4397dc99d646eb04efe5406264218a94ebdeab2f0a6b838e019065f",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-head-best.ckpt": "2e4a523e5c97d531c53b0791ede5cf4052dab508b7ec4275dd644b78e6e67ef5",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-pretrain-best.ckpt": "e6df774ceaa4b034c3adc8b4913caf4c87922ef0b385be73927dd2d577e3051f",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-finetune-best.ckpt": "080df591974226a83ba3be766885ceb5ec8df699de29532da2e49895f1a92a6f",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-head-best.ckpt": "2395cd52ab5bd20510fa0e9b4d31714a1344aa747905394514088fb1fe94c418",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-pretrain-best.ckpt": "38a62d4a798d4f48c4517ec771ba24afa6200df86cb66e911d67c9f092138d3e",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-finetune-best.ckpt": "47e47c076c7524fdf84bd1376a9ba02ae200f51d406fa5d3c2fb03280c2640ae",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-head-best.ckpt": "1393d86fb092b001eccee13f117d81ab7bc21c4762864f79bd5f5891ce39ba57",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-pretrain-best.ckpt": "8788f229cd5d40866efb201255471d787250527b3e77d231456bfafe8fd4e034",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-finetune-best.ckpt": "3ec4bdd700e2113b4628ad168816a556b07e1c1818d69ec9a17d89c860f2b0b6",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-head-best.ckpt": "e61bc6ca751fdfeb54ba43f8119c19b4bff9e5e868f034b5c50e1b71a2d19858",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-pretrain-best.ckpt": "7c90fb211bb196a54358276c43073a90b7555cc92fc5de8b7ff2b401c273328c",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-finetune-best.ckpt": "f52425c9ba33352caa06df77f82e5d67845a6f1d43162cfdc692c9ef05e67698",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-head-best.ckpt": "c6657a6ee9e0099cd543a9f40c937b1c164325cd6b405cf2a1d190882a7d57a1",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-pretrain-best.ckpt": "aa5356cf0a108bb37ae1ceabee70c0fcf59e43f547137574668b1d61675a476a",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-finetune-best.ckpt": "631365bd0dfc364320a0787d17d2776199a3e7ac4f73f68514fd188d767f584c",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-head-best.ckpt": "fc58e0ec44c0702b15e207ff06b521b3546eda4cdab4e6523fe3700c3295896c",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-pretrain-best.ckpt": "fba31de5fb44da6f0f5cba9748cbc193b4c999d6a90a5047bf3d74bcbc4d2942",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-finetune-best.ckpt": "8353b571d259e54280bff1fecc6ae9581471b522e7c14aec36771f2ce24f5d75",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-head-best.ckpt": "49d99d17018d636f2a94965dbf299d0c2b633d8739c2ad91908f1eb50c5695be",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-pretrain-best.ckpt": "2317be4454528625c2d8fe82dd994475cdfcd76344a0f2161c6f615793bcea6d",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-finetune-best.ckpt": "574b917904f12d68b914854a9e66759c7cb5b2ae7f5b8d8f6b80087f337a5920",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-head-best.ckpt": "f2362d27d61f79fab35eb9fd832548bc19d37b35e0a1c04f0080e0845a1f19e0",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-pretrain-best.ckpt": "e104369d2e724635c4d6005a6a559d8501f0b36f985f41c1d92aa4506653c247",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-finetune-best.ckpt": "33a9bc83833faa7ee5b8752f1e0a555ac79f5366385d2ae74dd49725595efa6b",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-head-best.ckpt": "018a4240dfd43d80c37cc97236b30cb1cda377e19cf6ef19d67cbf047f985624",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-pretrain-best.ckpt": "d6f17c7d61b3016142b2225c619a4d372fe701c0c1e9593a6901f8603b69eacf",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-finetune-best.ckpt": "91f013152174bc097d62ccbca907b12a646ffccdd7db099360eafa28fdea61be",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-head-best.ckpt": "04250a6245016ca6a9907d9f335134598c75990f769b080200e409db13ee1456",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-pretrain-best.ckpt": "4804e41cbc917f573e423e5b85a846b9340703ef15130c721525b57fe883ed27",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-finetune-best.ckpt": "b654b88fbc0b6f949f1c52a6979ae6d70b8fc527c8a50d5b5e48ad5fb1819f95",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-head-best.ckpt": "810cd2973aa40510a48c40b7ad235e91e4ff3d45f0b79001d4d41bd85faffadd",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-pretrain-best.ckpt": "d28c56713404cd90dc2bb06d808ec9a0626931d74fbf7170d24b2dbde556821b",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-finetune-best.ckpt": "39f90d1d1f19c445557d6825ec9fa65e9a04b4326b8e52dc0a55ba3f5a7c35c7",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-head-best.ckpt": "db05d967b586e70c92907b0c287e68bafa2ee8d2c7897e66949eaa399aea001a",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-pretrain-best.ckpt": "7a3956b39eac4a15834048ae1871a320f097b725c63c6a7e7f3f35c624d322af",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-finetune-best.ckpt": "5219db4ba552898368cd1c3ebd095631f68c976c5aafa9d4f69d5070af088714",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-head-best.ckpt": "ad10b07d0ea098f01eb4e0490f0c5d602cc84000557e87382f69d33a5bd7b468",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-pretrain-best.ckpt": "3fbd1b239fe30c935864ca920d72b0f6d2bcdb8abdf0ac134a67146db74305ba",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-finetune-best.ckpt": "1c526623d6b39bbd5603719cfc69c3b812040f8486ba907c7324a320509c8933",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-head-best.ckpt": "20e8698ef86fd6829649ab79376622c36cd00f6e8181132ecaf98e9796a82860",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-pretrain-best.ckpt": "c68ca6d99e5cbbb9c771ef5245906751d58c140d18401995c69ff845f2e14020",
 }
 
 # (repr(mse), repr(mae)) of every record the flow writes
 METRICS = {
-    "cat-T4": ("0.3303648863388083", "0.46297542043561274"),
-    "cat-T8": ("0.6840216580704617", "0.6517747624567857"),
-    "cat-rc-T4": ("0.5772651621241298", "0.645896577884236"),
-    "cat-rc-T8": ("0.5723408691983557", "0.5834914491685406"),
-    "cli-evaluate": ("0.6556506936420303", "0.6452233368809654"),
-    "cli-finetune": ("0.6556506936420303", "0.6452233368809654"),
-    "no-cid-T4": ("0.4501737867056823", "0.504946847253599"),
-    "no-cid-T8": ("0.7108454805844054", "0.6719932285750302"),
-    "no-gi-T4": ("0.6631557303976132", "0.6563352266856203"),
-    "no-gi-T8": ("0.5889193852139631", "0.601258517732791"),
-    "pat-T4": ("0.4473988426174429", "0.501038940938609"),
-    "pat-T8": ("0.7189880430325891", "0.6752089262026971"),
-    "pat-rc-T4": ("0.5852298595402744", "0.6481960623461088"),
-    "pat-rc-T8": ("0.577993882076847", "0.5941688384199603"),
+    "pat-T4": ("0.4473988344954625", "0.5010389306722755"),
+    "cat-T4": ("0.330364877456955", "0.4629754173529896"),
+    "pat-rc-T4": ("0.5852298512866595", "0.6481960588822425"),
+    "cat-rc-T4": ("0.5772651623312564", "0.6458965762721222"),
+    "no-cid-T4": ("0.4501737898123164", "0.5049468446502529"),
+    "no-gi-T4": ("0.6631557287188723", "0.6563352277095305"),
+    "pat-T8": ("0.718988049887573", "0.6752089266478576"),
+    "cat-T8": ("0.6840216538520992", "0.6517747575131614"),
+    "pat-rc-T8": ("0.577993875607927", "0.5941688378400802"),
+    "cat-rc-T8": ("0.5723408774737416", "0.5834914558313044"),
+    "no-cid-T8": ("0.7108454768564005", "0.6719932280830108"),
+    "no-gi-T8": ("0.5889193909289289", "0.601258521235501"),
+    "cli-finetune": ("0.6556507002864871", "0.6452233423218499"),
+    "cli-evaluate": ("0.6556507002864871", "0.6452233423218499"),
 }
 
 # Off the pinned host: the largest relative change of a test metric that any

@@ -20,7 +20,7 @@ from injecttst.harness import (BASELINE_VARIANT, VARIANT_FLAGS, RunConfig,
                                serialize_config, sweep_history, variant_flags)
 from injecttst.model import ModelConfig, ModelSettings, init_params
 from injecttst.synthetic import dataset_from_spec, lead_lag
-from injecttst.training import StageSchedule, prepare_data
+from injecttst.training import EvalReport, StageSchedule, prepare_data
 from test_data import save_csv
 
 FAST = dict(data_path="synthetic:sines:rows=260,channels=2,seed=4",
@@ -701,18 +701,49 @@ def test_cli_flag_overrides_config(tmp_path):
     assert record["seed"] == 77 and record["T"] == 5
 
 
+def _strict_json(line: str) -> dict:
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def _strict_records(tmp_path) -> list[dict]:
+    results = os.path.join(str(tmp_path / "runs"), "results.ndjson")
+    return [_strict_json(line) for line in open(results).read().splitlines()]
+
+
 def test_cli_failed_ablation_cell_writes_strict_json(tmp_path, capsys):
     # history too short for one window: the cell fails and has no metrics
     cfg_path = _write_cfg(tmp_path, data_path="synthetic:sines:rows=40,channels=2,seed=4")
     assert cli_main(["ablate", "--config", cfg_path, "--variants", "pat"]) == 1
+    assert [(r["status"], r["mse"], r["mae"], r["per_horizon_mse"], r["per_channel_mse"])
+            for r in _strict_records(tmp_path)] == [("failed", None, None, [], [])]
 
-    def reject(name):
-        raise ValueError(f"{name} is not JSON")
 
-    results = os.path.join(str(tmp_path / "runs"), "results.ndjson")
-    records = [json.loads(line, parse_constant=reject)
-               for line in open(results).read().splitlines()]
-    assert [(r["status"], r["mse"], r["mae"]) for r in records] == [("failed", None, None)]
+def test_cli_records_carry_per_horizon_and_per_channel_mse(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    variants = ["pat", BASELINE_VARIANT]
+    assert cli_main(["ablate", "--config", cfg_path, "--variants", ",".join(variants)]) == 0
+    records = _strict_records(tmp_path)
+    assert [r["variant"] for r in records] == variants
+    for r in records:
+        horizon, channel = r["per_horizon_mse"], r["per_channel_mse"]
+        assert len(horizon) == FAST["T"] and len(channel) == 2
+        assert all(isinstance(v, float) and v > 0 for v in horizon + channel)
+        # both are means of the same (channel, step) grid whose mean is mse
+        assert abs(np.mean(horizon) - r["mse"]) <= 1e-12 * r["mse"]
+        assert abs(np.mean(channel) - r["mse"]) <= 1e-12 * r["mse"]
+
+
+def test_a_non_finite_per_horizon_or_per_channel_mse_is_written_as_null():
+    nan, inf = float("nan"), float("inf")
+    report = EvalReport(mse=nan, mae=0.5, per_horizon_mse=[1.0, nan],
+                        per_channel_mse=[inf, 2.0], n_windows=3, seconds=0.0)
+    record = _strict_json(harness.result_record(RunConfig(**FAST), report).to_json())
+    assert (record["mse"], record["mae"]) == (None, 0.5)
+    assert record["per_horizon_mse"] == [1.0, None]
+    assert record["per_channel_mse"] == [None, 2.0]
 
 
 def test_sweep_history_prepares_every_length_before_any_cell_trains(tmp_path, monkeypatch):

@@ -99,17 +99,17 @@ def test_softmax_rows_are_distributions(rng):
 
 
 def _shifted_softmax(xd):
-    """Row softmax with the row max always subtracted first."""
+    """Row softmax with the row max always subtracted first; its rows are
+    summed by the node's own row reduction, so the comparison is bitwise."""
     y = xd - xd.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= nm._row_sum(y)
     return y
 
 
 def _shifted_softmax_vjp(y, g):
     dx = g * y
-    dot = dx.sum(axis=-1, keepdims=True)
-    np.subtract(g, dot, out=dx)
+    np.subtract(g, nm._row_sum(dx), out=dx)
     dx *= y
     return dx
 
@@ -119,6 +119,10 @@ _UNGUARDED_ROWS = {
     "all -200": [[-200.0, -200.0, -200.0], [0.5, -0.5, 0.0]],
     "straddles the bound": [[1.0, 2.0, 3.0], [0.0, nm._EXP_SAFE * 1.01, -1.0]],
     "nan": [[0.0, np.nan, 1.0], [1.0, 2.0, 3.0]],
+    # a score row's width at the paper shape: summation orders disagree here,
+    # where every order gives the same bits over 3 values
+    "43 wide": [[100.0 + 3.0 * math.sin(j) for j in range(43)],
+                [math.cos(3.0 * j) for j in range(43)]],
 }
 
 
@@ -186,6 +190,67 @@ def test_layer_norm_vs_float64_oracle(rng):
     var = x64.var(axis=-1, keepdims=True)
     want = (x64 - mu) / np.sqrt(var + 1e-5) * gain + bias
     assert np.max(np.abs(got - want)) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# row reductions: a row gives the same bits wherever it sits
+
+_ROW_OPS = {
+    "softmax": lambda x, p: nm.softmax(x),
+    "layer_norm": lambda x, p: nm.layer_norm(x, p["gain"], p["bias"]),
+}
+
+
+def _row_op(name, xd, g, p):
+    out = _ROW_OPS[name](Tensor(xd, requires_grad=True), p)
+    return out.data, out._vjp(g)[0]
+
+
+def _check_rows_in_slices(name, xd, g, p, sizes, want):
+    """Consecutive slices of each size along the leading axis, the last one
+    shorter, give the bits of `want` (the whole stack's forward and dx)."""
+    for k in sizes:
+        for i in range(0, len(xd), k):
+            out, dx = _row_op(name, xd[i:i + k], g[i:i + k], p)
+            where = f"{name}, slice of {k} at {i}"
+            np.testing.assert_array_equal(out, want[0][i:i + k], err_msg=f"{where}: forward")
+            np.testing.assert_array_equal(dx, want[1][i:i + k], err_msg=f"{where}: vjp")
+
+
+def _row_inputs(shape, dtype, rng):
+    xd = rng.normal(scale=3.0, size=shape).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    p = {k: Tensor(rng.normal(size=shape[-1]).astype(dtype), requires_grad=True)
+         for k in ("gain", "bias")}
+    return xd, g, p
+
+
+_ROW_SLICES = (1, 2, 3, 5, 43, 301)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [5, 32, 43, 64])
+@pytest.mark.parametrize("name", sorted(_ROW_OPS))
+def test_a_row_gives_the_same_bits_alone_and_in_any_slice_of_a_stack(name, width,
+                                                                      dtype, rng):
+    # the chunk rule's bitwise claim rests on this: a row sum whose order
+    # depends on the row's place in the stack (a BLAS `y @ ones`) fails it
+    xd, g, p = _row_inputs((301, width), dtype, rng)
+    _check_rows_in_slices(name, xd, g, p, _ROW_SLICES, _row_op(name, xd, g, p))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6, 7, 43, 64), (6, 7, 4, 43, 43)])
+@pytest.mark.parametrize("name", sorted(_ROW_OPS))
+def test_a_row_of_a_chunk_shape_gives_the_same_bits_in_any_slice(name, shape, dtype, rng):
+    # a paper-shape chunk's token and score arrays: their windows in slices
+    # along the batch axis, and their rows alone and in slices of the stack
+    xd, g, p = _row_inputs(shape, dtype, rng)
+    out, dx = _row_op(name, xd, g, p)
+    _check_rows_in_slices(name, xd, g, p, (1, 2, 3, 5), (out, dx))
+    rows = (-1, shape[-1])
+    _check_rows_in_slices(name, xd.reshape(rows), g.reshape(rows), p, _ROW_SLICES,
+                          (out.reshape(rows), dx.reshape(rows)))
 
 
 # ---------------------------------------------------------------------------

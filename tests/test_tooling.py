@@ -138,3 +138,19 @@ def test_tiny_desk_ablation_calls_every_layer_its_traced_run_requires(tmp_path):
         tracer.uninstall()
     assert [r.status for r in records] == ["ok"] * 7
     assert tracer.usage_problems(desk.uses, desk.never_uses) == []
+
+
+def test_rows_are_reduced_only_through_the_numerics_helper():
+    # `numerics._row_sum` is the one row reduction of softmax and layer_norm:
+    # numpy's sum/mean is slow over rows of 5-64 values, and a second path
+    # could sum a row in another order (the shifted softmax's row max is fine)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "injecttst")
+    last_axis = re.compile(r"\.(?:sum|mean)\((?:axis=)?-1\b|np\.(?:sum|mean)\([^)]*axis=-1\b")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            found += [f"{name}:{i}: {line.strip()}" for i, line in enumerate(fh, 1)
+                      if last_axis.search(line.split("#", 1)[0])]
+    assert hasattr(nm, "_row_sum") and not found, found
