@@ -252,20 +252,15 @@ def mean(x: Tensor) -> Tensor:
 
 
 def _row_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
-    """The sums over the last axis of `a`, or of `a * b` for a `b` of `a`'s
-    shape or of `a`'s last axis alone, as a (..., 1) column.
+    """The sums over the last axis of `a`, or of `a * b` (`b` broadcast to
+    `a`), as a (..., 1) column.
 
     The one row reduction of `softmax` and `layer_norm`. numpy's `sum` and
     `mean` are several times slower over rows of 5-64 values. A BLAS row sum
     (`a @ ones`) sums a row in an order that depends on where the row sits
     in the stack, so a chunk of windows would not give the bits of the whole
     batch; einsum sums every row alike."""
-    if b is None:
-        s = np.einsum("...j->...", a)
-    elif b.ndim == 1:
-        s = np.einsum("...j,j->...", a, b)
-    else:
-        s = np.einsum("...j,...j->...", a, b)
+    s = np.einsum("...j->...", a) if b is None else np.einsum("...j,...j->...", a, b)
     return s[..., None]
 
 
