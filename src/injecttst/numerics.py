@@ -115,14 +115,27 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
     return a, b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
 
 
+def _col_sum(a: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+    """The sums of `a` over `axes`, keeping its other axes in order.
+
+    The one sum over leading axes: of a gradient over the axes its operand
+    was broadcast along (bias, gain and embedding gradients, summed over
+    every token row), and of the evaluation's errors over the windows.
+    numpy's `sum` over leading axes takes 1.5-2.2 times as long at the desk
+    and paper token shapes; einsum adds the rows of a compact array in the
+    same order, so the bits are those of `sum`."""
+    axes = set(axes)
+    return np.einsum(a, list(range(a.ndim)), [i for i in range(a.ndim) if i not in axes])
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to `shape` after numpy broadcasting."""
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = _col_sum(g, range(extra))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = _col_sum(g, axes).reshape(shape)
     return g
 
 
@@ -173,8 +186,9 @@ def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
         bt = np.swapaxes(b.data, -1, -2)
         if bt.ndim == 2:
             # numpy's stacked product is 2-3x slower on a transposed
-            # (F-ordered) 2-D weight than on a compact copy of it; batched
-            # operands ran slower with the copy
+            # (F-ordered) 2-D weight than on a compact copy of it; a batched
+            # operand, which no model product has, is not copied: over a
+            # stack of small matrices the copy costs more than it saves
             bt = np.ascontiguousarray(bt)
         ga = _unbroadcast(g @ bt, a.data.shape)
     if b.requires_grad:
@@ -310,10 +324,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     data += bias.data
 
     def vjp(g):
-        reduce_axes = tuple(range(g.ndim - 1))
+        lead = range(g.ndim - 1)
         tmp = g * xhat
-        dgain = tmp.sum(axis=reduce_axes)
-        dbias = g.sum(axis=reduce_axes)
+        dgain = _col_sum(tmp, lead)
+        dbias = _col_sum(g, lead)
         # the row means of g*gain*xhat and g*gain, as dot products with gain/D
         w = gain.data / d
         proj = _row_sum(tmp, w)
@@ -443,8 +457,9 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     scale = np.asarray(1.0 / math.sqrt(qd.shape[-1] // heads), dtype=qd.dtype)
     qs = qd.reshape(flat) * scale
     qh, kh, vh = _heads(qs, heads), _heads(kd, heads), _heads(vd, heads)
-    # the module binding, so that a wrapped softmax sees every call
-    attn = softmax(np.matmul(qh, kh.swapaxes(-1, -2))).data
+    # the module binding, so that a wrapped softmax sees every call; the
+    # transposed key heads are copied compact (the product rule)
+    attn = softmax(np.matmul(qh, np.ascontiguousarray(kh.swapaxes(-1, -2)))).data
     if capture is not None:
         # a shared context's (B, H, M*Sq, Sk) weights are shown as (B, M, H, Sq, Sk)
         lead = attn.shape[:-3]
@@ -460,7 +475,9 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
         # head (Dao et al., arXiv 2205.14135): a sum over dh values, not Sk
         split = (*qs.shape[:-1], heads, -1)
         dot = np.einsum("...shd,...shd->...hs", g.reshape(split), out.reshape(split))
-        ds = np.matmul(gh, vh.swapaxes(-1, -2))
+        # compact transposed value heads, as for the keys; the transposes of
+        # dS and of the weights below stay views, whose copies cost more
+        ds = np.matmul(gh, np.ascontiguousarray(vh.swapaxes(-1, -2)))
         ds -= dot[..., None]
         ds *= attn
         dq = dk = dv = None

@@ -66,7 +66,7 @@ _ADAM_EPS = 1e-8
 class OptimState:
     """Adam's learning rate and state. The first step lays every parameter
     out in one flat array: `layout` maps each name to its shape, in order,
-    and `offsets` holds where each parameter after the first starts. `m` and
+    and `bounds` holds each parameter's (start, stop) in it. `m` and
     `v` are the flat moments; `grad` and `work` are scratch arrays of the
     same size, reused so that no step allocates (and page-faults in) fresh
     ones."""
@@ -77,7 +77,7 @@ class OptimState:
     grad: Optional[np.ndarray] = None
     work: Optional[np.ndarray] = None
     layout: dict[str, tuple] = field(default_factory=dict)
-    offsets: list[int] = field(default_factory=list)
+    bounds: list[tuple[int, int]] = field(default_factory=list)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
@@ -96,8 +96,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if not grads:
             raise ContractError("adam_step needs at least one gradient")
         opt.layout = {name: params[name].data.shape for name in grads}
-        ends = np.cumsum([math.prod(shape) for shape in opt.layout.values()])
-        opt.offsets = [int(e) for e in ends[:-1]]
+        ends = np.cumsum([0] + [math.prod(shape) for shape in opt.layout.values()])
+        opt.bounds = [(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
         dtype = params[next(iter(grads))].data.dtype
         opt.m, opt.v, opt.grad, opt.work = (np.zeros(int(ends[-1]), dtype) for _ in range(4))
     elif grads.keys() != opt.layout.keys():
@@ -114,8 +114,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     except TypeError:
         raise ContractError(f"adam_step needs every parameter and gradient in {opt.m.dtype}") from None
     if not np.isfinite(g).all():
-        bad = next(name for name, part in zip(opt.layout, np.split(g, opt.offsets))
-                   if not np.isfinite(part).all())
+        bad = next(name for name, (a, b) in zip(opt.layout, opt.bounds)
+                   if not np.isfinite(g[a:b]).all())
         raise TrainingDiverged(f"non-finite gradient for parameter {bad!r}")
 
     opt.step += 1
@@ -138,8 +138,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     update /= work
     update *= opt.lr
     w -= update                                   # w is this step's own copy
-    for p, part, shape in zip(ps, np.split(w, opt.offsets), shapes):
-        p.data = part.reshape(shape)
+    for p, (a, b), shape in zip(ps, opt.bounds, shapes):
+        p.data = w[a:b].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +379,8 @@ def _aggregate(pred_target_pairs) -> EvalReport:
             M, T = err.shape[1], err.shape[2]
             sq_sum = np.zeros((M, T))
             abs_sum = np.zeros((M, T))
-        sq_sum += (err ** 2).sum(axis=0)
-        abs_sum += np.abs(err).sum(axis=0)
+        sq_sum += nm._col_sum(err ** 2, [0])
+        abs_sum += nm._col_sum(np.abs(err), [0])
         n_windows += err.shape[0]
     if n_windows == 0:
         raise SizingError("evaluation stream is empty")

@@ -340,23 +340,37 @@ def _split_heads_chain(x, heads):
                         tuple(range(k)) + (k + 1, k, k + 2))
 
 
+def _compact(x):
+    """The identity as a graph op whose value is a compact copy: the node
+    multiplies by a compact transposed key, and numpy's float64 product
+    rounds differently over a strided operand."""
+    return nm._node(np.ascontiguousarray(x.data), "compact", (x,), lambda g: (g,))
+
+
 def _reference_attention(q, k, v, heads, capture):
-    """Multi-head attention as a chain of graph ops: split the heads, give a
-    shared context broadcast axes after its batch axis, scale q, multiply,
-    softmax, multiply and merge the heads."""
+    """Multi-head attention as a chain of graph ops: join the query axes
+    after the batch axis under a shared context, split the heads, scale q,
+    multiply by the compact transposed keys, softmax, multiply, merge the
+    heads and restore the query axes. The products have the node's shapes:
+    a float64 BLAS product rounds a row by its place in the matrix."""
+    qshape = q.shape
+    joined = k.data.ndim < q.data.ndim
+    if joined:
+        q = nm.reshape(q, (qshape[0], -1, qshape[-1]))
     qh, kh, vh = (_split_heads_chain(x, heads) for x in (q, k, v))
-    extra = (1,) * (qh.data.ndim - kh.data.ndim)
-    if extra:
-        kh = nm.reshape(kh, kh.shape[:1] + extra + kh.shape[1:])
-        vh = nm.reshape(vh, vh.shape[:1] + extra + vh.shape[1:])
     qh = nm.mul(qh, 1.0 / math.sqrt(qh.shape[-1]))
-    kt = nm.transpose(kh, tuple(range(kh.data.ndim - 2)) + (kh.data.ndim - 1, kh.data.ndim - 2))
+    n = kh.data.ndim
+    kt = _compact(nm.transpose(kh, tuple(range(n - 2)) + (n - 1, n - 2)))
     attn = nm.softmax(nm.matmul(qh, kt))
-    capture.append(attn.data)
+    if joined:
+        # the node captures a shared context's weights per query, (B, ..., H, Sq, Sk)
+        capture.append(np.moveaxis(attn.data.reshape(qshape[0], heads, *qshape[1:-1], -1), 1, -3))
+    else:
+        capture.append(attn.data)
     out = nm.matmul(attn, vh)
     *lead, h, s, dh = out.shape
     perm = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    return nm.reshape(nm.transpose(out, perm), (*lead, s, h * dh))
+    return nm.reshape(nm.transpose(out, perm), qshape)
 
 
 _ATTENTION_SHAPES = {
@@ -393,6 +407,38 @@ def test_attention_node_equals_the_op_chain(case, dtype, rng):
         assert g.dtype == dtype and g.shape == want_grads[name].shape
         scale = np.max(np.abs(want_grads[name]))
         assert np.max(np.abs(g - want_grads[name])) <= tol * scale, name
+
+
+_ATTENTION_CHUNKS = {
+    # (query shape, context shape) of a paper-shape chunk of 6 windows
+    "ci": ((6, 7, 43, 64), (6, 7, 43, 64)),
+    "sca pat": ((6, 7, 43, 64), (6, 43, 64)),
+    "sca cat": ((6, 7, 43, 64), (6, 7, 64)),
+    "mix": ((6, 43, 64), (6, 43, 64)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(_ATTENTION_CHUNKS))
+def test_attention_gives_a_window_the_same_bits_alone_and_in_any_slice(case, dtype, rng):
+    # the chunk rule's bitwise claim for the node: a product that rounded a
+    # window by its place in the stack (as `@ ones` did a row) fails here
+    qshape, kshape = _ATTENTION_CHUNKS[case]
+    q, k, v, g = (rng.normal(size=shape).astype(dtype)
+                  for shape in (qshape, kshape, kshape, qshape))
+
+    def run(s):
+        out = nm.scaled_dot_attention(*(Tensor(a[s], requires_grad=True) for a in (q, k, v)),
+                                      heads=4)
+        return (out.data, *out._vjp(g[s]))
+
+    whole = run(slice(None))
+    for size in (1, 2, 3, 5):
+        for i in range(0, qshape[0], size):
+            s = slice(i, i + size)
+            for name, got, want in zip(("output", "dq", "dk", "dv"), run(s), whole):
+                np.testing.assert_array_equal(got, want[s],
+                                              err_msg=f"{name}, slice of {size} at {i}")
 
 
 def test_grad_check_multi_head_attention_over_a_shared_context(rng):

@@ -140,17 +140,40 @@ def test_tiny_desk_ablation_calls_every_layer_its_traced_run_requires(tmp_path):
     assert tracer.usage_problems(desk.uses, desk.never_uses) == []
 
 
-def test_rows_are_reduced_only_through_the_numerics_helper():
-    # `numerics._row_sum` is the one row reduction of softmax and layer_norm:
-    # numpy's sum/mean is slow over rows of 5-64 values, and a second path
-    # could sum a row in another order (the shifted softmax's row max is fine)
+def _src_lines_matching(pattern: re.Pattern) -> list[str]:
+    """`file:line: text` for each line of `src/injecttst/*.py` whose code,
+    the part before any `#`, matches `pattern`."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "injecttst")
-    last_axis = re.compile(r"\.(?:sum|mean)\((?:axis=)?-1\b|np\.(?:sum|mean)\([^)]*axis=-1\b")
     found = []
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(src, name)) as fh:
             found += [f"{name}:{i}: {line.strip()}" for i, line in enumerate(fh, 1)
-                      if last_axis.search(line.split("#", 1)[0])]
+                      if pattern.search(line.split("#", 1)[0])]
+    return found
+
+
+def test_rows_are_reduced_only_through_the_numerics_helper():
+    # `numerics._row_sum` is the one row reduction of softmax and layer_norm:
+    # numpy's sum/mean is slow over rows of 5-64 values, and a second path
+    # could sum a row in another order (the shifted softmax's row max is fine)
+    last_axis = re.compile(r"\.(?:sum|mean)\((?:axis=)?-1\b|np\.(?:sum|mean)\([^)]*axis=-1\b")
+    found = _src_lines_matching(last_axis)
     assert hasattr(nm, "_row_sum") and not found, found
+
+
+# a sum over axis 0, over a tuple that starts at 0, or over axes held in a name
+_LEADING_AXES_SUM = re.compile(r"(?:\.sum\(|np\.sum\([^)]*,\s*)axis=(?:0\b|\(0\b|[A-Za-z_])")
+
+
+def test_leading_axes_are_reduced_only_through_the_numerics_helper():
+    # `numerics._col_sum` is the one sum over leading axes (bias, gain and
+    # embedding gradients, the evaluation's per-window sums): numpy's `sum`
+    # takes up to twice as long there. The forms it replaced must match.
+    for line in ("g = g.sum(axis=tuple(range(extra)))", "g = g.sum(axis=axes, keepdims=True)",
+                 "dgain = tmp.sum(axis=reduce_axes)", "sq_sum += (err ** 2).sum(axis=0)",
+                 "np.sum(g, axis=(0, 1))"):
+        assert _LEADING_AXES_SUM.search(line), line
+    found = _src_lines_matching(_LEADING_AXES_SUM)
+    assert hasattr(nm, "_col_sum") and not found, found
