@@ -35,8 +35,10 @@ class SeriesTable:
 
 @dataclass
 class WindowBatch:
-    history: np.ndarray             # (B, L, M)
-    target: np.ndarray              # (B, T, M)
+    """Channel-major windows, views of one (B, M, L + T) gather."""
+
+    history: np.ndarray             # (B, M, L)
+    target: np.ndarray              # (B, M, T)
 
     @property
     def size(self) -> int:
@@ -59,7 +61,7 @@ def load_csv(path: str) -> SeriesTable:
     """Load a series table; raises DataError with the offending row number."""
     if not os.path.isfile(path):
         raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -145,8 +147,9 @@ def window_count(rows: int, L: int, T: int) -> int:
 
 def make_windows(table: SeriesTable, L: int, T: int, batch_size: int,
                  rng: Optional[np.random.Generator] = None) -> Iterator[WindowBatch]:
-    """Yield stride-1 (history, target) window batches, shuffled by `rng`
-    when one is given (training streams) and in source order otherwise."""
+    """Yield stride-1 channel-major (history, target) window batches,
+    shuffled by `rng` when one is given (training streams) and in source
+    order otherwise."""
     n = window_count(table.rows, L, T)
     if n < 1:
         raise SizingError(f"need at least {L + T} rows for L={L}, T={T}, got {table.rows}")
@@ -155,14 +158,10 @@ def make_windows(table: SeriesTable, L: int, T: int, batch_size: int,
     starts = np.arange(n)
     if rng is not None:
         starts = rng.permutation(starts)
-    values = table.values
-    hist_idx = np.arange(L)
-    tgt_idx = np.arange(T)
+    spans = np.lib.stride_tricks.sliding_window_view(table.values, L + T, axis=0)
     for i in range(0, n, batch_size):
-        s = starts[i:i + batch_size]
-        history = values[s[:, None] + hist_idx]                # (B, L, M)
-        target = values[s[:, None] + L + tgt_idx]              # (B, T, M)
-        yield WindowBatch(history=history, target=target)
+        windows = spans[starts[i:i + batch_size]]              # (B, M, L+T)
+        yield WindowBatch(history=windows[:, :, :L], target=windows[:, :, L:])
 
 
 def patch_count(L: int, PL: int) -> int:
@@ -172,23 +171,20 @@ def patch_count(L: int, PL: int) -> int:
 
 
 def patchify(history: np.ndarray, PL: int) -> PatchSet:
-    """Slice each channel into non-overlapping PL-long patches, so no masked
-    patch's values lie in another, after end-padding with PL repeats of the
-    final value (this padding is what yields the +2 in the patch count)."""
-    B, L, M = history.shape
+    """Slice each channel of a (B, M, L) history into non-overlapping PL-long
+    patches, so no masked patch's values lie in another, after end-padding it
+    with its final value to PN * PL values (the +2 in the patch count)."""
+    B, M, L = history.shape
     PN = patch_count(L, PL)
-    pad = np.repeat(history[:, -1:, :], PL, axis=1)
-    padded = np.concatenate([history, pad], axis=1)            # (B, L+PL, M)
-    patches = padded[:, :PN * PL].reshape(B, PN, PL, M)
-    patches = patches.transpose(0, 3, 1, 2).copy()             # (B, M, PN, PL)
-    mask = np.zeros((B, M, PN), dtype=bool)
-    return PatchSet(patches=patches, mask=mask)
+    pad = np.repeat(history[:, :, -1:], PN * PL - L, axis=2)
+    patches = np.concatenate([history, pad], axis=2).reshape(B, M, PN, PL)
+    return PatchSet(patches=patches, mask=np.zeros((B, M, PN), dtype=bool))
 
 
 def sequence_from_patches(ps: PatchSet, L: int) -> np.ndarray:
-    """The (B, L, M) sequence behind the patches, as a view of them."""
+    """The (B, M, L) sequence behind the patches, as a view of them."""
     B, M, PN, PL = ps.patches.shape
-    return ps.patches.reshape(B, M, PN * PL)[:, :, :L].transpose(0, 2, 1)
+    return ps.patches.reshape(B, M, PN * PL)[:, :, :L]
 
 
 def mask_count(ratio: float, PN: int) -> int:

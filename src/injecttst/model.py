@@ -200,12 +200,12 @@ def ci_encode(tokens: Tensor, params: dict, cfg: ModelConfig,
 
 def global_mix_cat(history: np.ndarray, params: dict, cfg: ModelConfig,
                    trace: Optional[dict] = None, rng=None) -> Tensor:
-    """Whole-channel tokens: one projection of each channel's full history,
-    mixed by attention across the M channel tokens."""
-    B, L, M = history.shape
+    """Whole-channel tokens: one projection of each channel's full (B, M, L)
+    history, mixed by attention across the M channel tokens."""
+    B, M, L = history.shape
     if (L, M) != (cfg.L, cfg.M):
         raise ShapeError(f"history {history.shape} inconsistent with config (L={cfg.L}, M={cfg.M})")
-    x = nm.constant(history.transpose(0, 2, 1), params_dtype(params))   # (B, M, L)
+    x = nm.constant(history, params_dtype(params))
     mixed = nm.matmul(x, params["mix_proj"])                            # (B, M, D)
     if cfg.use_channel_identifier:
         mixed = mixed + params["chan_embed"]
@@ -253,9 +253,9 @@ def pretrain_head(z_out: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
 
 def normalize_last_value(batch: WindowBatch, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Subtract each window's final history value per channel; returns the
-    normalized (B, L, M) history and the (B, M) last values."""
+    normalized (B, M, L) history and the (B, M) last values."""
     history = batch.history.astype(dtype, copy=False)
-    return history - history[:, -1:, :], history[:, -1, :]
+    return history - history[:, :, -1:], history[:, :, -1]
 
 
 def _trunk(ps: PatchSet, params: dict, cfg: ModelConfig, trace: Optional[dict], rng) -> Tensor:
@@ -287,7 +287,7 @@ def forward_forecast(batch: WindowBatch, params: dict, cfg: ModelConfig,
     and added back to its prediction, so an all-zero network degenerates to
     the persistence forecast.
     """
-    B, L, M = batch.history.shape
+    B, M, L = batch.history.shape
     if (L, M) != (cfg.L, cfg.M):
         raise ShapeError(f"batch history {batch.history.shape} inconsistent with "
                          f"config (L={cfg.L}, M={cfg.M})")

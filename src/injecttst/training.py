@@ -20,7 +20,7 @@ from . import numerics as nm
 from .checkpoint import save_checkpoint
 from .data import (PatchSet, SeriesTable, WindowBatch, make_windows, mask_patches,
                    patchify, split, standardize, with_history)
-from .errors import ConfigError, ContractError, SizingError, TrainingDiverged
+from .errors import ConfigError, ContractError, TrainingDiverged
 from .model import (ModelConfig, forward_forecast, forward_pretrain,
                     normalize_last_value, params_dtype)
 from .numerics import Tensor
@@ -256,8 +256,7 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
         """What the network reads of a batch, and the loss of an output for
         windows `s` of it."""
         if stage != "pretrain":
-            target = batch.target.transpose(0, 2, 1)
-            return batch, lambda output, s: forecast_loss(output, target[s])
+            return batch, lambda output, s: forecast_loss(output, batch.target[s])
         history_n, _ = normalize_last_value(batch, dtype)
         ps = patchify(history_n, cfg.PL)
         masked = mask_patches(ps, sched.mask_ratio, mask_seed)
@@ -369,21 +368,19 @@ class EvalReport:
     seconds: float
 
 
-def _aggregate(pred_target_pairs) -> EvalReport:
+def _score(data: DataSplits, L: int, T: int, batch_size: int,
+           predict: Callable[[WindowBatch], np.ndarray]) -> EvalReport:
+    """MSE/MAE of `predict`'s (B, M, T) forecasts over the ordered test
+    stream, in the space of the prepared tables."""
     t0 = time.perf_counter()
-    sq_sum = None
+    sq_sum = np.zeros((data.test_ext.channels, T))
+    abs_sum = np.zeros_like(sq_sum)
     n_windows = 0
-    for pred, target in pred_target_pairs:                    # both (B, M, T)
-        err = (pred.astype(np.float64) - target.astype(np.float64))
-        if sq_sum is None:
-            M, T = err.shape[1], err.shape[2]
-            sq_sum = np.zeros((M, T))
-            abs_sum = np.zeros((M, T))
+    for batch in make_windows(data.test_ext, L, T, batch_size):
+        err = predict(batch).astype(np.float64) - batch.target.astype(np.float64)
         sq_sum += nm._col_sum(err ** 2, [0])
         abs_sum += nm._col_sum(np.abs(err), [0])
-        n_windows += err.shape[0]
-    if n_windows == 0:
-        raise SizingError("evaluation stream is empty")
+        n_windows += batch.size
     mse_mt = sq_sum / n_windows
     return EvalReport(
         mse=float(mse_mt.mean()), mae=float((abs_sum / n_windows).mean()),
@@ -391,15 +388,6 @@ def _aggregate(pred_target_pairs) -> EvalReport:
         per_channel_mse=[float(x) for x in mse_mt.mean(axis=1)],
         n_windows=n_windows,
         seconds=round(time.perf_counter() - t0, 3))
-
-
-def _score(data: DataSplits, L: int, T: int, batch_size: int,
-           predict: Callable[[WindowBatch], np.ndarray]) -> EvalReport:
-    """MSE/MAE of `predict`'s (B, M, T) forecasts over the ordered test
-    stream, in the space of the prepared tables."""
-    pairs = ((predict(batch), batch.target.transpose(0, 2, 1))
-             for batch in make_windows(data.test_ext, L, T, batch_size))
-    return _aggregate(pairs)
 
 
 def evaluate(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
@@ -418,4 +406,4 @@ def evaluate_persistence(data: DataSplits, L: int, T: int,
                          batch_size: int = 64) -> EvalReport:
     """Persistence baseline: the last observed value repeated over the horizon."""
     return _score(data, L, T, batch_size,
-                  lambda batch: np.repeat(batch.history[:, -1, :, None], T, axis=2))
+                  lambda batch: np.repeat(batch.history[:, :, -1:], T, axis=2))

@@ -44,7 +44,7 @@ def _tiny_batch(cfg=TINY, seed=1, B=2):
     rng = np.random.default_rng(seed)
     hist = rng.normal(size=(B, cfg.L, cfg.M)).astype(np.float32)
     tgt = rng.normal(size=(B, cfg.T, cfg.M)).astype(np.float32)
-    return WindowBatch(history=hist, target=tgt)
+    return WindowBatch(history=hist.transpose(0, 2, 1), target=tgt.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +53,11 @@ def test_criterion_1_full_model_gradients():
     t0 = time.perf_counter()
     params = init_params(TINY, seed=3)
     batch = _tiny_batch()
-    target = batch.target.transpose(0, 2, 1)
 
     def loss_fn(p):
-        total = forecast_loss(forward_forecast(batch, p, TINY), target)
+        total = forecast_loss(forward_forecast(batch, p, TINY), batch.target)
         dtype = p["patch_proj"].data.dtype
-        hist_n = (batch.history.astype(dtype)
-                  - batch.history[:, -1, :].astype(dtype)[:, None, :])
+        hist_n = batch.history.astype(dtype) - batch.history[:, :, -1:].astype(dtype)
         ps = patchify(hist_n, TINY.PL)
         masked = mask_patches(ps, 0.5, seed=42)
         rec = forward_pretrain(masked, p, TINY)
@@ -130,7 +128,7 @@ def test_criterion_2_equation_oracles():
                           ci_layers=1, mix_layers=0,
                           sca_residual=bool(trial % 2))
         params = init_params(cfg, seed=trial)
-        hist = rng.normal(size=(2, cfg.L, M)).astype(np.float32)
+        hist = rng.normal(size=(2, cfg.L, M)).astype(np.float32).transpose(0, 2, 1)
         ps = patchify(hist, cfg.PL)
         W = params["patch_proj"].data.astype(np.float64)
         U = params["pos_embed"].data.astype(np.float64)
@@ -164,7 +162,7 @@ def test_criterion_2_equation_oracles():
             for m in range(M):
                 worst["channel-token mixing"] = max(
                     worst["channel-token mixing"],
-                    _max_abs(got[b, m], hist[b, :, m].astype(np.float64) @ Wm))
+                    _max_abs(got[b, m], hist[b, m].astype(np.float64) @ Wm))
 
         # same-position grouping projection
         got = global_mix_pat(ps, params, cfg).data
@@ -200,7 +198,8 @@ def test_criterion_3_channel_isolation():
     ok = True
     for _ in range(100):
         hist = batch.history.copy()
-        hist[:, :, 1:] += rng.normal(scale=3.0, size=hist[:, :, 1:].shape).astype(np.float32)
+        noise = rng.normal(scale=3.0, size=(2, cfg.L, cfg.M - 1)).astype(np.float32)
+        hist[:, 1:] += noise.transpose(0, 2, 1)
         perturbed = WindowBatch(history=hist, target=batch.target)
         pred = forward_forecast(perturbed, params, cfg).data[:, 0, :]
         if not np.array_equal(pred, base):
@@ -218,7 +217,7 @@ def test_criterion_4_patching_formula():
     ok = patch_count(512, 12) == 43
     for L, want in expected.items():
         ok = ok and patch_count(L, 12) == want
-        history = np.zeros((1, L, 1), dtype=np.float32)
+        history = np.zeros((1, 1, L), dtype=np.float32)
         ok = ok and patchify(history, 12).PN == want
     _report(4, "patch-count formula across history lengths", ok,
             str(sorted(expected.values())))
@@ -228,7 +227,7 @@ def test_criterion_4_patching_formula():
 
 def test_criterion_5_masked_loss_locality():
     rng = np.random.default_rng(0)
-    ps = patchify(rng.normal(size=(3, 48, 4)).astype(np.float32), 12)
+    ps = patchify(rng.normal(size=(3, 48, 4)).astype(np.float32).transpose(0, 2, 1), 12)
     masked = mask_patches(ps, 0.5, seed=5)
     corrupted = ps.patches.copy()
     corrupted[~masked.mask] += rng.normal(scale=10.0,

@@ -42,6 +42,15 @@ def test_load_csv_small(tmp_path):
     np.testing.assert_allclose(table.values, [[1.5, 2], [3, 4], [5, 6.25]])
 
 
+def test_load_csv_accepts_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet exports often start with one
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"\xef\xbb\xbfdate,a\n1,1.5\n2,3\n")
+    table = load_csv(str(p))
+    assert table.channel_names == ["a"]
+    np.testing.assert_array_equal(table.values, [[1.5], [3.0]])
+
+
 def test_load_csv_header_only(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("date,a\n")
@@ -137,7 +146,7 @@ def test_with_history_prepends_context():
     assert np.array_equal(ext.values[:8], tr.values[-8:])
     # every target of the extended stream stays inside the val block
     first = next(make_windows(ext, 8, 2, batch_size=1))
-    assert np.array_equal(first.target[0, 0], va.values[0])
+    assert np.array_equal(first.target[0, :, 0], va.values[0])
 
 
 def test_first_row_of_the_test_split_is_a_target():
@@ -147,7 +156,7 @@ def test_first_row_of_the_test_split_is_a_target():
     data = prepare_data(table, L=8, standardize_inputs=False)
     windows = list(make_windows(data.test_ext, 8, 4, batch_size=64))
     assert sum(w.size for w in windows) == te.rows - 4 + 1 == 17
-    assert np.array_equal(windows[0].target[0, 0], te.values[0])
+    assert np.array_equal(windows[0].target[0, :, 0], te.values[0])
     # a shorter preceding split is prepended whole, and L = 0 prepends nothing
     assert np.array_equal(with_history(va, te, L=12).values, table.values[70:])
     assert np.array_equal(with_history(va, te, L=0).values, te.values)
@@ -198,12 +207,16 @@ def test_windows_vs_index_oracle(rng):
     L, T = 7, 3
     got = []
     for batch in make_windows(table, L, T, batch_size=8):
+        # channel-major views of one gather
+        assert batch.history.shape == (batch.size, 2, L)
+        assert batch.target.shape == (batch.size, 2, T)
+        assert batch.history.base is not None and batch.history.base is batch.target.base
         for i in range(batch.size):
             got.append((batch.history[i], batch.target[i]))
     assert len(got) == 50 - L - T + 1
     for s, (h, t) in enumerate(got):
-        np.testing.assert_array_equal(h, values[s:s + L])
-        np.testing.assert_array_equal(t, values[s + L:s + L + T])
+        np.testing.assert_array_equal(h, values[s:s + L].T)
+        np.testing.assert_array_equal(t, values[s + L:s + L + T].T)
 
 
 def test_windows_too_few_rows():
@@ -233,7 +246,7 @@ def test_window_shuffle_is_seeded():
 def test_patch_count_values(L, PL, S, want):
     assert patch_count(L, PL) == want
     # patch p starts at value p * S, S = PL, or in the end padding past L
-    ps = patchify(np.arange(L, dtype=np.float32)[None, :, None], PL)
+    ps = patchify(np.arange(L, dtype=np.float32)[None, None, :], PL)
     assert np.array_equal(ps.patches[0, 0, :, 0], np.minimum(np.arange(want) * S, L - 1))
 
 
@@ -241,14 +254,14 @@ def test_patch_count_property_over_ranges(rng):
     for _ in range(200):
         PL = int(rng.integers(2, 17))
         L = int(rng.integers(PL, 65))
-        history = rng.normal(size=(1, L, 1)).astype(np.float32)
+        history = rng.normal(size=(1, L, 1)).astype(np.float32).transpose(0, 2, 1)
         ps = patchify(history, PL)
         assert ps.PN == (L - PL) // PL + 2
 
 
 def test_patchify_hand_unrolled():
     channel = np.arange(24, dtype=np.float32)
-    ps = patchify(channel[None, :, None], PL=12)
+    ps = patchify(channel[None, None, :], PL=12)
     assert ps.PN == 3
     np.testing.assert_array_equal(ps.patches[0, 0, 0], channel[:12])
     np.testing.assert_array_equal(ps.patches[0, 0, 1], channel[12:])
@@ -257,13 +270,13 @@ def test_patchify_hand_unrolled():
 
 def test_patchify_rejects_long_patch():
     with pytest.raises(SizingError):
-        patchify(np.zeros((1, 8, 1), dtype=np.float32), PL=12)
+        patchify(np.zeros((1, 1, 8), dtype=np.float32), PL=12)
 
 
 def test_patch_reconstruction_bitwise(rng):
     # at L=50 PL=12 does not divide L: the sequence ends inside the last patch
     for L, PL in ((24, 8), (50, 12)):
-        history = rng.normal(size=(2, L, 3)).astype(np.float32)
+        history = rng.normal(size=(2, L, 3)).astype(np.float32).transpose(0, 2, 1)
         recon = sequence_from_patches(patchify(history, PL=PL), L)
         assert np.array_equal(recon, history)
 
@@ -277,7 +290,7 @@ def test_mask_count_round_half_up():
 
 
 def test_mask_patches_counts_and_locality(rng):
-    history = rng.normal(size=(3, 48, 4)).astype(np.float32)
+    history = rng.normal(size=(3, 48, 4)).astype(np.float32).transpose(0, 2, 1)
     ps = patchify(history, PL=12)
     masked = mask_patches(ps, 0.5, seed=9)
     assert masked.mask.sum(axis=-1).min() == masked.mask.sum(axis=-1).max() == 3  # round(0.5*5)
@@ -289,7 +302,7 @@ def test_mask_patches_counts_and_locality(rng):
 
 
 def test_mask_patches_deterministic_by_seed(rng):
-    ps = patchify(rng.normal(size=(2, 48, 3)).astype(np.float32), 12)
+    ps = patchify(rng.normal(size=(2, 48, 3)).astype(np.float32).transpose(0, 2, 1), 12)
     a = mask_patches(ps, 0.5, seed=3)
     b = mask_patches(ps, 0.5, seed=3)
     c = mask_patches(ps, 0.5, seed=4)
@@ -298,7 +311,7 @@ def test_mask_patches_deterministic_by_seed(rng):
 
 
 def test_mask_patches_rejects_degenerate_ratio(rng):
-    ps = patchify(rng.normal(size=(1, 24, 1)).astype(np.float32), 12)
+    ps = patchify(rng.normal(size=(1, 24, 1)).astype(np.float32).transpose(0, 2, 1), 12)
     with pytest.raises(ContractError):
         mask_patches(ps, 0.0, seed=0)
     with pytest.raises(ContractError):

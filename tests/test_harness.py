@@ -13,7 +13,7 @@ from injecttst import harness
 from injecttst.checkpoint import save_checkpoint
 from injecttst.cli import main as cli_main
 from injecttst.data import SPLITS, SeriesTable, split
-from injecttst.errors import ConfigError, ContractError, SizingError
+from injecttst.errors import CheckpointError, ConfigError, ContractError, SizingError
 from injecttst.harness import (BASELINE_VARIANT, VARIANT_FLAGS, RunConfig,
                                append_records, config_digest, load_config, model_config,
                                parse_config, run_ablation, run_single,
@@ -874,6 +874,29 @@ def test_cli_evaluate_rejects_a_checkpoint_of_another_variant(tmp_path, capsys):
         assert cli_main(argv) == 1
         assert "CheckpointError" in capsys.readouterr().err
     assert len(open(os.path.join(str(tmp_path / "runs"), "results.ndjson")).readlines()) == 1
+
+
+# Names and shapes do not pin down the architecture: each of these loads
+# succeeds and silently scores another model until checkpoints record it
+_ANOTHER_ARCHITECTURE = [({}, {"variant": "pat-rc"}), ({}, {"heads": 2}),
+                         ({"PL": 24}, {"variant": "cat"})]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("settings,change", _ANOTHER_ARCHITECTURE,
+                         ids=["pat-as-pat-rc", "heads-4-as-2", "pat-as-cat-L=M*PL"])
+def test_a_checkpoint_of_another_architecture_is_refused(tmp_path, settings, change):
+    # a desk pat run (the README demo config), trained for one head epoch
+    rc = RunConfig(data_path="synthetic:lead-lag:rows=900,lag=6,seed=7", L=48, T=8, D=32,
+                   ci_layers=1, batch_size=32, out=str(tmp_path), profile="desk",
+                   **{**harness.PROFILES["desk"], "head_epochs": 1}, **settings)
+    *_, path = harness.train_run(rc, stages=("head",))
+    other = replace(rc, **change)
+    if other.variant == "cat":
+        # the cat mixer's projection then has the rows of the pat mixer's
+        assert other.L == 2 * other.PL
+    with pytest.raises(CheckpointError):
+        harness.train_run(other, stages=(), checkpoint=path)
 
 
 @pytest.mark.parametrize("command", ["finetune", "evaluate"])

@@ -29,7 +29,7 @@ def _batch(cfg=CFG, seed=1, B=2):
     rng = np.random.default_rng(seed)
     hist = rng.normal(size=(B, cfg.L, cfg.M)).astype(np.float32)
     tgt = rng.normal(size=(B, cfg.T, cfg.M)).astype(np.float32)
-    return WindowBatch(history=hist, target=tgt)
+    return WindowBatch(history=hist.transpose(0, 2, 1), target=tgt.transpose(0, 2, 1))
 
 
 def _zero_params(params):
@@ -91,8 +91,8 @@ def test_every_allocated_tensor_gets_a_gradient(tag):
     cfg = replace(CFG, **VARIANT_FLAGS[tag])
     params = _params(cfg)
     batch = _batch(cfg)
-    loss = forecast_loss(forward_forecast(batch, params, cfg), batch.target.transpose(0, 2, 1))
-    ps = patchify(batch.history - batch.history[:, -1:, :], cfg.PL)
+    loss = forecast_loss(forward_forecast(batch, params, cfg), batch.target)
+    ps = patchify(batch.history - batch.history[:, :, -1:], cfg.PL)
     masked = mask_patches(ps, 0.5, seed=0)
     nm.backward(loss + masked_mse(forward_pretrain(masked, params, cfg), ps.patches, masked.mask))
     assert not [k for k in params if k.endswith("attn.bk")]
@@ -114,7 +114,7 @@ def test_variants_share_their_common_tensors_bitwise():
 def test_embed_zero_everything_is_zero():
     params = _params()
     _zero_params(params)
-    ps = patchify(np.zeros((2, CFG.L, CFG.M), dtype=np.float32), CFG.PL)
+    ps = patchify(np.zeros((2, CFG.M, CFG.L), dtype=np.float32), CFG.PL)
     out = embed_patches(ps, params, CFG)
     np.testing.assert_array_equal(out.data, 0.0)
 
@@ -122,7 +122,7 @@ def test_embed_zero_everything_is_zero():
 def test_embed_ignores_identifier_when_disabled(rng):
     cfg = replace(CFG, use_channel_identifier=False)
     params = _params()
-    ps = patchify(rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32), cfg.PL)
+    ps = patchify(rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32).transpose(0, 2, 1), cfg.PL)
     before = embed_patches(ps, params, cfg).data.copy()
     params["chan_embed"].data = rng.normal(size=params["chan_embed"].data.shape).astype(np.float32)
     after = embed_patches(ps, params, cfg).data
@@ -131,7 +131,7 @@ def test_embed_ignores_identifier_when_disabled(rng):
 
 def test_embed_vs_loop_oracle(rng):
     params = _params()
-    ps = patchify(rng.normal(size=(2, CFG.L, CFG.M)).astype(np.float32), CFG.PL)
+    ps = patchify(rng.normal(size=(2, CFG.L, CFG.M)).astype(np.float32).transpose(0, 2, 1), CFG.PL)
     got = embed_patches(ps, params, CFG).data
     W = params["patch_proj"].data.astype(np.float64)
     U = params["pos_embed"].data.astype(np.float64)
@@ -145,7 +145,7 @@ def test_embed_vs_loop_oracle(rng):
 
 def test_embed_shape_mismatch():
     params = _params()
-    ps = patchify(np.zeros((1, CFG.L, CFG.M + 1), dtype=np.float32), CFG.PL)
+    ps = patchify(np.zeros((1, CFG.M + 1, CFG.L), dtype=np.float32), CFG.PL)
     with pytest.raises(ShapeError):
         embed_patches(ps, params, CFG)
 
@@ -237,7 +237,7 @@ def test_cat_single_channel_attention_weight_is_one(rng):
     cfg = replace(CFG, M=1, mix_mode="cat")
     params = _params(cfg)
     trace = {}
-    hist = rng.normal(size=(2, cfg.L, 1)).astype(np.float32)
+    hist = rng.normal(size=(2, cfg.L, 1)).astype(np.float32).transpose(0, 2, 1)
     global_mix_cat(hist, params, cfg, trace)
     assert list(trace) == [f"mix.{i}.attn" for i in range(cfg.mix_layers)]
     np.testing.assert_allclose(trace["mix.0.attn"], 1.0, atol=1e-7)
@@ -247,12 +247,12 @@ def test_cat_projection_vs_dot_oracle(rng):
     # zero mix layers isolate the per-channel projection
     cfg = replace(CFG, mix_mode="cat", mix_layers=0, use_channel_identifier=False)
     params = _params(cfg)
-    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32)
+    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32).transpose(0, 2, 1)
     got = global_mix_cat(hist, params, cfg).data
     W = params["mix_proj"].data.astype(np.float64)
     for b in range(2):
         for m in range(cfg.M):
-            want = hist[b, :, m].astype(np.float64) @ W
+            want = hist[b, m].astype(np.float64) @ W
             assert np.max(np.abs(got[b, m] - want)) < 1e-5
 
 
@@ -269,8 +269,7 @@ def test_cat_permutation_equivariance(rng):
     for name, p in params.items():
         params_p[name].data = p.data.copy()
     params_p["chan_embed"].data = params["chan_embed"].data[perm]
-    batch_p = WindowBatch(history=batch.history[:, :, perm],
-                          target=batch.target[:, :, perm])
+    batch_p = WindowBatch(history=batch.history[:, perm], target=batch.target[:, perm])
     trace_p = {}
     pred_p = forward_forecast(batch_p, params_p, cfg, trace_p).data
     np.testing.assert_allclose(pred_p, pred[:, perm, :], atol=1e-5)
@@ -287,7 +286,7 @@ def test_pat_grouping_is_channel_major(rng):
     params = _params(cfg)
     params["mix_proj"].data = np.eye(6, dtype=np.float32)
     params["pos_embed"].data = np.zeros_like(params["pos_embed"].data)
-    ps = patchify(rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32), cfg.PL)
+    ps = patchify(rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32).transpose(0, 2, 1), cfg.PL)
     got = global_mix_pat(ps, params, cfg).data
     for b in range(2):
         for p in range(cfg.PN):
@@ -301,7 +300,7 @@ def test_pat_single_channel_grouping_is_identity_reshape(rng):
     params = _params(cfg)
     params["mix_proj"].data = np.eye(3, dtype=np.float32)
     params["pos_embed"].data = np.zeros_like(params["pos_embed"].data)
-    ps = patchify(rng.normal(size=(1, cfg.L, 1)).astype(np.float32), cfg.PL)
+    ps = patchify(rng.normal(size=(1, cfg.L, 1)).astype(np.float32).transpose(0, 2, 1), cfg.PL)
     got = global_mix_pat(ps, params, cfg).data
     np.testing.assert_array_equal(got[0], ps.patches[0, 0])
 
@@ -309,7 +308,7 @@ def test_pat_single_channel_grouping_is_identity_reshape(rng):
 def test_pat_zero_patches_encode_positional_only(rng):
     cfg = replace(CFG, mix_mode="pat")
     params = _params(cfg)
-    ps = patchify(np.zeros((2, cfg.L, cfg.M), dtype=np.float32), cfg.PL)
+    ps = patchify(np.zeros((2, cfg.M, cfg.L), dtype=np.float32), cfg.PL)
     got = global_mix_pat(ps, params, cfg).data
     u = np.broadcast_to(params["pos_embed"].data, (2, cfg.PN, cfg.D))
     want = _encoder(nm.constant(u.copy()), params, "mix", cfg.mix_layers, cfg, None, None).data
@@ -519,15 +518,15 @@ def test_zero_weight_model_predicts_last_values():
     _zero_params(params)
     batch = _batch()
     pred = forward_forecast(batch, params, CFG).data
-    want = np.repeat(batch.history[:, -1, :, None], CFG.T, axis=2)
+    want = np.repeat(batch.history[:, :, -1:], CFG.T, axis=2)
     np.testing.assert_array_equal(pred, want)
 
 
 def test_zero_weight_model_on_constant_history():
     params = _params()
     _zero_params(params)
-    hist = np.full((2, CFG.L, CFG.M), 2.5, dtype=np.float32)
-    batch = WindowBatch(history=hist, target=np.zeros((2, CFG.T, CFG.M), np.float32))
+    hist = np.full((2, CFG.M, CFG.L), 2.5, dtype=np.float32)
+    batch = WindowBatch(history=hist, target=np.zeros((2, CFG.M, CFG.T), np.float32))
     pred = forward_forecast(batch, params, CFG).data
     np.testing.assert_array_equal(pred, 2.5)
 
@@ -538,7 +537,7 @@ def test_forecast_channel_isolation_without_injection(rng):
     batch = _batch(cfg)
     base = forward_forecast(batch, params, cfg).data.copy()
     hist = batch.history.copy()
-    hist[:, :, 2] += rng.normal(size=hist[:, :, 2].shape).astype(np.float32)
+    hist[:, 2] += rng.normal(size=hist[:, 2].shape).astype(np.float32)
     bumped = WindowBatch(history=hist, target=batch.target)
     out = forward_forecast(bumped, params, cfg).data
     assert np.array_equal(out[:, 0], base[:, 0])
@@ -546,8 +545,9 @@ def test_forecast_channel_isolation_without_injection(rng):
 
 
 def test_identifier_separates_identical_channels(rng):
-    hist = np.repeat(rng.normal(size=(2, CFG.L, 1)).astype(np.float32), CFG.M, axis=2)
-    batch = WindowBatch(history=hist, target=np.zeros((2, CFG.T, CFG.M), np.float32))
+    hist = np.repeat(rng.normal(size=(2, CFG.L, 1)).astype(np.float32).transpose(0, 2, 1),
+                     CFG.M, axis=1)
+    batch = WindowBatch(history=hist, target=np.zeros((2, CFG.M, CFG.T), np.float32))
     params = _params()
     trace = {}
     forward_forecast(batch, params, CFG, trace)
@@ -564,7 +564,7 @@ def test_identifier_separates_identical_channels(rng):
 def test_pretrain_output_shape(mix_mode, rng):
     cfg = replace(CFG, mix_mode=mix_mode)
     params = _params(cfg)
-    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32)
+    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32).transpose(0, 2, 1)
     ps = patchify(hist, cfg.PL)
     masked = mask_patches(ps, 0.5, seed=0)
     rec = forward_pretrain(masked, params, cfg)
@@ -575,7 +575,7 @@ def test_masked_values_reach_neither_the_patches_nor_the_cat_mixer(rng, monkeypa
     # patches never overlap, so a masked patch's values lie in no other patch
     # and the pretraining pass cannot read its own target; PL does not divide L
     cfg = ModelConfig(L=50, T=4, M=3, PL=12, D=8, heads=2, ci_layers=1, mix_mode="cat")
-    hist = rng.normal(size=(4, cfg.L, cfg.M)).astype(np.float32)
+    hist = rng.normal(size=(4, cfg.L, cfg.M)).astype(np.float32).transpose(0, 2, 1)
     masked = mask_patches(patchify(hist, cfg.PL), 0.5, seed=3)
     seen = []
     monkeypatch.setattr(model, "global_mix_cat",
@@ -584,14 +584,14 @@ def test_masked_values_reach_neither_the_patches_nor_the_cat_mixer(rng, monkeypa
     (seq,) = seen
     for b, m, p in np.ndindex(masked.mask.shape):
         t = slice(p * cfg.PL, min((p + 1) * cfg.PL, cfg.L))
-        want = 0.0 if masked.mask[b, m, p] else hist[b, t, m]
+        want = 0.0 if masked.mask[b, m, p] else hist[b, m, t]
         np.testing.assert_array_equal(masked.patches[b, m, p, :t.stop - t.start], want)
-        np.testing.assert_array_equal(seq[b, t, m], want)
+        np.testing.assert_array_equal(seq[b, m, t], want)
 
 
 def test_pretrain_runs_without_mask(rng):
     params = _params()
-    ps = patchify(rng.normal(size=(1, CFG.L, CFG.M)).astype(np.float32), CFG.PL)
+    ps = patchify(rng.normal(size=(1, CFG.L, CFG.M)).astype(np.float32).transpose(0, 2, 1), CFG.PL)
     rec = forward_pretrain(ps, params, CFG)     # nothing masked, still well-defined
     assert rec.shape == ps.patches.shape
 
@@ -599,7 +599,7 @@ def test_pretrain_runs_without_mask(rng):
 def test_injection_contributes_after_brief_pretrain(rng):
     cfg = replace(CFG, mix_mode="pat")
     params = _params(cfg, seed=2)
-    hist = rng.normal(size=(8, cfg.L, cfg.M)).astype(np.float32)
+    hist = rng.normal(size=(8, cfg.L, cfg.M)).astype(np.float32).transpose(0, 2, 1)
     ps = patchify(hist, cfg.PL)
     opt = OptimState(lr=1e-3)
     for step in range(30):

@@ -623,12 +623,13 @@ def test_attention_backward_keeps_captured_map_and_gradients(dtype, rng):
 def test_forward_trace_attention_maps_survive_backward(dtype, rng):
     cfg = ModelConfig(L=24, T=4, M=3, PL=8, D=12, heads=2, ci_layers=1, mix_layers=1)
     params = init_params(cfg, 0, dtype=dtype)
-    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype)
-    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype))
+    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype).transpose(0, 2, 1)
+    tgt = rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype).transpose(0, 2, 1)
+    batch = WindowBatch(history=hist, target=tgt)
     trace = {}
     pred = forward_forecast(batch, params, cfg, trace=trace)
     maps = {k: a.copy() for k, a in trace.items() if k.endswith(".attn")}
-    backward(forecast_loss(pred, batch.target.transpose(0, 2, 1)))
+    backward(forecast_loss(pred, batch.target))
     assert list(maps) == ["ci.0.attn", "mix.0.attn", "sca.attn"]
     for name, want in maps.items():
         assert trace[name].dtype == dtype
@@ -771,11 +772,12 @@ def test_grad_table_matches_parameter_shape_and_dtype(dtype, mix_mode, rng):
     cfg = ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2, ci_layers=1,
                       mix_layers=1, mix_mode=mix_mode)
     params = init_params(cfg, 0, dtype=dtype)
-    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype)
-    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype))
+    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(dtype).transpose(0, 2, 1)
+    tgt = rng.normal(size=(2, cfg.T, cfg.M)).astype(dtype).transpose(0, 2, 1)
+    batch = WindowBatch(history=hist, target=tgt)
     ps = patchify(hist, cfg.PL)
     masked = mask_patches(ps, 0.5, seed=0)
-    losses = (forecast_loss(forward_forecast(batch, params, cfg), batch.target.transpose(0, 2, 1)),
+    losses = (forecast_loss(forward_forecast(batch, params, cfg), batch.target),
               masked_mse(forward_pretrain(masked, params, cfg), ps.patches, masked.mask))
     for loss in losses:
         grads = grad_table(loss, params)

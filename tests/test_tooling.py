@@ -53,13 +53,14 @@ def test_one_training_step_calls_every_numerics_layer_a_workload_uses(tag, rng):
     cfg = model.ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2, ci_layers=1,
                             mix_layers=1, **harness.VARIANT_FLAGS[tag])
     params = model.init_params(cfg, 0)
-    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32)
-    batch = WindowBatch(history=hist, target=rng.normal(size=(2, cfg.T, cfg.M)).astype(np.float32))
+    hist = rng.normal(size=(2, cfg.L, cfg.M)).astype(np.float32).transpose(0, 2, 1)
+    tgt = rng.normal(size=(2, cfg.T, cfg.M)).astype(np.float32).transpose(0, 2, 1)
+    batch = WindowBatch(history=hist, target=tgt)
     tracer = _load_tracer().Tracer("test")
     tracer.install()
     try:
         pred = model.forward_forecast(batch, params, cfg)
-        loss = training.forecast_loss(pred, batch.target.transpose(0, 2, 1))
+        loss = training.forecast_loss(pred, batch.target)
         training.adam_step(params, nm.grad_table(loss, params), training.OptimState(lr=1e-3))
     finally:
         tracer.uninstall()
@@ -140,40 +141,69 @@ def test_tiny_desk_ablation_calls_every_layer_its_traced_run_requires(tmp_path):
     assert tracer.usage_problems(desk.uses, desk.never_uses) == []
 
 
-def _src_lines_matching(pattern: re.Pattern) -> list[str]:
-    """`file:line: text` for each line of `src/injecttst/*.py` whose code,
-    the part before any `#`, matches `pattern`."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "injecttst")
+# The functions allowed numpy sums and means over an axis, with how many
+# each holds and why; everything else reduces an axis through
+# `numerics._row_sum` (the last axis) or `numerics._col_sum` (leading axes)
+_AXIS_REDUCTIONS_ALLOWED = {
+    "data.standardize": (1, "the train split's per-channel mean, once per run"),
+    "synthetic.sine_mixture": (1, "the sum over each row's sine components, once per table"),
+    "training._score": (2, "the horizon and channel means of the (M, T) error table, "
+                           "once per evaluation"),
+}
+
+
+def _axis_reductions(source: str, module: str) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing function, line) of each `.sum`/`.mean`
+    method call and `np.sum`/`np.mean` call in `source` given an axis. A call
+    on an imported module's name is a function call: its axis is the second
+    positional argument; a method's is the first."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+               if isinstance(node, ast.Import) or node.module is None}
+    modules |= {"np", "numpy"}
     found = []
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name)) as fh:
-            found += [f"{name}:{i}: {line.strip()}" for i, line in enumerate(fh, 1)
-                      if pattern.search(line.split("#", 1)[0])]
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in ("sum", "mean")):
+                owner = child.func.value
+                positional = 2 if isinstance(owner, ast.Name) and owner.id in modules else 1
+                if (len(child.args) >= positional
+                        or any(k.arg == "axis" for k in child.keywords)):
+                    found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(tree, module)
     return found
 
 
-def test_rows_are_reduced_only_through_the_numerics_helper():
-    # `numerics._row_sum` is the one row reduction of softmax and layer_norm:
-    # numpy's sum/mean is slow over rows of 5-64 values, and a second path
-    # could sum a row in another order (the shifted softmax's row max is fine)
-    last_axis = re.compile(r"\.(?:sum|mean)\((?:axis=)?-1\b|np\.(?:sum|mean)\([^)]*axis=-1\b")
-    found = _src_lines_matching(last_axis)
-    assert hasattr(nm, "_row_sum") and not found, found
-
-
-# a sum over axis 0, over a tuple that starts at 0, or over axes held in a name
-_LEADING_AXES_SUM = re.compile(r"(?:\.sum\(|np\.sum\([^)]*,\s*)axis=(?:0\b|\(0\b|[A-Za-z_])")
-
-
-def test_leading_axes_are_reduced_only_through_the_numerics_helper():
-    # `numerics._col_sum` is the one sum over leading axes (bias, gain and
-    # embedding gradients, the evaluation's per-window sums): numpy's `sum`
-    # takes up to twice as long there. The forms it replaced must match.
+def test_axes_are_reduced_only_through_the_numerics_helpers():
+    # `numerics._row_sum` is the one row reduction of softmax and layer_norm,
+    # and `numerics._col_sum` the one sum over leading axes (bias, gain and
+    # embedding gradients, the evaluation's per-window sums): numpy's sum and
+    # mean are slow over rows of 5-64 values and over leading axes, and a
+    # second path could sum in another order
     for line in ("g = g.sum(axis=tuple(range(extra)))", "g = g.sum(axis=axes, keepdims=True)",
                  "dgain = tmp.sum(axis=reduce_axes)", "sq_sum += (err ** 2).sum(axis=0)",
-                 "np.sum(g, axis=(0, 1))"):
-        assert _LEADING_AXES_SUM.search(line), line
-    found = _src_lines_matching(_LEADING_AXES_SUM)
-    assert hasattr(nm, "_col_sum") and not found, found
+                 "np.sum(g, axis=(0, 1))", "s = x.sum(axis=-1)", "s = x.mean(-1)",
+                 "s = np.mean(x, -1)", "s = (a * np.sin(t)).sum(axis=1)", "s = x.sum(2)"):
+        assert _axis_reductions(f"def f():\n    {line}\n", "m") == [("m.f", 2)], line
+    for line in ("s = x.sum()", "s = np.mean(x)", "s = nm.mean(x)", "s = sum(x, 0)"):
+        assert _axis_reductions(f"from . import numerics as nm\n{line}\n", "m") == [], line
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "injecttst")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                found += _axis_reductions(fh.read(), name[:-3])
+    assert hasattr(nm, "_row_sum") and hasattr(nm, "_col_sum")
+    assert [f for f in found if f[0] not in _AXIS_REDUCTIONS_ALLOWED] == []
+    # a further reduction in an allowed function fails too, and an entry whose
+    # function no longer reduces an axis is taken off the list
+    counts = {scope: sum(f[0] == scope for f in found) for scope in _AXIS_REDUCTIONS_ALLOWED}
+    assert counts == {scope: n for scope, (n, _) in _AXIS_REDUCTIONS_ALLOWED.items()}, found

@@ -16,7 +16,7 @@ from injecttst.model import ModelConfig, forward_forecast, init_params
 from injecttst.synthetic import sine_mixture
 from injecttst.training import (OptimState, StageSchedule, adam_step, evaluate,
                                 evaluate_persistence, forecast_loss, masked_mse,
-                                prepare_data, run_stage, train_pipeline, _aggregate)
+                                prepare_data, run_stage, train_pipeline, _score)
 
 TINY = ModelConfig(L=24, T=4, M=2, PL=8, D=16, heads=2, ci_layers=1, mix_layers=1)
 
@@ -29,14 +29,14 @@ def _splits(rows=260, channels=2, seed=3, L=24):
 # losses
 
 def test_masked_mse_exact_recovery(rng):
-    ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32), 8)
+    ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32).transpose(0, 2, 1), 8)
     masked = mask_patches(ps, 0.5, seed=0)
     loss = masked_mse(nm.constant(ps.patches), ps.patches, masked.mask)
     assert float(loss.data) == 0.0
 
 
 def test_masked_mse_ignores_unmasked_positions(rng):
-    ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32), 8)
+    ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32).transpose(0, 2, 1), 8)
     masked = mask_patches(ps, 0.5, seed=0)
     corrupted = ps.patches.copy()
     corrupted[~masked.mask] += 100.0          # wrong only where unmasked
@@ -45,7 +45,7 @@ def test_masked_mse_ignores_unmasked_positions(rng):
 
 
 def test_masked_mse_vs_loop_oracle(rng):
-    ps = patchify(rng.normal(size=(2, 24, 3)).astype(np.float32), 8)
+    ps = patchify(rng.normal(size=(2, 24, 3)).astype(np.float32).transpose(0, 2, 1), 8)
     masked = mask_patches(ps, 0.5, seed=1)
     rec = rng.normal(size=ps.patches.shape).astype(np.float32)
     got = float(masked_mse(nm.constant(rec), ps.patches, masked.mask).data)
@@ -62,7 +62,7 @@ def test_masked_mse_vs_loop_oracle(rng):
 
 
 def test_masked_mse_empty_mask_rejected(rng):
-    ps = patchify(rng.normal(size=(1, 24, 1)).astype(np.float32), 8)
+    ps = patchify(rng.normal(size=(1, 24, 1)).astype(np.float32).transpose(0, 2, 1), 8)
     with pytest.raises(ContractError):
         masked_mse(nm.constant(ps.patches), ps.patches, ps.mask)
 
@@ -403,11 +403,10 @@ def test_overfit_capacity_tiny_model():
     params = init_params(TINY, seed=0)
     batch = next(make_windows(table, TINY.L, TINY.T, batch_size=64))
     assert batch.size == 64
-    target = batch.target.transpose(0, 2, 1)
     opt = OptimState(lr=3e-3)
     reached = False
     for _ in range(500):
-        loss = forecast_loss(forward_forecast(batch, params, TINY), target)
+        loss = forecast_loss(forward_forecast(batch, params, TINY), batch.target)
         if float(loss.data) < 1e-3:
             reached = True
             break
@@ -419,8 +418,9 @@ def test_overfit_capacity_tiny_model():
 # evaluation
 
 def test_perfect_predictions_score_zero(rng):
-    target = rng.normal(size=(5, 2, 4))
-    report = _aggregate([(target, target)])
+    table = SeriesTable(rng.normal(size=(60, 2)).astype(np.float32), ["a", "b"])
+    data = prepare_data(table, L=8, standardize_inputs=False)
+    report = _score(data, 8, 4, 5, lambda batch: batch.target)
     assert report.mse == 0.0 and report.mae == 0.0
 
 
@@ -452,9 +452,19 @@ def test_evaluate_empty_stream_rejected():
 
 
 def test_evaluate_aggregates_are_elementwise_means(rng):
-    pairs = [(rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 2, 4))) for _ in range(4)]
-    report = _aggregate(pairs)
-    err = np.concatenate([(p - t) for p, t in pairs], axis=0)
+    # 7 test windows in batches of 3, 3 and 1, each forecast drawn at random
+    table = SeriesTable(rng.normal(size=(60, 2)).astype(np.float32), ["a", "b"])
+    data = prepare_data(table, L=8, standardize_inputs=False)
+    errs = []
+
+    def predict(batch):
+        pred = rng.normal(size=batch.target.shape)
+        errs.append(pred - batch.target)
+        return pred
+
+    report = _score(data, 8, 4, 3, predict)
+    err = np.concatenate(errs, axis=0)
+    assert len(errs) == 3 and report.n_windows == err.shape[0] == 7
     assert abs(report.mse - float((err ** 2).mean())) < 1e-12
     assert abs(report.mae - float(np.abs(err).mean())) < 1e-12
     assert abs(np.mean(report.per_horizon_mse) - report.mse) < 1e-12
@@ -539,8 +549,8 @@ def test_chunk_plan_is_one_chunk_at_desk_shapes_and_ragged_at_the_paper_shape():
 def _whole_batch_evaluate(params, cfg, data, batch_size):
     """`evaluate` with one forward per batch: the reference for chunked passes."""
     with nm.frozen(params.values()):
-        return _aggregate((forward_forecast(b, params, cfg).data, b.target.transpose(0, 2, 1))
-                          for b in make_windows(data.test_ext, cfg.L, cfg.T, batch_size))
+        return _score(data, cfg.L, cfg.T, batch_size,
+                      lambda b: forward_forecast(b, params, cfg).data)
 
 
 def _scores(report):
