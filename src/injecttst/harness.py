@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .checkpoint import apply_checkpoint, load_checkpoint
-from .data import SPLITS, SeriesTable, load_csv, mask_count
-from .errors import ConfigError, ContractError
+from .data import SPLITS, SeriesTable, load_csv, mask_count, window_count
+from .errors import ConfigError, ContractError, SizingError
 from .model import ModelConfig, ModelSettings, init_params
 from .synthetic import dataset_from_spec
 from .training import (STAGES, DataSplits, EvalReport, StageSchedule, evaluate,
@@ -208,6 +208,16 @@ def load_splits(rc: RunConfig, table: Optional[SeriesTable] = None) -> DataSplit
     return prepare_data(table or load_table(rc), rc.L, rc.split_mode, rc.standardize)
 
 
+def check_streams(rc: RunConfig, data: DataSplits) -> None:
+    """Refuse `rc` unless every split it reads holds a window of L + T rows:
+    the test split for the persistence baseline, all three for a model."""
+    names = ("test_ext",) if rc.variant == BASELINE_VARIANT else ("train", "val_ext", "test_ext")
+    for name in names:
+        rows = getattr(data, name).rows
+        if window_count(rows, rc.L, rc.T) < 1:
+            raise SizingError(f"the {name} split has {rows} rows, fewer than L + T = {rc.L + rc.T}")
+
+
 @dataclass
 class ResultRecord:
     digest: str
@@ -289,6 +299,7 @@ def train_run(rc: RunConfig, data: Optional[DataSplits] = None,
     if unknown:
         raise ContractError(f"unknown stages {unknown}; choices: {list(STAGES)}")
     data = data or load_splits(rc)
+    check_streams(rc, data)
     cfg = model_config(rc, data.train.channels)
     params = init_params(cfg, rc.seed)
     if checkpoint is not None:
@@ -341,18 +352,22 @@ def run_ablation(variants: list[str], horizons: list[int],
     _check_items(variants, "ablation", "variant")
     _check_items(horizons, "ablation", "horizon")
 
-    # every cell's config is checked before any cell runs
+    # every cell's config, and its streams, are checked before any cell runs
     cells = [replace(base, variant=tag, T=T) for T in horizons for tag in variants]
     # the splits depend on L, not on the horizon T
     data = load_splits(base)
+    for rc in cells:
+        check_streams(rc, data)
     return [_ablation_entry(rc, data) for rc in cells]
 
 
 def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
     """One full pipeline per history length; the patch count follows L."""
     _check_items(lengths, "sweep", "history length")
-    # every length's config is checked, and its splits prepared, before any cell runs
+    # every length's config, splits and streams are checked before any cell runs
     cells = [replace(base, L=L) for L in lengths]
     table = load_table(base)
     splits = [load_splits(rc, table) for rc in cells]
+    for rc, data in zip(cells, splits):
+        check_streams(rc, data)
     return [_ablation_entry(rc, data) for rc, data in zip(cells, splits)]

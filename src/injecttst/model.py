@@ -81,13 +81,13 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Tens
 
     def uniform(name: str, rows: int, cols: int) -> None:
         bound = 1.0 / np.sqrt(rows)
-        params[name] = nm.parameter(rng.uniform(-bound, bound, (rows, cols)), name, dtype)
+        params[name] = nm.parameter(rng.uniform(-bound, bound, (rows, cols)), dtype)
 
     def normal(name: str, shape: tuple) -> None:
-        params[name] = nm.parameter(rng.normal(0.0, 0.02, shape), name, dtype)
+        params[name] = nm.parameter(rng.normal(0.0, 0.02, shape), dtype)
 
     def vector(name: str, size: int, value: float) -> None:
-        params[name] = nm.parameter(np.full(size, value), name, dtype)
+        params[name] = nm.parameter(np.full(size, value), dtype)
 
     def encoder_layer(prefix: str) -> None:
         hidden = cfg.ffn_mult * cfg.D

@@ -35,26 +35,23 @@ class Tensor:
     by ``backward``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_vjp", "name")
+    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
-                 parents: tuple = (), vjp: Optional[Callable] = None,
-                 name: Optional[str] = None):
+                 parents: tuple = (), vjp: Optional[Callable] = None):
         self.data = np.asarray(data)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self.op = op
         self.parents = parents
         self._vjp = vjp
-        self.name = name
 
     @property
     def shape(self):
         return self.data.shape
 
     def __repr__(self):
-        tag = self.name or self.op
-        return f"Tensor({tag}, shape={self.data.shape}, dtype={self.data.dtype})"
+        return f"Tensor({self.op}, shape={self.data.shape}, dtype={self.data.dtype})"
 
     def __add__(self, other):
         return add(self, other)
@@ -77,8 +74,8 @@ def constant(data, dtype=None) -> Tensor:
     return Tensor(arr)
 
 
-def parameter(data, name: str, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=True, name=name)
+def parameter(data, dtype=DEFAULT_DTYPE) -> Tensor:
+    return Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
 
 
 @contextmanager
@@ -173,9 +170,9 @@ def mul(a, b) -> Tensor:
 
 
 def _product(a: Tensor, b: Tensor) -> np.ndarray:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul requires 2-D or higher operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs rows times a 2-D weight, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
     return a.data @ b.data
 
@@ -183,25 +180,17 @@ def _product(a: Tensor, b: Tensor) -> np.ndarray:
 def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
     ga = gb = None
     if a.requires_grad:
-        bt = np.swapaxes(b.data, -1, -2)
-        if bt.ndim == 2:
-            # numpy's stacked product is 2-3x slower on a transposed
-            # (F-ordered) 2-D weight than on a compact copy of it; a batched
-            # operand, which no model product has, is not copied: over a
-            # stack of small matrices the copy costs more than it saves
-            bt = np.ascontiguousarray(bt)
-        ga = _unbroadcast(g @ bt, a.data.shape)
+        # numpy's stacked product is 2-3x slower on a transposed (F-ordered)
+        # weight than on a compact copy of it
+        ga = g @ np.ascontiguousarray(b.data.T)
     if b.requires_grad:
-        if b.data.ndim == 2:
-            # a weight shared by every stacked row: one GEMM over all rows
-            gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        # a weight shared by every stacked row: one GEMM over all rows
+        gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
     return ga, gb
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy stacking semantics (operands must be >= 2-D)."""
+    """A stack of rows (..., K) times a 2-D (K, N) weight."""
     a, b = _pair(a, b)
     return _node(_product(a, b), "matmul", (a, b), lambda g: _product_grads(a, b, g))
 
@@ -283,30 +272,22 @@ def _row_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
 _EXP_SAFE = 60.0
 
 
-def softmax(x) -> Tensor:
-    """Row softmax over the last axis.
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Row softmax over the last axis, into a new array.
 
     When every input lies within +-_EXP_SAFE the rows are exponentiated as
     they are; otherwise (also for NaN, and always for float16) each row's
     max is subtracted first. The two whole-array bounds cost less than the
-    row max over short rows."""
-    x = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-    xd = x.data
-    if (xd.size and xd.dtype.itemsize >= 4
-            and -_EXP_SAFE <= xd.min() and xd.max() <= _EXP_SAFE):
-        y = np.exp(xd)
+    row max over short rows. The attention node, its one caller, carries
+    the vjp."""
+    if (x.size and x.dtype.itemsize >= 4
+            and -_EXP_SAFE <= x.min() and x.max() <= _EXP_SAFE):
+        y = np.exp(x)
     else:
-        y = xd - xd.max(axis=-1, keepdims=True)
+        y = x - x.max(axis=-1, keepdims=True)
         np.exp(y, out=y)
     y /= _row_sum(y)
-
-    def vjp(g):
-        dx = g * y
-        np.subtract(g, _row_sum(dx), out=dx)
-        dx *= y
-        return (dx,)
-
-    return _node(y, "softmax", (x,), vjp)
+    return y
 
 
 _LN_EPS = 1e-5
@@ -459,7 +440,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     qh, kh, vh = _heads(qs, heads), _heads(kd, heads), _heads(vd, heads)
     # the module binding, so that a wrapped softmax sees every call; the
     # transposed key heads are copied compact (the product rule)
-    attn = softmax(np.matmul(qh, np.ascontiguousarray(kh.swapaxes(-1, -2)))).data
+    attn = softmax(np.matmul(qh, np.ascontiguousarray(kh.swapaxes(-1, -2))))
     if capture is not None:
         # a shared context's (B, H, M*Sq, Sk) weights are shown as (B, M, H, Sq, Sk)
         lead = attn.shape[:-3]

@@ -16,7 +16,7 @@ def grad_check(f: Callable[[dict], Tensor], params: dict, h: float = 1e-3,
     `max_coords` entries. The relative error denominator is floored at 1 so
     near-zero gradients are compared absolutely.
     """
-    work = {name: Tensor(p.data.astype(np.float64), requires_grad=True, name=name)
+    work = {name: Tensor(p.data.astype(np.float64), requires_grad=True)
             for name, p in params.items()}
     analytic = grad_table(f(work), work)
     rng = np.random.default_rng(seed)

@@ -5,7 +5,6 @@ lines as they complete. Criteria 7-9 train small models and take a few
 minutes of CPU in total; everything is seeded and deterministic.
 """
 
-import math
 import os
 import time
 from dataclasses import replace
@@ -25,6 +24,7 @@ from injecttst.training import (EvalReport, evaluate, evaluate_persistence,
                                 forecast_loss, masked_mse, prepare_data, run_stage)
 
 from gradcheck import grad_check
+from oracles import sca_loop_oracle
 
 TINY = ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2, ci_layers=1, mix_layers=1)
 
@@ -74,46 +74,6 @@ def test_criterion_1_full_model_gradients():
 
 def _max_abs(a, b):
     return float(np.max(np.abs(np.asarray(a, dtype=np.float64) - b)))
-
-
-def _np_softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _np_ln(x, g, b, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * g + b
-
-
-def _np_gelu(x):
-    c = math.sqrt(2.0 / math.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
-
-
-def _sca_loop_oracle(z_ci, z_glb, params, cfg):
-    B, M, PN, D = z_ci.shape
-    H, dh = cfg.heads, D // cfg.heads
-    g = {k: params[k].data.astype(np.float64) for k in params}
-    q_all = z_ci.astype(np.float64) @ g["sca.attn.wq"] + g["sca.attn.bq"]
-    k_all = z_glb.astype(np.float64) @ g["sca.attn.wk"]
-    v_all = z_glb.astype(np.float64) @ g["sca.attn.wv"] + g["sca.attn.bv"]
-    out = np.zeros_like(z_ci, dtype=np.float64)
-    for b in range(B):
-        for i in range(M):
-            heads = []
-            for h in range(H):
-                sl = slice(h * dh, (h + 1) * dh)
-                q, k, v = q_all[b, i][:, sl], k_all[b][:, sl], v_all[b][:, sl]
-                heads.append(_np_softmax(q @ k.T / math.sqrt(dh)) @ v)
-            att = np.concatenate(heads, axis=-1) @ g["sca.attn.wo"] + g["sca.attn.bo"]
-            x = z_ci[b, i].astype(np.float64) + att if cfg.sca_residual else att
-            x = _np_ln(x, g["sca.norm1.g"], g["sca.norm1.b"])
-            f = (_np_gelu(x @ g["sca.ffn.w1"] + g["sca.ffn.b1"]) @ g["sca.ffn.w2"]
-                 + g["sca.ffn.b2"])
-            out[b, i] = _np_ln(x + f, g["sca.norm2.g"], g["sca.norm2.b"])
-    return out
 
 
 def test_criterion_2_equation_oracles():
@@ -179,7 +139,7 @@ def test_criterion_2_equation_oracles():
         z_glb = rng.normal(size=(2, cfg.PN, cfg.D)).astype(np.float32)
         got = sca_inject(nm.constant(z_ci), nm.constant(z_glb), params, cfg).data
         worst["injection block"] = max(worst["injection block"],
-                                       _max_abs(got, _sca_loop_oracle(z_ci, z_glb, params, cfg)))
+                                       _max_abs(got, sca_loop_oracle(z_ci, z_glb, params, cfg)))
 
     elapsed = time.perf_counter() - t0
     ok = all(v < 1e-5 for v in worst.values()) and elapsed < 30.0

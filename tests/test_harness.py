@@ -13,14 +13,15 @@ from injecttst import harness
 from injecttst.checkpoint import save_checkpoint
 from injecttst.cli import main as cli_main
 from injecttst.data import SPLITS, SeriesTable, split
-from injecttst.errors import CheckpointError, ConfigError, ContractError, SizingError
+from injecttst.errors import (CheckpointError, ConfigError, ContractError, SizingError,
+                              TrainingDiverged)
 from injecttst.harness import (BASELINE_VARIANT, VARIANT_FLAGS, RunConfig,
-                               append_records, config_digest, load_config, model_config,
-                               parse_config, run_ablation, run_single,
-                               serialize_config, sweep_history, variant_flags)
+                               append_records, check_streams, config_digest, load_config,
+                               model_config, parse_config, run_ablation, run_single,
+                               serialize_config, sweep_history, train_run, variant_flags)
 from injecttst.model import ModelConfig, ModelSettings, init_params
 from injecttst.synthetic import dataset_from_spec, lead_lag
-from injecttst.training import EvalReport, StageSchedule, prepare_data
+from injecttst.training import DataSplits, EvalReport, StageSchedule, prepare_data
 from test_data import save_csv
 
 FAST = dict(data_path="synthetic:sines:rows=260,channels=2,seed=4",
@@ -346,13 +347,17 @@ def test_ablation_prepares_the_splits_once(tmp_path, monkeypatch):
             direct.checkpoint, direct.status)
 
 
-def test_ablation_failure_becomes_failed_record(tmp_path):
-    # history too short for one window makes that cell fail, not the matrix
-    rc = RunConfig(**{**FAST, "out": str(tmp_path),
-                      "data_path": "synthetic:sines:rows=40,channels=2,seed=4"})
+def _diverging(*args, **kwargs):
+    raise TrainingDiverged("non-finite loss")
+
+
+def test_ablation_failure_becomes_failed_record(tmp_path, monkeypatch):
+    # a cell whose training raises fails alone, not the matrix
+    monkeypatch.setattr(harness, "train_pipeline", _diverging)
+    rc = RunConfig(**{**FAST, "out": str(tmp_path)})
     records = run_ablation(["pat"], [4], rc)
     assert records[0].status == "failed"
-    assert "SizingError" in records[0].error
+    assert "TrainingDiverged" in records[0].error
 
 
 def test_sweep_history_recomputes_patch_count(tmp_path):
@@ -382,6 +387,61 @@ def test_sweep_history_checks_every_length_before_training(tmp_path):
                       "pretrain_epochs": 1, "mask_ratio": 0.08})
     with pytest.raises(ConfigError, match="5 patches"):
         sweep_history([96, 48], rc)
+    assert not (tmp_path / "runs").exists()
+
+
+# ---------------------------------------------------------------------------
+# a run whose splits hold no window is refused before it trains
+
+_STREAMS = ("train", "val_ext", "test_ext")
+
+
+def _zeros_table(rows: int) -> SeriesTable:
+    return SeriesTable(np.zeros((rows, 2), dtype=np.float32), ["a", "b"])
+
+
+@pytest.mark.parametrize("short", _STREAMS)
+def test_a_split_without_a_window_is_refused_before_training(short, tmp_path):
+    rc = RunConfig(**{**FAST, "out": str(tmp_path / "runs")})
+    window = rc.L + rc.T
+    data = DataSplits(**{name: _zeros_table(window - (name == short)) for name in _STREAMS})
+    with pytest.raises(SizingError, match=rf"the {short} split has {window - 1} rows, "
+                                          rf"fewer than L \+ T = {window}$"):
+        train_run(rc, data)
+    assert not (tmp_path / "runs").exists()
+    # the persistence baseline reads only the test split
+    baseline = replace(rc, variant=BASELINE_VARIANT)
+    if short == "test_ext":
+        with pytest.raises(SizingError):
+            check_streams(baseline, data)
+    else:
+        check_streams(baseline, data)
+
+
+def test_a_test_split_shorter_than_a_window_fails_before_any_stage(tmp_path):
+    # 100 rows split 60/20/20: the test split's 20 rows after the 20
+    # validation rows of context make 40, fewer than L + T = 56
+    rc = RunConfig(data_path="synthetic:sines:rows=100,channels=2,seed=1", split_mode="ett",
+                   L=48, T=8, D=16, PL=8, out=str(tmp_path / "runs"), profile="desk",
+                   **harness.PROFILES["desk"])
+    with pytest.raises(SizingError, match=r"the test_ext split has 40 rows, fewer than L \+ T = 56"):
+        run_single(rc)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_ablation_checks_every_horizon_before_any_cell_trains(tmp_path):
+    # 260 rows: the validation split's 26 rows after 24 of context make 50
+    rc = RunConfig(**{**FAST, "out": str(tmp_path / "runs")})
+    with pytest.raises(SizingError, match=r"the val_ext split has 50 rows, fewer than L \+ T = 54"):
+        run_ablation(["pat", "no-gi"], [4, 30], rc)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_sweep_history_checks_every_length_before_any_cell_trains(tmp_path):
+    # 260 rows: the test split's 52 rows after the 26 validation rows make 78
+    rc = RunConfig(**{**FAST, "out": str(tmp_path / "runs")})
+    with pytest.raises(SizingError, match=r"the test_ext split has 78 rows, fewer than L \+ T = 84"):
+        sweep_history([24, 80], rc)
     assert not (tmp_path / "runs").exists()
 
 
@@ -713,9 +773,10 @@ def _strict_records(tmp_path) -> list[dict]:
     return [_strict_json(line) for line in open(results).read().splitlines()]
 
 
-def test_cli_failed_ablation_cell_writes_strict_json(tmp_path, capsys):
-    # history too short for one window: the cell fails and has no metrics
-    cfg_path = _write_cfg(tmp_path, data_path="synthetic:sines:rows=40,channels=2,seed=4")
+def test_cli_failed_ablation_cell_writes_strict_json(tmp_path, capsys, monkeypatch):
+    # a cell whose training raises fails and has no metrics
+    monkeypatch.setattr(harness, "train_pipeline", _diverging)
+    cfg_path = _write_cfg(tmp_path)
     assert cli_main(["ablate", "--config", cfg_path, "--variants", "pat"]) == 1
     assert [(r["status"], r["mse"], r["mae"], r["per_horizon_mse"], r["per_channel_mse"])
             for r in _strict_records(tmp_path)] == [("failed", None, None, [], [])]

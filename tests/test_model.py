@@ -1,6 +1,5 @@
 """Model contracts: embedding, encoders, mixers, injection block, heads."""
 
-import math
 import weakref
 from dataclasses import replace
 
@@ -17,6 +16,8 @@ from injecttst.model import (ModelConfig, _attention, _drop, _encoder, _ffn, _no
                              forward_pretrain, global_mix_cat, global_mix_pat,
                              init_params, pretrain_head, sca_inject)
 from injecttst.training import OptimState, adam_step, forecast_loss, masked_mse
+
+from oracles import np_ln, sca_loop_oracle
 
 CFG = ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2, ci_layers=1, mix_layers=1)
 
@@ -35,23 +36,6 @@ def _batch(cfg=CFG, seed=1, B=2):
 def _zero_params(params):
     for p in params.values():
         p.data = np.zeros_like(p.data)
-
-
-# numpy reference pieces used by the oracles
-def _np_ln(x, g, b, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * g + b
-
-
-def _np_gelu(x):
-    c = math.sqrt(2.0 / math.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
-
-
-def _np_softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -400,30 +384,6 @@ def test_a_graph_free_pass_frees_each_attention_output_before_its_ffn(tag, monke
     assert held == {"ci.0.": False, "ci.1.": False, "mix.0.": False, "sca.": False}
 
 
-def _sca_oracle(z_ci, z_glb, P, cfg):
-    B, M, PN, D = z_ci.shape
-    H, dh = cfg.heads, D // cfg.heads
-    g = {k: P[k].data.astype(np.float64) for k in P}
-    q_all = z_ci.astype(np.float64) @ g["sca.attn.wq"] + g["sca.attn.bq"]
-    k_all = z_glb.astype(np.float64) @ g["sca.attn.wk"]
-    v_all = z_glb.astype(np.float64) @ g["sca.attn.wv"] + g["sca.attn.bv"]
-    out = np.zeros_like(z_ci, dtype=np.float64)
-    for b in range(B):
-        for i in range(M):
-            head_outs = []
-            for h in range(H):
-                sl = slice(h * dh, (h + 1) * dh)
-                q, k, v = q_all[b, i][:, sl], k_all[b][:, sl], v_all[b][:, sl]
-                w = _np_softmax(q @ k.T / math.sqrt(dh))
-                head_outs.append(w @ v)
-            att = np.concatenate(head_outs, axis=-1) @ g["sca.attn.wo"] + g["sca.attn.bo"]
-            x = z_ci[b, i].astype(np.float64) + att if cfg.sca_residual else att
-            x = _np_ln(x, g["sca.norm1.g"], g["sca.norm1.b"])
-            f = _np_gelu(x @ g["sca.ffn.w1"] + g["sca.ffn.b1"]) @ g["sca.ffn.w2"] + g["sca.ffn.b2"]
-            out[b, i] = _np_ln(x + f, g["sca.norm2.g"], g["sca.norm2.b"])
-    return out
-
-
 @pytest.mark.parametrize("residual", [False, True])
 def test_sca_vs_composed_primitive_oracle(residual, rng):
     cfg = replace(CFG, mix_mode="pat", sca_residual=residual)
@@ -431,7 +391,7 @@ def test_sca_vs_composed_primitive_oracle(residual, rng):
     z_ci = rng.normal(size=(2, cfg.M, cfg.PN, cfg.D)).astype(np.float32)
     z_glb = rng.normal(size=(2, cfg.PN, cfg.D)).astype(np.float32)
     got = sca_inject(nm.constant(z_ci), nm.constant(z_glb), params, cfg).data
-    want = _sca_oracle(z_ci, z_glb, params, cfg)
+    want = sca_loop_oracle(z_ci, z_glb, params, cfg)
     assert np.max(np.abs(got - want)) < 1e-5
 
 
@@ -444,7 +404,7 @@ def test_sca_residual_passthrough_when_weights_zero(rng):
     z_ci = rng.normal(size=(2, cfg.M, cfg.PN, cfg.D)).astype(np.float32)
     z_glb = rng.normal(size=(2, cfg.PN, cfg.D)).astype(np.float32)
     out = sca_inject(nm.constant(z_ci), nm.constant(z_glb), params, cfg).data
-    np.testing.assert_allclose(out, _np_ln(z_ci.astype(np.float64), 1.0, 0.0), atol=1e-4)
+    np.testing.assert_allclose(out, np_ln(z_ci.astype(np.float64), 1.0, 0.0), atol=1e-4)
 
 
 # ---------------------------------------------------------------------------

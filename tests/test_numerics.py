@@ -59,6 +59,15 @@ def test_matmul_shape_error_names_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
 
 
+@pytest.mark.parametrize("weight_shape", [(2, 4, 5), (1, 4, 5)])
+@pytest.mark.parametrize("op", ["matmul", "linear"])
+def test_matmul_refuses_a_batched_right_operand(op, weight_shape):
+    x, w = t(np.zeros((2, 3, 4))), t(np.zeros(weight_shape))
+    with pytest.raises(ShapeError) as exc:
+        nm.matmul(x, w) if op == "matmul" else nm.linear(x, w, t(np.zeros(5)))
+    assert "(2, 3, 4)" in str(exc.value) and str(weight_shape) in str(exc.value)
+
+
 def test_matmul_batched_matches_loop(rng):
     a = rng.normal(size=(3, 2, 4, 5)).astype(np.float32)
     b = rng.normal(size=(5, 6)).astype(np.float32)
@@ -72,19 +81,19 @@ def test_matmul_batched_matches_loop(rng):
 # softmax
 
 def test_softmax_uniform():
-    out = nm.softmax(t([0.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [0.25] * 4, atol=1e-7)
+    out = nm.softmax(np.zeros(4, dtype=np.float32))
+    np.testing.assert_allclose(out, [0.25] * 4, atol=1e-7)
 
 
 def test_softmax_large_input_no_overflow():
-    out = nm.softmax(t([1000.0, 0.0])).data
+    out = nm.softmax(np.array([1000.0, 0.0], dtype=np.float32))
     assert np.all(np.isfinite(out))
     assert out[0] > 1 - 1e-6 and out[1] < 1e-6
 
 
 def test_softmax_vs_float64_formula(rng):
     x = rng.normal(size=(6, 9)).astype(np.float32)
-    got = nm.softmax(t(x)).data
+    got = nm.softmax(x)
     x64 = x.astype(np.float64)
     want = np.exp(x64) / np.exp(x64).sum(axis=-1, keepdims=True)
     assert np.max(np.abs(got - want)) < 1e-6
@@ -93,14 +102,24 @@ def test_softmax_vs_float64_formula(rng):
 def test_softmax_rows_are_distributions(rng):
     for _ in range(20):
         x = rng.normal(scale=5.0, size=(4, 7)).astype(np.float32)
-        y = nm.softmax(t(x)).data
+        y = nm.softmax(x)
         assert np.all(y >= 0) and np.all(y <= 1)
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1.0, 100.0], ids=["unshifted", "shifted"])
+def test_softmax_returns_a_new_array_and_leaves_its_input(scale, rng):
+    x = (scale * rng.normal(size=(3, 4, 5))).astype(np.float32)
+    assert (np.max(np.abs(x)) > nm._EXP_SAFE) == (scale > 1.0)     # each guard branch
+    before = x.copy()
+    y = nm.softmax(x)
+    assert type(y) is np.ndarray and y.shape == x.shape and not np.shares_memory(x, y)
+    np.testing.assert_array_equal(x, before)
+
+
 def _shifted_softmax(xd):
     """Row softmax with the row max always subtracted first; its rows are
-    summed by the node's own row reduction, so the comparison is bitwise."""
+    summed by softmax's own row reduction, so the comparison is bitwise."""
     y = xd - xd.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= nm._row_sum(y)
@@ -132,21 +151,22 @@ def test_softmax_outside_the_guard_equals_the_shifted_form_bitwise(case, dtype, 
                                                                    monkeypatch):
     monkeypatch.setattr(nm, "_debug_checks", False)     # NaN rows stay NaN
     xd = np.asarray(_UNGUARDED_ROWS[case], dtype=dtype)
-    out = nm.softmax(Tensor(xd, requires_grad=True))
+    out = nm.softmax(xd)
     want = _shifted_softmax(xd)
     g = rng.normal(size=xd.shape).astype(dtype)
-    assert out.data.dtype == dtype
-    np.testing.assert_array_equal(out.data, want)
-    np.testing.assert_array_equal(out._vjp(g)[0], _shifted_softmax_vjp(want, g))
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, want)
+    node = _softmax_node(Tensor(xd, requires_grad=True))
+    np.testing.assert_array_equal(node._vjp(g)[0], _shifted_softmax_vjp(want, g))
     if case == "all -200" and dtype == np.float32:
         # without the shift, exp underflows to 0 and the row would be 0/0
-        assert np.exp(xd[0]).sum() == 0.0 and np.all(np.isfinite(out.data))
+        assert np.exp(xd[0]).sum() == 0.0 and np.all(np.isfinite(out))
 
 
 def test_float16_softmax_always_takes_the_shifted_form():
     # float16 exp(12) overflows, though 12 lies within the float32 guard
     xd = np.array([[11.0, 12.0], [0.0, 1.0]], dtype=np.float16)
-    got = nm.softmax(Tensor(xd)).data
+    got = nm.softmax(xd)
     assert got.dtype == np.float16
     np.testing.assert_array_equal(got, _shifted_softmax(xd))
 
@@ -155,7 +175,7 @@ def test_float16_softmax_always_takes_the_shifted_form():
 def test_softmax_inside_the_guard_matches_the_shifted_form(dtype, rng):
     xd = rng.uniform(-nm._EXP_SAFE, nm._EXP_SAFE, size=(50, 43)).astype(dtype)
     xd[0, :2] = (-nm._EXP_SAFE, nm._EXP_SAFE)         # the bound itself is inside
-    got = nm.softmax(Tensor(xd)).data
+    got = nm.softmax(xd)
     assert got.dtype == dtype and np.all(np.isfinite(got))
     eps = np.finfo(dtype).eps
     np.testing.assert_allclose(got, _shifted_softmax(xd), rtol=64 * eps, atol=4 * eps)
@@ -196,7 +216,7 @@ def test_layer_norm_vs_float64_oracle(rng):
 # row reductions: a row gives the same bits wherever it sits
 
 _ROW_OPS = {
-    "softmax": lambda x, p: nm.softmax(x),
+    "softmax": lambda x, p: _softmax_node(x),
     "layer_norm": lambda x, p: nm.layer_norm(x, p["gain"], p["bias"]),
 }
 
@@ -347,6 +367,29 @@ def _compact(x):
     return nm._node(np.ascontiguousarray(x.data), "compact", (x,), lambda g: (g,))
 
 
+def _softmax_node(x):
+    """`nm.softmax` as a graph op with its own vjp; in `src/` only the
+    attention node differentiates through a softmax."""
+    y = nm.softmax(x.data)
+
+    def vjp(g):
+        dx = g * y
+        np.subtract(g, nm._row_sum(dx), out=dx)
+        dx *= y
+        return (dx,)
+
+    return nm._node(y, "softmax", (x,), vjp)
+
+
+def _batched_matmul(a, b):
+    """The product of two stacks of matrices with the same leading axes, as
+    a graph op: `nm.matmul` takes only a 2-D right operand."""
+    def vjp(g):
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+
+    return nm._node(a.data @ b.data, "batched_matmul", (a, b), vjp)
+
+
 def _reference_attention(q, k, v, heads, capture):
     """Multi-head attention as a chain of graph ops: join the query axes
     after the batch axis under a shared context, split the heads, scale q,
@@ -361,13 +404,13 @@ def _reference_attention(q, k, v, heads, capture):
     qh = nm.mul(qh, 1.0 / math.sqrt(qh.shape[-1]))
     n = kh.data.ndim
     kt = _compact(nm.transpose(kh, tuple(range(n - 2)) + (n - 1, n - 2)))
-    attn = nm.softmax(nm.matmul(qh, kt))
+    attn = _softmax_node(_batched_matmul(qh, kt))
     if joined:
         # the node captures a shared context's weights per query, (B, ..., H, Sq, Sk)
         capture.append(np.moveaxis(attn.data.reshape(qshape[0], heads, *qshape[1:-1], -1), 1, -3))
     else:
         capture.append(attn.data)
-    out = nm.matmul(attn, vh)
+    out = _batched_matmul(attn, vh)
     *lead, h, s, dh = out.shape
     perm = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
     return nm.reshape(nm.transpose(out, perm), qshape)
@@ -556,9 +599,9 @@ def test_blocked_gelu_equals_whole_array_passes_bitwise(size, dtype, layout, rng
 
 _IN_PLACE_OPS = {
     "gelu": lambda x, p: nm.gelu(x),
-    "softmax": lambda x, p: nm.softmax(x),
+    "softmax": lambda x, p: _softmax_node(x),
     # values far outside the guard take the row-max-shifted branch
-    "softmax_shifted": lambda x, p: nm.softmax(nm.mul(x, 100.0)),
+    "softmax_shifted": lambda x, p: _softmax_node(nm.mul(x, 100.0)),
     "layer_norm": lambda x, p: nm.layer_norm(x, p["gain"], p["bias"]),
     # self-attention over 4 tokens of width 5, one column per head
     "attention": lambda x, p: nm.scaled_dot_attention(
@@ -708,7 +751,7 @@ def test_forward_deterministic_bitwise(rng):
 
     def pipeline():
         h = nm.gelu(nm.matmul(t(a), t(b)))
-        return nm.softmax(h).data
+        return nm.softmax(h.data)
 
     assert np.array_equal(pipeline(), pipeline())
 
@@ -726,10 +769,12 @@ def test_backward_frees_interior_gradients(rng):
 
 @pytest.mark.parametrize("op", [nm.matmul, nm.add, nm.mul])
 def test_constant_operand_gets_no_gradient(op, rng):
-    w = t(rng.normal(size=(2, 3, 3)), req=True)
-    c = t(rng.normal(size=(3, 3)))
-    for operands, const_at in (((w, c), 1), ((c, w), 0)):
-        out = op(*operands)
+    # a stack on the left, a 2-D operand (matmul's weight) on the right
+    stack, weight = rng.normal(size=(2, 3, 3)), rng.normal(size=(3, 3))
+    for const_at in (1, 0):
+        w = t(stack if const_at else weight, req=True)
+        c = t(weight if const_at else stack)
+        out = op(*((w, c) if const_at else (c, w)))
         grads = out._vjp(np.ones_like(out.data))
         assert grads[const_at] is None and grads[1 - const_at].shape == w.shape
         backward(nm.sum_(out))
@@ -845,7 +890,7 @@ _PRIMITIVES = {
     "matmul": lambda p: nm.sum_(nm.matmul(p["a"], p["c"]) * nm.matmul(p["a"], p["c"])),
     "reshape_transpose": lambda p: nm.sum_(nm.transpose(nm.reshape(p["a"], (2, 2, 3)), (1, 0, 2)) * 2.0),
     "mean": lambda p: nm.mean(p["a"] * p["a"] * p["b"]),
-    "softmax": lambda p: nm.sum_(nm.softmax(p["a"]) * p["b"]),
+    "softmax": lambda p: nm.sum_(_softmax_node(p["a"]) * p["b"]),
     "layer_norm": lambda p: nm.sum_(nm.layer_norm(p["a"], p["g"], p["bias"]) * p["b"]),
     "gelu": lambda p: nm.sum_(nm.gelu(p["a"])),
     "attention": lambda p: nm.sum_(nm.scaled_dot_attention(p["a"], p["b"], p["c2"])),

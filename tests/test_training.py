@@ -87,14 +87,14 @@ def test_forecast_loss_vs_loop_oracle(rng):
 # optimizer
 
 def test_adam_zero_gradient_no_update(rng):
-    p = nm.parameter(rng.normal(size=(3, 3)), "p")
+    p = nm.parameter(rng.normal(size=(3, 3)))
     before = p.data.copy()
     adam_step({"p": p}, {"p": np.zeros_like(p.data)}, OptimState(lr=0.1))
     assert np.array_equal(p.data, before)
 
 
 def test_adam_first_step_magnitude(rng):
-    p = nm.parameter(rng.normal(size=(5,)), "p")
+    p = nm.parameter(rng.normal(size=(5,)))
     g = rng.normal(size=(5,)).astype(np.float32) * 2.0
     before = p.data.copy()
     adam_step({"p": p}, {"p": g}, OptimState(lr=0.01))
@@ -106,7 +106,7 @@ def test_adam_deterministic(rng):
     g_seq = [rng.normal(size=(4,)).astype(np.float32) for _ in range(10)]
 
     def run():
-        p = nm.parameter(np.ones(4), "p")
+        p = nm.parameter(np.ones(4))
         opt = OptimState(lr=0.05)
         for g in g_seq:
             adam_step({"p": p}, {"p": g}, opt)
@@ -116,7 +116,7 @@ def test_adam_deterministic(rng):
 
 
 def test_adam_rejects_nan_gradient():
-    p = nm.parameter(np.ones(2), "weights")
+    p = nm.parameter(np.ones(2))
     bad = np.array([np.nan, 0.0], dtype=np.float32)
     with pytest.raises(TrainingDiverged, match="weights"):
         adam_step({"weights": p}, {"weights": bad}, OptimState(lr=0.1))
@@ -145,7 +145,7 @@ _ADAM_SHAPES = {"w": (3, 4), "b": (4,), "k": (2, 3, 2), "s": ()}
 
 def _adam_params(dtype, seed=0):
     rng = np.random.default_rng(seed)
-    return {name: nm.parameter(rng.normal(size=shape), name, dtype)
+    return {name: nm.parameter(rng.normal(size=shape), dtype)
             for name, shape in _ADAM_SHAPES.items()}
 
 
@@ -208,10 +208,10 @@ def test_adam_rejects_a_different_layout_on_a_later_step(change):
         params["t"] = params.pop("s")
         grads["t"] = grads.pop("s")
     elif change == "shape":
-        params["w"] = nm.parameter(params["w"].data.reshape(4, 3), "w")
+        params["w"] = nm.parameter(params["w"].data.reshape(4, 3))
         grads["w"] = grads["w"].reshape(4, 3)
     else:
-        params["w"] = nm.parameter(params["w"].data, "w", np.float64)
+        params["w"] = nm.parameter(params["w"].data, np.float64)
         grads["w"] = grads["w"].astype(np.float64)
     with pytest.raises(ContractError):
         adam_step(params, grads, opt)
@@ -708,8 +708,7 @@ def test_chunks_straddling_the_softmax_guard_evaluate_within_roundoff(monkeypatc
     softmax = nm.softmax
 
     def spy(x):
-        xd = x.data if isinstance(x, nm.Tensor) else np.asarray(x)
-        inside.append(bool(-nm._EXP_SAFE <= xd.min() and xd.max() <= nm._EXP_SAFE))
+        inside.append(bool(-nm._EXP_SAFE <= x.min() and x.max() <= nm._EXP_SAFE))
         return softmax(x)
 
     monkeypatch.setattr(nm, "softmax", spy)
