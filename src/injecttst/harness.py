@@ -327,14 +327,6 @@ def run_single(rc: RunConfig, data: Optional[DataSplits] = None,
     return result_record(rc, report, log, final), report
 
 
-def _ablation_entry(rc: RunConfig, data: DataSplits) -> ResultRecord:
-    try:
-        record, _ = run_single(rc, data)
-    except Exception as exc:  # record the failure, keep the matrix running
-        record = result_record(rc, error=f"{type(exc).__name__}: {exc}")
-    return record
-
-
 def _check_items(items: list, command: str, item: str) -> None:
     if not items:
         raise ConfigError(f"{command} requires at least one {item}")
@@ -342,32 +334,37 @@ def _check_items(items: list, command: str, item: str) -> None:
         raise ConfigError(f"duplicate {item}s in {items}")
 
 
+def _run_cells(cells: list[RunConfig], table: SeriesTable) -> list[ResultRecord]:
+    """Run every cell on splits of `table`, prepared once per history length.
+    Every cell's streams are checked before any cell trains; a cell that
+    fails after that becomes a failed record instead of aborting the rest."""
+    # the splits depend on L, not on the horizon or the variant
+    splits: dict[int, DataSplits] = {}
+    for rc in cells:
+        if rc.L not in splits:
+            splits[rc.L] = load_splits(rc, table)
+        check_streams(rc, splits[rc.L])
+    records = []
+    for rc in cells:
+        try:
+            records.append(run_single(rc, splits[rc.L])[0])
+        except Exception as exc:  # record the failure, keep the matrix running
+            records.append(result_record(rc, error=f"{type(exc).__name__}: {exc}"))
+    return records
+
+
 def run_ablation(variants: list[str], horizons: list[int],
                  base: RunConfig) -> list[ResultRecord]:
-    """Train/evaluate every (variant, horizon) cell under the base config.
-
-    The data splits are prepared once and shared by every cell; per-cell
-    failures become failed records instead of aborting the matrix.
-    """
+    """Train/evaluate every (variant, horizon) cell under the base config;
+    every cell's config is checked before the table is read."""
     _check_items(variants, "ablation", "variant")
     _check_items(horizons, "ablation", "horizon")
-
-    # every cell's config, and its streams, are checked before any cell runs
     cells = [replace(base, variant=tag, T=T) for T in horizons for tag in variants]
-    # the splits depend on L, not on the horizon T
-    data = load_splits(base)
-    for rc in cells:
-        check_streams(rc, data)
-    return [_ablation_entry(rc, data) for rc in cells]
+    return _run_cells(cells, load_table(base))
 
 
 def sweep_history(lengths: list[int], base: RunConfig) -> list[ResultRecord]:
     """One full pipeline per history length; the patch count follows L."""
     _check_items(lengths, "sweep", "history length")
-    # every length's config, splits and streams are checked before any cell runs
     cells = [replace(base, L=L) for L in lengths]
-    table = load_table(base)
-    splits = [load_splits(rc, table) for rc in cells]
-    for rc, data in zip(cells, splits):
-        check_streams(rc, data)
-    return [_ablation_entry(rc, data) for rc, data in zip(cells, splits)]
+    return _run_cells(cells, load_table(base))

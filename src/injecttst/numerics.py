@@ -9,7 +9,6 @@ and a vector-Jacobian closure; the graph is rebuilt on every forward pass and
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -78,23 +77,11 @@ def parameter(data, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
 
 
-@contextmanager
-def frozen(tensors: Iterable[Tensor]) -> Iterator[None]:
-    """Treat the given leaves as constants for the duration of the block.
-
-    Ops whose operands are all frozen or constant build no parents and no vjp
-    closure, so no graph is kept for them. On exit ``requires_grad`` is set
-    back on exactly the tensors this block switched off, also when the block
-    raises; leaves that were already off stay off.
-    """
-    flipped = [t for t in tensors if t.requires_grad]
-    for t in flipped:
-        t.requires_grad = False
-    try:
-        yield
-    finally:
-        for t in flipped:
-            t.requires_grad = True
+def constants(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """A constant Tensor over each parameter's array, by name: the view a
+    pass reads to hold the parameters off the graph. Ops whose operands are
+    all constants build no parents and no vjp closure."""
+    return {name: Tensor(p.data) for name, p in params.items()}
 
 
 def _node(data: np.ndarray, op: str, parents: tuple, vjp: Callable) -> Tensor:

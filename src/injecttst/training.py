@@ -220,8 +220,8 @@ def _windows(x, s: slice):
 
 
 def _graph_free(forward: Callable, x, chunks: list[slice]) -> Tensor:
-    """`forward` of `x` with the parameters frozen, run chunk by chunk and
-    concatenated."""
+    """`forward` of `x`, run chunk by chunk and concatenated; it reads constant
+    weights (`numerics.constants`), so no op builds a graph."""
     return nm.constant(np.concatenate([forward(_windows(x, s)).data for s in chunks]))
 
 
@@ -246,8 +246,11 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
     lr = getattr(sched, f"{stage}_lr")
     # a stage trains exactly what its loss reaches; the rest stays off the graph
     unread = "forecast_head" if stage == "pretrain" else "pretrain_head"
-    trainable = ["forecast_head"] if stage == "head" else [k for k in params if k != unread]
-    fixed = [p for k, p in params.items() if k not in trainable]
+    names = ["forecast_head"] if stage == "head" else [k for k in params if k != unread]
+    trainable = {k: params[k] for k in names}
+    # Adam rebinds only trainable tensors: constants over the rest stay current
+    view = {**nm.constants(params), **trainable}
+    forward = forward_pretrain if stage == "pretrain" else forward_forecast
     opt = OptimState(lr=lr)
     code = _STAGE_CODE[stage]
     dtype = params_dtype(params)
@@ -262,14 +265,10 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
         masked = mask_patches(ps, sched.mask_ratio, mask_seed)
         return masked, lambda output, s: masked_mse(output, ps.patches[s], masked.mask[s])
 
-    def forward(x, rng=None) -> Tensor:
-        if stage != "pretrain":
-            return forward_forecast(x, params, cfg, rng=rng)
-        return forward_pretrain(x, params, cfg, rng=rng)
-
-    def val_loss(batch: WindowBatch, mask_seed) -> Tensor:
+    def val_loss(batch: WindowBatch, mask_seed, consts: dict[str, Tensor]) -> Tensor:
         x, loss_of = inputs(batch, mask_seed)
-        return loss_of(_graph_free(forward, x, _chunks(batch.size, cfg, dtype)), slice(None))
+        return loss_of(_graph_free(lambda w: forward(w, consts, cfg), x,
+                                   _chunks(batch.size, cfg, dtype)), slice(None))
 
     def finite(loss: Tensor, what: str) -> float:
         value = float(loss.data)
@@ -285,31 +284,31 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
         shuffle_rng = np.random.default_rng([sched.seed, code, epoch])
         train_rng = np.random.default_rng([sched.seed, code, epoch, 7])
         train_losses = []
-        with nm.frozen(fixed):
-            for b, batch in enumerate(make_windows(data.train, cfg.L, cfg.T,
-                                                   sched.batch_size, shuffle_rng)):
-                x, loss_of = inputs(batch, [sched.seed, code, epoch, b])
-                step_loss, grads = 0.0, None
-                for s in _chunks(batch.size, cfg, dtype):
-                    # masked_mse too: every window holds the same number of masked
-                    # patches, so a chunk's share of them is its share of windows
-                    loss = loss_of(forward(_windows(x, s), train_rng), s) * (
-                        (s.stop - s.start) / batch.size)
-                    step_loss += finite(loss, "loss")
-                    part_grads = nm.grad_table(loss, {k: params[k] for k in trainable})
-                    grads = part_grads if grads is None else {
-                        k: grads[k] + g for k, g in part_grads.items()}
-                    if s.stop < batch.size:
-                        del loss        # free this chunk's graph before the next forward
-                train_losses.append(step_loss)
-                adam_step(params, grads, opt)
-                # free this step's graph before the next forward builds its own
-                del loss, grads
+        for b, batch in enumerate(make_windows(data.train, cfg.L, cfg.T,
+                                               sched.batch_size, shuffle_rng)):
+            x, loss_of = inputs(batch, [sched.seed, code, epoch, b])
+            step_loss, grads = 0.0, None
+            for s in _chunks(batch.size, cfg, dtype):
+                # masked_mse too: every window holds the same number of masked
+                # patches, so a chunk's share of them is its share of windows
+                loss = loss_of(forward(_windows(x, s), view, cfg, rng=train_rng), s) * (
+                    (s.stop - s.start) / batch.size)
+                step_loss += finite(loss, "loss")
+                part_grads = nm.grad_table(loss, trainable)
+                grads = part_grads if grads is None else {
+                    k: grads[k] + g for k, g in part_grads.items()}
+                if s.stop < batch.size:
+                    del loss        # free this chunk's graph before the next forward
+            train_losses.append(step_loss)
+            adam_step(params, grads, opt)
+            # free this step's graph before the next forward builds its own
+            del loss, grads
 
-        with nm.frozen(params.values()):
-            val_losses = [finite(val_loss(batch, [sched.seed, 9, b]), "validation loss")
-                          for b, batch in enumerate(make_windows(data.val_ext, cfg.L, cfg.T,
-                                                                 sched.batch_size))]
+        # after the steps, so that the constants hold this epoch's weights
+        consts = nm.constants(params)
+        val_losses = [finite(val_loss(batch, [sched.seed, 9, b], consts), "validation loss")
+                      for b, batch in enumerate(make_windows(data.val_ext, cfg.L, cfg.T,
+                                                             sched.batch_size))]
 
         record = {"stage": stage, "epoch": epoch,
                   "train_loss": float(np.mean(train_losses)),
@@ -394,12 +393,13 @@ def evaluate(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
              batch_size: int = 64) -> EvalReport:
     """MSE/MAE over the ordered test stream, on the values the splits hold
     (standardized ones unless `prepare_data` was told otherwise)."""
+    consts = nm.constants(params)
+
     def predict(batch: WindowBatch) -> np.ndarray:
-        return _graph_free(lambda x: forward_forecast(x, params, cfg), batch,
+        return _graph_free(lambda x: forward_forecast(x, consts, cfg), batch,
                            _chunks(batch.size, cfg, params_dtype(params))).data
 
-    with nm.frozen(params.values()):
-        return _score(data, cfg.L, cfg.T, batch_size, predict)
+    return _score(data, cfg.L, cfg.T, batch_size, predict)
 
 
 def evaluate_persistence(data: DataSplits, L: int, T: int,

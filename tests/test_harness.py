@@ -351,11 +351,12 @@ def _diverging(*args, **kwargs):
     raise TrainingDiverged("non-finite loss")
 
 
-def test_ablation_failure_becomes_failed_record(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["ablate", "sweep-history"])
+def test_ablation_failure_becomes_failed_record(command, tmp_path, monkeypatch):
     # a cell whose training raises fails alone, not the matrix
     monkeypatch.setattr(harness, "train_pipeline", _diverging)
     rc = RunConfig(**{**FAST, "out": str(tmp_path)})
-    records = run_ablation(["pat"], [4], rc)
+    records = run_ablation(["pat"], [4], rc) if command == "ablate" else sweep_history([24], rc)
     assert records[0].status == "failed"
     assert "TrainingDiverged" in records[0].error
 

@@ -379,8 +379,7 @@ def test_a_graph_free_pass_frees_each_attention_output_before_its_ffn(tag, monke
 
     monkeypatch.setattr(model, "_attention", spy_attention)
     monkeypatch.setattr(model, "_ffn", spy_ffn)
-    with nm.frozen(params.values()):
-        forward_forecast(_batch(cfg), params, cfg)
+    forward_forecast(_batch(cfg), nm.constants(params), cfg)
     assert held == {"ci.0.": False, "ci.1.": False, "mix.0.": False, "sca.": False}
 
 

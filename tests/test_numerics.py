@@ -147,17 +147,12 @@ _UNGUARDED_ROWS = {
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", sorted(_UNGUARDED_ROWS))
-def test_softmax_outside_the_guard_equals_the_shifted_form_bitwise(case, dtype, rng,
-                                                                   monkeypatch):
+def test_softmax_outside_the_guard_equals_the_shifted_form_bitwise(case, dtype, monkeypatch):
     monkeypatch.setattr(nm, "_debug_checks", False)     # NaN rows stay NaN
     xd = np.asarray(_UNGUARDED_ROWS[case], dtype=dtype)
     out = nm.softmax(xd)
-    want = _shifted_softmax(xd)
-    g = rng.normal(size=xd.shape).astype(dtype)
     assert out.dtype == dtype
-    np.testing.assert_array_equal(out, want)
-    node = _softmax_node(Tensor(xd, requires_grad=True))
-    np.testing.assert_array_equal(node._vjp(g)[0], _shifted_softmax_vjp(want, g))
+    np.testing.assert_array_equal(out, _shifted_softmax(xd))
     if case == "all -200" and dtype == np.float32:
         # without the shift, exp underflows to 0 and the row would be 0/0
         assert np.exp(xd[0]).sum() == 0.0 and np.all(np.isfinite(out))
@@ -371,14 +366,7 @@ def _softmax_node(x):
     """`nm.softmax` as a graph op with its own vjp; in `src/` only the
     attention node differentiates through a softmax."""
     y = nm.softmax(x.data)
-
-    def vjp(g):
-        dx = g * y
-        np.subtract(g, nm._row_sum(dx), out=dx)
-        dx *= y
-        return (dx,)
-
-    return nm._node(y, "softmax", (x,), vjp)
+    return nm._node(y, "softmax", (x,), lambda g: (_shifted_softmax_vjp(y, g),))
 
 
 def _batched_matmul(a, b):
@@ -524,14 +512,12 @@ def test_linear_equals_matmul_then_add_bitwise(lead, bias, dtype, rng):
 
 def test_linear_gives_no_gradient_to_constant_or_frozen_operands(rng):
     x = t(rng.normal(size=(2, 3, 4)))
-    w = t(rng.normal(size=(4, 5)), req=True)
-    b = t(rng.normal(size=5), req=True)
-    with nm.frozen([b]):
-        out = nm.linear(x, w, b)
-        gx, gw, gb = out._vjp(np.ones_like(out.data))
-    assert gx is None and gb is None and gw.shape == w.shape
-    with nm.frozen([w, b]):
-        out = nm.linear(x, w, b)
+    params = {"w": t(rng.normal(size=(4, 5)), req=True), "b": t(rng.normal(size=5), req=True)}
+    consts = nm.constants(params)
+    out = nm.linear(x, params["w"], consts["b"])
+    gx, gw, gb = out._vjp(np.ones_like(out.data))
+    assert gx is None and gb is None and gw.shape == (4, 5)
+    out = nm.linear(x, consts["w"], consts["b"])
     assert not out.requires_grad and out.parents == ()
 
 
@@ -680,37 +666,22 @@ def test_forward_trace_attention_maps_survive_backward(dtype, rng):
 
 
 # ---------------------------------------------------------------------------
-# frozen
+# constants
 
 def test_frozen_ops_build_no_graph():
     w = t([[1.0, 2.0]], req=True)
     v = t([[1.0]], req=True)
-    with nm.frozen([w]):
-        out = nm.matmul(w, t([[3.0], [4.0]]))
-        mixed = nm.mul(out, v)
+    consts = nm.constants({"w": w})
+    # a view over the same array; the parameter itself stays trainable
+    assert consts["w"].data is w.data and not consts["w"].requires_grad and w.requires_grad
+    out = nm.matmul(consts["w"], t([[3.0], [4.0]]))
+    mixed = nm.mul(out, v)
     assert out.parents == () and out._vjp is None and not out.requires_grad
     np.testing.assert_array_equal(out.data, [[11.0]])
-    # a frozen input next to a trainable one still lets gradients reach it
+    # a constant input next to a trainable one still lets gradients reach it
     backward(nm.sum_(mixed))
     np.testing.assert_array_equal(v.grad, [[11.0]])
     assert w.grad is None
-
-
-def test_frozen_restores_after_exit_exception_and_nesting():
-    a, b, c = t([1.0], req=True), t([2.0], req=True), t([3.0])
-    with nm.frozen([a, c]):
-        assert not a.requires_grad
-    assert a.requires_grad and not c.requires_grad      # a constant stays constant
-    with pytest.raises(KeyError):
-        with nm.frozen([a, b]):
-            raise KeyError("boom")
-    assert a.requires_grad and b.requires_grad
-    with nm.frozen([a]):
-        with nm.frozen([a, b]):
-            assert not a.requires_grad and not b.requires_grad
-        # the inner block restores only what it switched off
-        assert not a.requires_grad and b.requires_grad
-    assert a.requires_grad and b.requires_grad
 
 
 # ---------------------------------------------------------------------------

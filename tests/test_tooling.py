@@ -8,6 +8,7 @@ import os
 import re
 import shlex
 import sys
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -141,6 +142,60 @@ def test_tiny_desk_ablation_calls_every_layer_its_traced_run_requires(tmp_path):
     assert tracer.usage_problems(desk.uses, desk.never_uses) == []
 
 
+def _scoped(tree: ast.AST, module: str) -> Iterator[tuple[str, ast.AST]]:
+    """(qualified name of the enclosing function or class, node) for every
+    node under `tree`."""
+    for child in ast.iter_child_nodes(tree):
+        yield module, child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped(child, f"{module}.{child.name}")
+        else:
+            yield from _scoped(child, module)
+
+
+def _src_modules() -> Iterator[tuple[str, str]]:
+    """(module name, source) of each module in `src/injecttst`."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "injecttst")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                yield name[:-3], fh.read()
+
+
+def _requires_grad_assignments(source: str, module: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each assignment to an attribute named
+    `requires_grad` in `source`, and of each `setattr` of one."""
+    found = []
+    for scope, node in _scoped(ast.parse(source), module):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = [n for t in node.targets for n in ast.walk(t)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        hit = any(isinstance(n, ast.Attribute) and n.attr == "requires_grad" for n in targets)
+        hit |= (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == "requires_grad")
+        if hit:
+            found.append((scope, node.lineno))
+    return found
+
+
+def test_only_the_tensor_constructor_sets_requires_grad():
+    # a leaf stays off the graph by being a constant (`numerics.constants`),
+    # never by switching a shared parameter's flag, which every holder of
+    # that parameter would see
+    for line in ("t.requires_grad = False", "a.requires_grad, b = True, 1",
+                 "t.requires_grad |= x", "t.requires_grad: bool = True",
+                 "setattr(t, 'requires_grad', False)"):
+        assert _requires_grad_assignments(f"def f(t):\n    {line}\n", "m") == [("m.f", 2)], line
+    for line in ("x = t.requires_grad", "Tensor(d, requires_grad=True)", "setattr(t, 'grad', 0)"):
+        assert _requires_grad_assignments(f"def f(t):\n    {line}\n", "m") == [], line
+    found = [f for module, source in _src_modules()
+             for f in _requires_grad_assignments(source, module)]
+    assert [scope for scope, _ in found] == ["numerics.Tensor.__init__"], found
+
+
 # The functions allowed numpy sums and means over an axis, with how many
 # each holds and why; everything else reduces an axis through
 # `numerics._row_sum` (the last axis) or `numerics._col_sum` (leading axes)
@@ -163,22 +218,13 @@ def _axis_reductions(source: str, module: str) -> list[tuple[str, int]]:
                if isinstance(node, ast.Import) or node.module is None}
     modules |= {"np", "numpy"}
     found = []
-
-    def visit(node, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}"
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                  and child.func.attr in ("sum", "mean")):
-                owner = child.func.value
-                positional = 2 if isinstance(owner, ast.Name) and owner.id in modules else 1
-                if (len(child.args) >= positional
-                        or any(k.arg == "axis" for k in child.keywords)):
-                    found.append((scope, child.lineno))
-            visit(child, inner)
-
-    visit(tree, module)
+    for scope, node in _scoped(tree, module):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("sum", "mean")):
+            owner = node.func.value
+            positional = 2 if isinstance(owner, ast.Name) and owner.id in modules else 1
+            if len(node.args) >= positional or any(k.arg == "axis" for k in node.keywords):
+                found.append((scope, node.lineno))
     return found
 
 
@@ -195,12 +241,7 @@ def test_axes_are_reduced_only_through_the_numerics_helpers():
         assert _axis_reductions(f"def f():\n    {line}\n", "m") == [("m.f", 2)], line
     for line in ("s = x.sum()", "s = np.mean(x)", "s = nm.mean(x)", "s = sum(x, 0)"):
         assert _axis_reductions(f"from . import numerics as nm\n{line}\n", "m") == [], line
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "injecttst")
-    found = []
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py"):
-            with open(os.path.join(src, name)) as fh:
-                found += _axis_reductions(fh.read(), name[:-3])
+    found = [f for module, source in _src_modules() for f in _axis_reductions(source, module)]
     assert hasattr(nm, "_row_sum") and hasattr(nm, "_col_sum")
     assert [f for f in found if f[0] not in _AXIS_REDUCTIONS_ALLOWED] == []
     # a further reduction in an allowed function fails too, and an entry whose
