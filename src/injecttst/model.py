@@ -170,10 +170,14 @@ def _layer(x: Tensor, ctx: Tensor, params: dict, prefix: str, cfg: ModelConfig,
 
 
 def _encoder(x: Tensor, params: dict, group: str, layers: int, cfg: ModelConfig,
-             trace: Optional[dict], rng) -> Tensor:
+             trace: Optional[dict], rng, keep: Optional[np.ndarray] = None) -> Tensor:
+    """`layers` self-attention layers. Given `keep`, the last layer's queries
+    are only the token rows `keep` (`numerics.take`), over all keys and
+    values, and the encoder returns those rows."""
     for i in range(layers):
-        x = _layer(x, x, params, f"{group}.{i}.", cfg, trace, rng)
-    return x
+        q = x if keep is None or i + 1 < layers else nm.take(x, keep)
+        x = _layer(q, x, params, f"{group}.{i}.", cfg, trace, rng)
+    return x if keep is None or layers else nm.take(x, keep)
 
 
 def embed_patches(ps: PatchSet, params: dict, cfg: ModelConfig) -> Tensor:
@@ -191,11 +195,14 @@ def embed_patches(ps: PatchSet, params: dict, cfg: ModelConfig) -> Tensor:
 
 
 def ci_encode(tokens: Tensor, params: dict, cfg: ModelConfig,
-              trace: Optional[dict] = None, rng=None) -> Tensor:
+              trace: Optional[dict] = None, rng=None,
+              keep: Optional[np.ndarray] = None) -> Tensor:
     """Encode each channel's patch tokens with the shared encoder, run on the
     (B, M, PN, D) tokens as they are: channels never attend to one another,
-    and each `ci.<i>.attn` map is (B, M, heads, PN, PN)."""
-    return _encoder(tokens, params, "ci", cfg.ci_layers, cfg, trace, rng)
+    and each `ci.<i>.attn` map is (B, M, heads, PN, PN). Given a (B, M, K)
+    `keep`, only its K patches per channel come out, and the last map is
+    (B, M, heads, K, PN)."""
+    return _encoder(tokens, params, "ci", cfg.ci_layers, cfg, trace, rng, keep)
 
 
 def global_mix_cat(history: np.ndarray, params: dict, cfg: ModelConfig,
@@ -225,10 +232,11 @@ def global_mix_pat(ps: PatchSet, params: dict, cfg: ModelConfig,
 
 def sca_inject(z_ci: Tensor, z_glb: Tensor, params: dict, cfg: ModelConfig,
                trace: Optional[dict] = None, rng=None) -> Tensor:
-    """Cross-attention injection: one `_layer` in which the channel tokens query
-    the global tokens, shared by a batch item's M channels. `sca_residual`
-    decides whether the attention sublayer keeps its skip connection."""
-    B, M, PN, D = z_ci.shape
+    """Cross-attention injection: one `_layer` in which the (B, M, PN or K, D)
+    channel tokens query the global tokens, shared by a batch item's M
+    channels. `sca_residual` decides whether the attention sublayer keeps
+    its skip connection."""
+    B, M, _, D = z_ci.shape
     expected_ctx = cfg.M if cfg.mix_mode == "cat" else cfg.PN
     if z_glb.shape != (B, expected_ctx, D):
         raise ShapeError(f"global tokens {z_glb.shape} do not match mix_mode="
@@ -248,7 +256,7 @@ def forecast_head(z_out: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
 
 def pretrain_head(z_out: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
     """Per patch token, project back to patch values."""
-    return nm.matmul(z_out, params["pretrain_head"])                    # (B, M, PN, PL)
+    return nm.matmul(z_out, params["pretrain_head"])                    # (B, M, PN or K, PL)
 
 
 def normalize_last_value(batch: WindowBatch, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -258,13 +266,15 @@ def normalize_last_value(batch: WindowBatch, dtype) -> tuple[np.ndarray, np.ndar
     return history - history[:, :, -1:], history[:, :, -1]
 
 
-def _trunk(ps: PatchSet, params: dict, cfg: ModelConfig, trace: Optional[dict], rng) -> Tensor:
+def _trunk(ps: PatchSet, params: dict, cfg: ModelConfig, trace: Optional[dict], rng,
+           keep: Optional[np.ndarray] = None) -> Tensor:
     """Patch embedding, channel-independent encoding, then global mixing and
-    injection when enabled; the cat mixer reads the sequence behind `ps`. A
+    injection when enabled; the cat mixer reads the sequence behind `ps`.
+    Given `keep`, only its patches come out of `ci_encode` and on. A
     `trace` dict receives `tokens`, `z_ci`, `z_glb` (injection only), `z_out`
     and every attention layer's weights, named by its parameter prefix."""
     tokens = embed_patches(ps, params, cfg)
-    z_ci = ci_encode(tokens, params, cfg, trace, rng)
+    z_ci = ci_encode(tokens, params, cfg, trace, rng, keep)
     z_out = z_ci
     if cfg.use_global_injection:
         if cfg.mix_mode == "cat":
@@ -300,7 +310,17 @@ def forward_forecast(batch: WindowBatch, params: dict, cfg: ModelConfig,
 def forward_pretrain(masked: PatchSet, params: dict, cfg: ModelConfig,
                      trace: Optional[dict] = None, rng=None) -> Tensor:
     """Reconstruction pass over a masked PatchSet (already last-value
-    normalized). The global branch consumes the same masked inputs; for the
-    cat mixer reads the masked sequence as a view of the patches."""
-    z_out = _trunk(masked, params, cfg, trace, rng)
-    return pretrain_head(z_out, params, cfg)                            # (B, M, PN, PL)
+    normalized). The global branch consumes the same masked inputs; the cat
+    mixer reads the masked sequence as a view of the patches. The loss reads
+    only the masked patches, so from the last `ci` layer's queries on the
+    pass runs on the K masked patches of each (window, channel), which must
+    all mask K; the output's unmasked patches are 0."""
+    B, M, PN = masked.mask.shape
+    counts = np.count_nonzero(masked.mask, axis=-1)
+    K = counts.max(initial=0)
+    if counts.min(initial=K) != K:
+        raise ShapeError(f"every (window, channel) must mask as many patches, got "
+                         f"masked-patch counts {sorted(set(counts.ravel().tolist()))}")
+    keep = np.nonzero(masked.mask)[-1].reshape(B, M, K)                # (B, M, K), sorted
+    z_out = _trunk(masked, params, cfg, trace, rng, keep)
+    return nm.put(pretrain_head(z_out, params, cfg), keep, PN)          # (B, M, PN, PL)

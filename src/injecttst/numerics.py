@@ -221,6 +221,36 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _node(data, "transpose", (x,), vjp)
 
 
+def _rows(index) -> np.ndarray:
+    """An (..., K) token index as an (..., K, 1) array. A repeated row would
+    need its gradients summed, so each index row must increase."""
+    index = np.asarray(index)
+    if np.any(index[..., 1:] <= index[..., :-1]):
+        raise ContractError("token indices must increase along each row")
+    return index[..., None]
+
+
+def _scatter(x: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros((*x.shape[:-2], size, x.shape[-1]), x.dtype)
+    np.put_along_axis(out, rows, x, axis=-2)
+    return out
+
+
+def take(x: Tensor, index) -> Tensor:
+    """The (..., K, D) token rows `index` of (..., S, D) tokens; the vjp of `put`."""
+    rows, size = _rows(index), x.data.shape[-2]
+    return _node(np.take_along_axis(x.data, rows, axis=-2), "take", (x,),
+                 lambda g: (_scatter(g, rows, size),))
+
+
+def put(x: Tensor, index, size: int) -> Tensor:
+    """(..., K, D) tokens scattered to rows `index` of zero (..., size, D)
+    tokens; the vjp of `take`."""
+    rows = _rows(index)
+    return _node(_scatter(x.data, rows, size), "put", (x,),
+                 lambda g: (np.take_along_axis(g, rows, axis=-2),))
+
+
 def sum_(x: Tensor) -> Tensor:
     """The sum of all elements, as a scalar."""
     data = np.asarray(x.data.sum())

@@ -2,10 +2,12 @@
 score the same metrics as when the pins below were taken.
 
 The flow is acceptance criterion 9's six-variant matrix at one epoch per
-stage, then the CLI's pretrain -> finetune --checkpoint -> evaluate. Float32
-bits depend on numpy, the BLAS kernel and the CPU, so the pins hold for the
-host named in `HOST`. On that host checkpoints must match by sha256 and
-metrics by `repr`; elsewhere only the metrics are compared, at `REL_TOL`.
+stage, then the CLI's pretrain -> finetune --checkpoint -> evaluate. Its
+shapes are tiny, so one pretraining step at the paper shape is pinned too.
+Float32 bits depend on numpy, the BLAS kernel and the CPU, so the pins hold
+for the host named in `HOST`. On that host checkpoints and gradients must
+match by sha256 and metrics and losses by `repr`; elsewhere only the metrics
+and losses are compared, at `REL_TOL`.
 
 A change that moves values updates the pins in the same commit; print the
 new ones with `PYTHONPATH=src python tests/test_fingerprint.py`.
@@ -22,7 +24,12 @@ import warnings
 import numpy as np
 
 from injecttst.cli import main
+from injecttst.data import make_windows, mask_patches, patchify
 from injecttst.harness import RunConfig, run_ablation
+from injecttst.model import ModelConfig, forward_pretrain, init_params, normalize_last_value
+from injecttst.numerics import grad_table
+from injecttst.synthetic import sine_mixture
+from injecttst.training import masked_mse
 
 # the host the exact pins were taken on (`host_key()`)
 HOST = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64 Intel(R) Xeon(R) Processor"
@@ -87,6 +94,9 @@ METRICS = {
     "cli-finetune": ("0.6556507002864871", "0.6452233423218499"),
     "cli-evaluate": ("0.6556507002864871", "0.6452233423218499"),
 }
+
+# (repr(loss), sha256 of the gradients) of `paper_step`
+PAPER_STEP = ("3.557384729385376", "c30dafdf941c2dfe800aa7a6add1ce68f5e3d0939a9910e474b53aaafd74167b")
 
 # Off the pinned host: the largest relative change of a test metric that any
 # value-moving change so far has made (the attention key-bias removal), so a
@@ -158,6 +168,39 @@ def run_flow() -> tuple[dict, dict]:
     return hashes, metrics
 
 
+def paper_step() -> tuple[str, str]:
+    """One seeded `pat` pretraining step on the first 6-window chunk (the
+    training chunk at this shape) of a 7-channel sine mixture, at the paper
+    shape (L=512, M=7, D=64): its loss's `repr` and the sha256 of its
+    gradients, in name order."""
+    cfg = ModelConfig(L=512, T=96, M=7, D=64, mix_mode="pat")
+    batch = next(make_windows(sine_mixture(1800, 7), cfg.L, cfg.T, 6))
+    history_n, _ = normalize_last_value(batch, np.float32)
+    ps = patchify(history_n, cfg.PL)
+    masked = mask_patches(ps, 0.5, seed=0)
+    params = init_params(cfg, seed=0)
+    loss = masked_mse(forward_pretrain(masked, params, cfg), ps.patches, masked.mask)
+    grads = grad_table(loss, params)
+    digest = hashlib.sha256()
+    for name in sorted(grads):
+        digest.update(grads[name].tobytes())
+    return repr(float(loss.data)), digest.hexdigest()
+
+
+def _off_host(unchecked: str, compared: str) -> None:
+    warnings.warn(f"host {host_key()!r} is not the pinned {HOST!r}: {unchecked} not "
+                  f"checked, {compared} compared at {REL_TOL:g}")
+
+
+def test_a_paper_shape_pretrain_step_matches_its_pin():
+    loss, digest = paper_step()
+    if host_key() == HOST:
+        assert (loss, digest) == PAPER_STEP
+        return
+    _off_host("gradients", "loss")
+    assert math.isclose(float(loss), float(PAPER_STEP[0]), rel_tol=REL_TOL, abs_tol=0.0)
+
+
 def test_seeded_flow_matches_its_pins(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     hashes, metrics = run_flow()
@@ -166,8 +209,7 @@ def test_seeded_flow_matches_its_pins(tmp_path, monkeypatch):
         assert metrics == METRICS
         assert hashes == CHECKPOINTS
         return
-    warnings.warn(f"host {host_key()!r} is not the pinned {HOST!r}: checkpoints "
-                  f"and exact metrics not checked, metrics compared at {REL_TOL:g}")
+    _off_host("checkpoints and exact metrics", "metrics")
     assert hashes.keys() == CHECKPOINTS.keys()
     off = {label: (got, METRICS[label]) for label, got in metrics.items()
            if not all(math.isclose(float(g), float(p), rel_tol=REL_TOL, abs_tol=0.0)
@@ -189,4 +231,5 @@ if __name__ == "__main__":
     print("}\n\nMETRICS = {")
     for label, (mse, mae) in metrics.items():
         print(f'    "{label}": ("{mse}", "{mae}"),')
-    print("}")
+    loss, digest = paper_step()
+    print(f'}}\n\nPAPER_STEP = ("{loss}", "{digest}")')

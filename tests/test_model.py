@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import injecttst.numerics as nm
-from injecttst.data import WindowBatch, mask_patches, patchify
+from injecttst.data import PatchSet, WindowBatch, mask_count, mask_patches, patchify
 from injecttst.errors import ConfigError, ShapeError
 from injecttst.harness import VARIANT_FLAGS
 import injecttst.model as model
-from injecttst.model import (ModelConfig, _attention, _drop, _encoder, _ffn, _norm,
+from injecttst.model import (ModelConfig, _attention, _drop, _encoder, _ffn, _norm, _trunk,
                              ci_encode, embed_patches, forecast_head, forward_forecast,
                              forward_pretrain, global_mix_cat, global_mix_pat,
                              init_params, pretrain_head, sca_inject)
@@ -555,6 +555,57 @@ def test_pretrain_runs_without_mask(rng):
     assert rec.shape == ps.patches.shape
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci_layers", [0, 1, 2])
+@pytest.mark.parametrize("tag", list(VARIANT_FLAGS))
+def test_pretraining_runs_only_the_masked_patches_with_the_bits_of_a_full_pass(
+        tag, ci_layers, dtype, monkeypatch):
+    # every op after the last ci attention works on one token at a time, and
+    # the loss weights an unmasked patch by zero, so leaving those out of the
+    # last ci layer's queries and on changes no bit of the loss or gradients
+    cfg = replace(CFG, ci_layers=ci_layers, **VARIANT_FLAGS[tag])
+    history = _batch(cfg, B=3).history.astype(dtype)
+    ps = patchify(history - history[:, :, -1:], cfg.PL)
+    masked = mask_patches(ps, 0.5, seed=4)
+    K = mask_count(0.5, cfg.PN)
+    full, part = init_params(cfg, 0, dtype), init_params(cfg, 0, dtype)
+    want = pretrain_head(_trunk(masked, full, cfg, None, None), full, cfg)
+    want_loss = masked_mse(want, ps.patches, masked.mask)
+    want_grads = nm.grad_table(want_loss, full)
+
+    rows = []
+    attention = nm.scaled_dot_attention
+    monkeypatch.setattr(nm, "scaled_dot_attention",
+                        lambda q, *args, **kw: rows.append(q.shape[-2]) or attention(q, *args, **kw))
+    got = forward_pretrain(masked, part, cfg)
+    monkeypatch.undo()
+    # in forward order: ci layers, then the mixer, then sca
+    ctx = cfg.M if cfg.mix_mode == "cat" else cfg.PN
+    injected = [ctx] * cfg.mix_layers + [K] if cfg.use_global_injection else []
+    assert rows == [cfg.PN] * (ci_layers - 1) + [K] * (ci_layers > 0) + injected
+
+    assert got.data.dtype == dtype and got.shape == ps.patches.shape
+    np.testing.assert_array_equal(got.data[masked.mask], want.data[masked.mask])
+    assert not got.data[~masked.mask].any()
+    loss = masked_mse(got, ps.patches, masked.mask)
+    np.testing.assert_array_equal(loss.data, want_loss.data)
+    grads = nm.grad_table(loss, part)
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
+
+
+def test_pretrain_refuses_a_mask_with_unequal_counts_per_channel(rng):
+    hist = rng.normal(size=(2, CFG.M, CFG.L)).astype(np.float32)
+    ps = patchify(hist, CFG.PL)
+    mask = np.zeros(ps.mask.shape, dtype=bool)
+    mask[..., :2] = True
+    mask[1, 2, 2] = True
+    ragged = PatchSet(patches=np.where(mask[..., None], 0.0, ps.patches), mask=mask)
+    with pytest.raises(ShapeError, match=r"masked-patch counts \[2, 3\]"):
+        forward_pretrain(ragged, _params(), CFG)
+
+
 def test_injection_contributes_after_brief_pretrain(rng):
     cfg = replace(CFG, mix_mode="pat")
     params = _params(cfg, seed=2)
@@ -600,13 +651,15 @@ def test_trace_names_each_attention_map_by_its_layer(tag, pass_, monkeypatch):
         ps = patchify(batch.history, cfg.PL)
         forward_pretrain(mask_patches(ps, 0.5, seed=0), _params(cfg), cfg, trace)
 
-    shapes = {"tokens": (B, M, PN, cfg.D), "z_ci": (B, M, PN, cfg.D),
-              "z_out": (B, M, PN, cfg.D),
-              "ci.0.attn": (B, M, H, PN, PN), "ci.1.attn": (B, M, H, PN, PN)}
+    # pretraining runs the last ci layer's queries and on over the K masked patches only
+    K = PN if pass_ == "forecast" else mask_count(0.5, PN)
+    shapes = {"tokens": (B, M, PN, cfg.D), "z_ci": (B, M, K, cfg.D),
+              "z_out": (B, M, K, cfg.D),
+              "ci.0.attn": (B, M, H, PN, PN), "ci.1.attn": (B, M, H, K, PN)}
     if tag != "no-gi":
         ctx = M if tag == "cat" else PN
         shapes.update({"z_glb": (B, ctx, cfg.D), "mix.0.attn": (B, H, ctx, ctx),
-                       "sca.attn": (B, M, H, PN, ctx)})
+                       "sca.attn": (B, M, H, K, ctx)})
     assert set(trace) == set(shapes)
     assert {k: v.shape for k, v in trace.items()} == shapes
     assert all(v.dtype == np.float32 for v in trace.values())

@@ -814,6 +814,31 @@ def test_grad_check_quadratic_form(rng):
     assert grad_check(f, {"x": x}, h=1e-3) < 1e-8
 
 
+def test_take_gathers_token_rows_and_put_scatters_them_into_zeros(rng):
+    x = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
+    index = np.sort(rng.random((2, 3, 5)).argsort(axis=-1)[..., :2], axis=-1)
+    leaf = t(x, req=True)
+    taken = nm.take(leaf, index)
+    placed = nm.put(taken, index, 5)
+    for b, m in np.ndindex(2, 3):
+        np.testing.assert_array_equal(taken.data[b, m], x[b, m, index[b, m]])
+        np.testing.assert_array_equal(placed.data[b, m, index[b, m]], x[b, m, index[b, m]])
+    kept = np.zeros((2, 3, 5), dtype=bool)
+    np.put_along_axis(kept, index, True, axis=-1)
+    assert not placed.data[~kept].any()
+    # each is the other's vjp: the gradient of the round trip is 1 at the kept rows
+    backward(nm.sum_(placed))
+    np.testing.assert_array_equal(leaf.grad, np.broadcast_to(kept[..., None], x.shape))
+
+
+@pytest.mark.parametrize("index", [[1, 1], [3, 2]])
+def test_take_and_put_refuse_an_index_that_does_not_increase(index):
+    with pytest.raises(ContractError, match="increase"):
+        nm.take(t(np.ones((4, 2), dtype=np.float32)), np.array(index))
+    with pytest.raises(ContractError, match="increase"):
+        nm.put(t(np.ones((2, 2), dtype=np.float32)), np.array(index), 4)
+
+
 def test_grad_check_cross_attention_composition(rng):
     params = {name: Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True)
               for name in ("q", "k", "v")}
@@ -866,6 +891,8 @@ _PRIMITIVES = {
     "gelu": lambda p: nm.sum_(nm.gelu(p["a"])),
     "attention": lambda p: nm.sum_(nm.scaled_dot_attention(p["a"], p["b"], p["c2"])),
     "linear": lambda p: nm.sum_(nm.linear(p["a"], p["c"], p["bias5"]) * nm.linear(p["a"], p["c"], p["bias5"])),
+    "take": lambda p: nm.sum_(nm.take(p["a"], np.array([0, 2, 3])) * nm.take(p["b"], np.array([1, 2, 3]))),
+    "put": lambda p: nm.sum_(nm.put(p["a"], np.array([0, 2, 3, 5]), 6) * nm.put(p["b"], np.array([1, 2, 3, 5]), 6)),
 }
 
 
