@@ -1,8 +1,12 @@
-"""Binary checkpoint format for named float32 tensors.
+"""Binary checkpoint format for named float32 tensors and the model they fit.
 
-Layout (all integers little-endian):
+Layout, format version 2 (all integers little-endian):
     magic  "ITST"
     u32    format version
+    u32    architecture record byte length, then the record: a UTF-8 JSON
+           object of the writer's model config fields (`ModelConfig`: its
+           nine `model.*` settings, M and the four variant flags) and its
+           config digest, or {} when the writer gave no config
     u32    tensor count
     per tensor:
         u32    name byte length, then UTF-8 name
@@ -10,10 +14,14 @@ Layout (all integers little-endian):
         u64    each dimension
         f32    row-major data
     u32    CRC-32 of all preceding bytes
+
+Version 1 is the same without the architecture record; it still loads, with
+an empty record.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
@@ -25,17 +33,24 @@ from .errors import CheckpointError
 from .numerics import Tensor
 
 MAGIC = b"ITST"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def save_checkpoint(params: dict, path: str) -> None:
-    """Write tensors sorted by name; values accept Tensor or ndarray.
+def save_checkpoint(params: dict, path: str, config=None, digest: str = "") -> None:
+    """Write tensors sorted by name; values accept Tensor or ndarray. The
+    architecture record holds the fields of `config`, a model config
+    dataclass, and `digest`; without a config it is empty.
 
     The bytes go to a temporary file beside `path` that is then renamed over
     it, so a reader never sees a partly written checkpoint. A tensor holding a
     NaN or an infinity raises CheckpointError before either file exists.
     """
-    chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(params))]
+    import json
+
+    record = {} if config is None else {**dataclasses.asdict(config), "digest": digest}
+    meta = json.dumps(record, sort_keys=True).encode("utf-8")
+    chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(meta)), meta,
+              struct.pack("<I", len(params))]
     for name in sorted(params):
         value = params[name]
         arr = np.ascontiguousarray(
@@ -60,13 +75,17 @@ def save_checkpoint(params: dict, path: str) -> None:
             os.remove(tmp)
 
 
-def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Read a checkpoint; verifies magic, version and the trailing CRC.
+def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """A checkpoint's tensors and its architecture record (empty when the
+    file records none); verifies magic, version and the trailing CRC.
 
     Every field is bounds-checked against the body, so a truncated or crafted
-    file raises CheckpointError even when its CRC matches. So does a tensor
-    that holds a NaN or an infinity; the error names the first such tensor.
+    file raises CheckpointError even when its CRC matches. So does a record
+    that is not a JSON object of scalars, and a tensor that holds a NaN or an
+    infinity; the error names the first such tensor.
     """
+    import json
+
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 12:
@@ -77,10 +96,10 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         raise CheckpointError(f"{path}: CRC mismatch, file is corrupt")
     if body[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {body[:4]!r}")
-    version, count = struct.unpack_from("<II", body, 4)
-    if version != FORMAT_VERSION:
+    (version,) = struct.unpack_from("<I", body, 4)
+    if version not in (1, FORMAT_VERSION):
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    offset = 12
+    offset = 8
 
     def take(nbytes: int, what: str) -> int:
         nonlocal offset
@@ -90,6 +109,20 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         start, offset = offset, offset + nbytes
         return start
 
+    record: dict = {}
+    if version > 1:
+        (size,) = struct.unpack_from("<I", body, take(4, "architecture record length"))
+        raw = body[take(size, "architecture record"):offset]
+        try:
+            record = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError):
+            raise CheckpointError(f"{path}: architecture record is not UTF-8 JSON: "
+                                  f"{raw[:32]!r}") from None
+        if not (isinstance(record, dict) and all(isinstance(v, (bool, int, float, str))
+                                                 for v in record.values())):
+            raise CheckpointError(f"{path}: architecture record is not a JSON object of "
+                                  f"scalars: {raw[:32]!r}")
+    (count,) = struct.unpack_from("<I", body, take(4, "tensor count"))
     # every tensor record holds at least its name length and its rank
     if count > (len(body) - offset) // 8:
         raise CheckpointError(f"{path}: tensor count {count} does not fit the file")
@@ -114,7 +147,28 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         tensors[name] = arr.astype(np.float32)
     if offset != len(body):
         raise CheckpointError(f"{path}: trailing bytes after tensor data")
-    return tensors
+    return tensors, record
+
+
+def load_checkpoint(path: str) -> dict[str, np.ndarray]:
+    """A checkpoint's tensors, checked as `read_checkpoint` checks them."""
+    return read_checkpoint(path)[0]
+
+
+def check_architecture(record: dict, config, path: str) -> None:
+    """Raise CheckpointError unless architecture `record`, read from `path`,
+    holds exactly the fields of model config `config`; the error names the
+    fields that differ."""
+    stored = {k: v for k, v in record.items() if k != "digest"}
+    if not stored:
+        raise CheckpointError(f"{path}: the checkpoint records no architecture "
+                              "(format version 1, or saved without a model config)")
+    built = dataclasses.asdict(config)
+    differ = sorted(k for k in stored.keys() | built.keys() if stored.get(k) != built.get(k))
+    if differ:
+        raise CheckpointError(f"{path}: the checkpoint's model differs from this run's in "
+                              + ", ".join(f"{k} (checkpoint {stored.get(k)!r}, "
+                                          f"run {built.get(k)!r})" for k in differ))
 
 
 def apply_checkpoint(params: dict, loaded: dict[str, np.ndarray]) -> None:

@@ -7,7 +7,6 @@ numeric channels, comma separated, ``.`` decimal.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -59,6 +58,8 @@ class PatchSet:
 
 def load_csv(path: str) -> SeriesTable:
     """Load a series table; raises DataError with the offending row number."""
+    import csv
+
     if not os.path.isfile(path):
         raise DataError(f"dataset file not found: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -8,8 +8,6 @@ byte-stable and the config digest is independent of key ordering.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -17,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .checkpoint import apply_checkpoint, load_checkpoint
+from .checkpoint import apply_checkpoint, check_architecture, read_checkpoint
 from .data import SPLITS, SeriesTable, load_csv, mask_count, window_count
 from .errors import ConfigError, ContractError, SizingError
 from .model import ModelConfig, ModelSettings, init_params
@@ -169,6 +167,7 @@ def load_config(path: str, profile: Optional[str] = None,
 
 
 def config_digest(rc: RunConfig) -> str:
+    import hashlib
     return hashlib.sha256(serialize_config(rc).encode()).hexdigest()[:16]
 
 
@@ -220,6 +219,7 @@ def check_streams(rc: RunConfig, data: DataSplits) -> None:
 
 @dataclass
 class ResultRecord:
+    """One line of `results.ndjson`: a run's config digest, cell, metrics and outcome."""
     digest: str
     variant: str
     L: int
@@ -237,6 +237,7 @@ class ResultRecord:
 
     def to_json(self) -> str:
         """One strict-JSON line: a missing or non-finite metric is null."""
+        import json
         record = dataclasses.asdict(self)
         for key in ("mse", "mae"):
             record[key] = _finite_or_none(record[key])
@@ -303,11 +304,13 @@ def train_run(rc: RunConfig, data: Optional[DataSplits] = None,
     cfg = model_config(rc, data.train.channels)
     params = init_params(cfg, rc.seed)
     if checkpoint is not None:
-        apply_checkpoint(params, load_checkpoint(checkpoint))
+        tensors, record = read_checkpoint(checkpoint)
+        check_architecture(record, cfg, checkpoint)
+        apply_checkpoint(params, tensors)
     # a stage left out runs for 0 epochs: it logs nothing and writes no checkpoint
     sched = replace(schedule(rc), **{f"{s}_epochs": 0 for s in STAGES if s not in stages})
     out_dir = run_dir(rc)
-    log = train_pipeline(params, cfg, data, sched, out_dir)
+    log = train_pipeline(params, cfg, data, sched, out_dir, config_digest(rc))
     final = stage_checkpoint(out_dir, log[-1]["stage"]) if log else checkpoint
     return cfg, params, data, log, final or ""
 

@@ -7,7 +7,6 @@ and validation losses and retains the best-validation parameters.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -231,9 +230,12 @@ def _graph_free(forward: Callable, x, chunks: list[slice]) -> Tensor:
 def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
               data: DataSplits, sched: StageSchedule,
               out_dir: Optional[str] = None,
-              log_sink: Optional[Callable[[dict], None]] = None) -> list[dict]:
+              log_sink: Optional[Callable[[dict], None]] = None,
+              digest: str = "") -> list[dict]:
     """Train one stage in place and leave `params` at the best-validation
-    epoch. Returns the per-epoch log records.
+    epoch. Returns the per-epoch log records. Given an output directory, the
+    weights go to the stage's checkpoint, recording `cfg` and the run's
+    config `digest`.
 
     A step runs forward and backward chunk by chunk (`_chunks`), each
     chunk's loss weighted by its share of the batch, and then one Adam
@@ -328,7 +330,7 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
             p.data = best_snapshot[k]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(params, stage_checkpoint(out_dir, stage))
+        save_checkpoint(params, stage_checkpoint(out_dir, stage), cfg, digest)
     return log
 
 
@@ -338,10 +340,13 @@ def stage_checkpoint(out_dir: str, stage: str) -> str:
 
 
 def train_pipeline(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
-                   sched: StageSchedule, out_dir: Optional[str] = None) -> list[dict]:
+                   sched: StageSchedule, out_dir: Optional[str] = None,
+                   digest: str = "") -> list[dict]:
     """Run pretrain -> head -> finetune. Given an output directory, each
     epoch's record is appended to its train_log.ndjson; the directory is
-    made when the first record is written."""
+    made when the first record is written. `digest` goes to the checkpoints."""
+    import json
+
     def sink(record: dict) -> None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "train_log.ndjson"), "a") as fh:
@@ -350,7 +355,7 @@ def train_pipeline(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits
     log: list[dict] = []
     for stage in STAGES:
         log.extend(run_stage(stage, params, cfg, data, sched, out_dir,
-                             None if out_dir is None else sink))
+                             None if out_dir is None else sink, digest))
     return log
 
 
@@ -359,6 +364,7 @@ def train_pipeline(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits
 
 @dataclass
 class EvalReport:
+    """Test-stream metrics: overall, per horizon step and per channel."""
     mse: float
     mae: float
     per_horizon_mse: list[float]

@@ -1,5 +1,7 @@
 """Binary checkpoint format: layout, round trips, corruption detection."""
 
+import dataclasses
+import json
 import os
 import struct
 import zlib
@@ -8,8 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from injecttst.checkpoint import (FORMAT_VERSION, MAGIC, apply_checkpoint,
-                                  load_checkpoint, save_checkpoint)
+from injecttst.checkpoint import (FORMAT_VERSION, MAGIC, apply_checkpoint, check_architecture,
+                                  load_checkpoint, read_checkpoint, save_checkpoint)
 from injecttst.errors import CheckpointError
 from injecttst.model import ModelConfig, init_params
 
@@ -25,21 +27,67 @@ def test_roundtrip_bitwise(tmp_path, rng):
         assert np.array_equal(loaded[name], tensors[name])
 
 
+_CFG = ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2, ci_layers=1, mix_layers=1)
+
+
 def test_layout_details(tmp_path):
     path = str(tmp_path / "x.ckpt")
-    save_checkpoint({"w": np.array([[1.0, 2.0]], dtype=np.float32)}, path)
+    save_checkpoint({"w": np.array([[1.0, 2.0]], dtype=np.float32)}, path, _CFG, "ab12")
     blob = open(path, "rb").read()
     assert blob[:4] == MAGIC
-    version, count = struct.unpack_from("<II", blob, 4)
-    assert (version, count) == (FORMAT_VERSION, 1)
-    (name_len,) = struct.unpack_from("<I", blob, 12)
-    assert blob[16:16 + name_len] == b"w"
-    (rank,) = struct.unpack_from("<I", blob, 16 + name_len)
+    version, size = struct.unpack_from("<II", blob, 4)
+    assert version == FORMAT_VERSION == 2
+    record = json.loads(blob[12:12 + size].decode("utf-8"))
+    assert record == {**dataclasses.asdict(_CFG), "digest": "ab12"}
+    assert len(record) == 15         # nine model.* settings, M, four variant flags, digest
+    at = 12 + size
+    (count,) = struct.unpack_from("<I", blob, at)
+    assert count == 1
+    (name_len,) = struct.unpack_from("<I", blob, at + 4)
+    assert blob[at + 8:at + 8 + name_len] == b"w"
+    (rank,) = struct.unpack_from("<I", blob, at + 8 + name_len)
     assert rank == 2
-    dims = struct.unpack_from("<2Q", blob, 20 + name_len)
+    dims = struct.unpack_from("<2Q", blob, at + 12 + name_len)
     assert dims == (1, 2)
     (crc,) = struct.unpack("<I", blob[-4:])
     assert crc == zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    assert read_checkpoint(path)[1] == record
+
+
+def test_a_checkpoint_saved_without_a_config_has_an_empty_record(tmp_path):
+    path = str(tmp_path / "x.ckpt")
+    save_checkpoint({"w": np.ones(2, np.float32)}, path)
+    blob = open(path, "rb").read()
+    assert struct.unpack_from("<I", blob, 8) == (2,) and blob[12:14] == b"{}"
+    assert read_checkpoint(path)[1] == {}
+
+
+def test_a_version_1_checkpoint_loads_with_an_empty_record(tmp_path, rng):
+    # version 1 has no architecture record: magic, version, count, tensors, CRC
+    w = rng.normal(size=(2, 3)).astype(np.float32)
+    body = (MAGIC + struct.pack("<III", 1, 1, 1) + b"w" + struct.pack("<I2Q", 2, 2, 3)
+            + w.tobytes())
+    tensors, record = _read_resealed(tmp_path, body)
+    assert record == {} and list(tensors) == ["w"] and np.array_equal(tensors["w"], w)
+    with pytest.raises(CheckpointError, match="records no architecture"):
+        check_architecture(record, _CFG, "v1.ckpt")
+
+
+def test_check_architecture_names_every_field_that_differs():
+    record = {**dataclasses.asdict(_CFG), "digest": "any"}
+    check_architecture(record, _CFG, "x.ckpt")
+    check_architecture({**record, "digest": "another run"}, _CFG, "x.ckpt")
+    other = replace(_CFG, heads=4, mix_mode="cat")
+    with pytest.raises(CheckpointError, match=r"x\.ckpt: the checkpoint's model differs from "
+                       r"this run's in heads \(checkpoint 2, run 4\), mix_mode "
+                       r"\(checkpoint 'pat', run 'cat'\)$"):
+        check_architecture(record, other, "x.ckpt")
+    # a field the run's config lacks, or one the record lacks, differs too
+    with pytest.raises(CheckpointError, match=r"in extra \(checkpoint 1, run None\)$"):
+        check_architecture({**record, "extra": 1}, _CFG, "x.ckpt")
+    del record["M"]
+    with pytest.raises(CheckpointError, match=r"in M \(checkpoint None, run 3\)$"):
+        check_architecture(record, _CFG, "x.ckpt")
 
 
 def test_crc_detects_corruption(tmp_path, rng):
@@ -107,15 +155,23 @@ def _sample_body(tmp_path) -> bytes:
     rng = np.random.default_rng(0)
     save_checkpoint({"a": rng.normal(size=(3, 4)).astype(np.float32),
                      "b.weight": rng.normal(size=(7,)).astype(np.float32),
-                     "s": np.float32(2.5)}, path)
+                     "s": np.float32(2.5)}, path, _CFG, "0123456789abcdef")
     return open(path, "rb").read()[:-4]
 
 
-def _load_resealed(tmp_path, body: bytes):
+def _seal(tmp_path, body: bytes) -> str:
     path = str(tmp_path / "crafted.ckpt")
     with open(path, "wb") as fh:
         fh.write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-    return load_checkpoint(path)
+    return path
+
+
+def _read_resealed(tmp_path, body: bytes):
+    return read_checkpoint(_seal(tmp_path, body))
+
+
+def _load_resealed(tmp_path, body: bytes):
+    return load_checkpoint(_seal(tmp_path, body))
 
 
 def _patched(body: bytes, offset: int, fmt: str, value) -> bytes:
@@ -124,39 +180,88 @@ def _patched(body: bytes, offset: int, fmt: str, value) -> bytes:
     return bytes(out)
 
 
-# the first tensor ("a", shape (3, 4)) takes bytes 12-85: name length at 12,
-# name at 16, rank at 17, dimensions at 21 and 29, data from 37
+def _first_tensor(body: bytes) -> int:
+    """Where the first tensor record starts: after the architecture record and the count."""
+    return 12 + struct.unpack_from("<I", body, 8)[0] + 4
+
+
+def _with_record(body: bytes, raw: bytes) -> bytes:
+    """`body` with its architecture record replaced by `raw`."""
+    return body[:8] + struct.pack("<I", len(raw)) + raw + body[_first_tensor(body) - 4:]
+
+
+# `t` is where the first tensor record ("a", shape (3, 4)) starts, after the
+# architecture record at 12 and the count at t - 4; it takes t to t + 73:
+# name length at t, name at t + 4, rank at t + 5, dimensions at t + 9 and
+# t + 17, data from t + 25
 _CRAFTED = {
-    "count too large": (lambda b: _patched(b, 8, "<I", 2**32 - 1), "tensor count"),
-    "count one too many": (lambda b: _patched(b, 8, "<I", 4), "name length"),
-    "name length too large": (lambda b: _patched(b, 12, "<I", 2**31), "tensor name"),
-    "non-utf8 name": (lambda b: _patched(b, 16, "<B", 0xFF), "UTF-8"),
-    "rank too large": (lambda b: _patched(b, 17, "<I", 2**32 - 1), "shape"),
-    "dimension too large": (lambda b: _patched(b, 21, "<Q", 2**62), "data"),
-    "dimension past the data": (lambda b: _patched(b, 21, "<Q", 100), "data of 'a'"),
-    "duplicate name": (lambda b: _patched(b[:85] + b[12:85] + b[85:], 8, "<I", 4),
-                       "duplicate"),
-    "cut body": (lambda b: b[:-2], "data of 's'"),
-    "header only": (lambda b: b[:12], "tensor count"),
-    "nan value": (lambda b: _patched(b, 41, "<f", float("nan")), "'a' holds a non-finite"),
-    "inf value": (lambda b: _patched(b, len(b) - 4, "<f", float("inf")),
+    "count too large": (lambda b, t: _patched(b, t - 4, "<I", 2**32 - 1), "tensor count"),
+    "count one too many": (lambda b, t: _patched(b, t - 4, "<I", 4), "name length"),
+    "name length too large": (lambda b, t: _patched(b, t, "<I", 2**31), "tensor name"),
+    "non-utf8 name": (lambda b, t: _patched(b, t + 4, "<B", 0xFF), "UTF-8"),
+    "rank too large": (lambda b, t: _patched(b, t + 5, "<I", 2**32 - 1), "shape"),
+    "dimension too large": (lambda b, t: _patched(b, t + 9, "<Q", 2**62), "data"),
+    "dimension past the data": (lambda b, t: _patched(b, t + 9, "<Q", 100), "data of 'a'"),
+    "duplicate name": (lambda b, t: _patched(b[:t + 73] + b[t:t + 73] + b[t + 73:], t - 4,
+                                             "<I", 4), "duplicate"),
+    "cut body": (lambda b, t: b[:-2], "data of 's'"),
+    "header only": (lambda b, t: b[:t], "tensor count"),
+    "nan value": (lambda b, t: _patched(b, t + 29, "<f", float("nan")), "'a' holds a non-finite"),
+    "inf value": (lambda b, t: _patched(b, len(b) - 4, "<f", float("inf")),
                   "'s' holds a non-finite"),
-    "-inf value": (lambda b: _patched(b, 81, "<f", float("-inf")), "'a' holds a non-finite"),
+    "-inf value": (lambda b, t: _patched(b, t + 69, "<f", float("-inf")),
+                   "'a' holds a non-finite"),
+    "version 3": (lambda b, t: _patched(b, 4, "<I", 3), "unsupported format version 3"),
+    "version 0": (lambda b, t: _patched(b, 4, "<I", 0), "unsupported format version 0"),
+    # the architecture record
+    "record cut": (lambda b, t: b[:20], "architecture record runs past"),
+    "record length cut": (lambda b, t: b[:10], "truncated checkpoint"),
+    "record oversized": (lambda b, t: _patched(b, 8, "<I", 2**32 - 1),
+                         "architecture record runs past"),
+    "record one byte longer": (lambda b, t: _patched(b, 8, "<I", t - 15),
+                               "architecture record is not UTF-8 JSON"),
+    "non-utf8 record": (lambda b, t: _patched(b, 14, "<B", 0xFF),
+                        "architecture record is not UTF-8 JSON"),
+    "empty record": (lambda b, t: _with_record(b, b""), "architecture record is not UTF-8 JSON"),
+    "record not json": (lambda b, t: _with_record(b, b"heads=4"),
+                        "architecture record is not UTF-8 JSON"),
+    "record cut json": (lambda b, t: _with_record(b, b'{"heads": 4'),
+                        "architecture record is not UTF-8 JSON"),
+    "record nested too deep": (lambda b, t: _with_record(b, b"[" * 100_000),
+                               "architecture record is not UTF-8 JSON"),
+    "record a list": (lambda b, t: _with_record(b, b"[4, 2]"), "not a JSON object of scalars"),
+    "record a string": (lambda b, t: _with_record(b, b'"pat"'), "not a JSON object of scalars"),
+    "record with a list value": (lambda b, t: _with_record(b, b'{"heads": [4]}'),
+                                 "not a JSON object of scalars"),
+    "record with a null value": (lambda b, t: _with_record(b, b'{"heads": null}'),
+                                 "not a JSON object of scalars"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CRAFTED))
 def test_crafted_body_raises_checkpoint_error(tmp_path, case):
     craft, message = _CRAFTED[case]
+    body = _sample_body(tmp_path)
     with pytest.raises(CheckpointError, match=message):
-        _load_resealed(tmp_path, craft(_sample_body(tmp_path)))
+        _load_resealed(tmp_path, craft(body, _first_tensor(body)))
+
+
+def test_a_crafted_record_that_parses_is_refused_by_the_architecture_check(tmp_path):
+    # a well-formed record of another model loads, and fits only that model
+    body = _sample_body(tmp_path)
+    raw = json.dumps({**dataclasses.asdict(_CFG), "heads": 4, "digest": ""}).encode()
+    tensors, record = _read_resealed(tmp_path, _with_record(body, raw))
+    assert sorted(tensors) == ["a", "b.weight", "s"] and record["heads"] == 4
+    with pytest.raises(CheckpointError, match=r"in heads \(checkpoint 4, run 2\)$"):
+        check_architecture(record, _CFG, "crafted.ckpt")
 
 
 def test_fuzzed_bodies_load_or_raise_checkpoint_error(tmp_path):
     body = _sample_body(tmp_path)
+    record_end = _first_tensor(body) - 4
     rng = np.random.default_rng(20240)
-    for case in range(400):
-        kind = case % 3
+    for case in range(500):
+        kind = case % 5
         if kind == 0:        # truncation
             crafted = body[:int(rng.integers(0, len(body)))]
         elif kind == 1:      # a 1-, 4- or 8-byte field overwritten
@@ -164,17 +269,27 @@ def test_fuzzed_bodies_load_or_raise_checkpoint_error(tmp_path):
             at = int(rng.integers(0, len(body) - width + 1))
             value = rng.integers(0, 256, size=width, dtype=np.uint8).tobytes()
             crafted = body[:at] + value + body[at + width:]
-        else:                # bytes inserted
+        elif kind == 2:      # bytes inserted
             at = int(rng.integers(0, len(body) + 1))
             crafted = body[:at] + rng.integers(0, 256, size=int(rng.integers(1, 9)),
                                                dtype=np.uint8).tobytes() + body[at:]
+        elif kind == 3:      # a byte of the architecture record overwritten
+            at = int(rng.integers(12, record_end))
+            crafted = _patched(body, at, "<B", int(rng.integers(0, 256)))
+        else:                # the record cut short or run on, its length kept right
+            raw = body[12:record_end]
+            cut = int(rng.integers(0, len(raw) + 1))
+            tail = rng.integers(0, 256, size=int(rng.integers(0, 5)), dtype=np.uint8).tobytes()
+            crafted = _with_record(body, raw[:cut] + tail)
         try:
-            loaded = _load_resealed(tmp_path, crafted)
+            loaded, record = _read_resealed(tmp_path, crafted)
         except CheckpointError:
             continue
         except Exception as exc:  # anything else is a loader fault
             pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")
         assert all(arr.dtype == np.float32 for arr in loaded.values())
+        assert isinstance(record, dict)
+        assert all(isinstance(v, (bool, int, float, str)) for v in record.values())
 
 
 def test_non_finite_tensor_is_named_in_file_order(tmp_path):

@@ -36,45 +36,45 @@ HOST = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64 Intel(R) Xeon(R) Proces
 
 # sha256 of every checkpoint the flow writes, by path under the work directory
 CHECKPOINTS = {
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-finetune-best.ckpt": "080df591974226a83ba3be766885ceb5ec8df699de29532da2e49895f1a92a6f",
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-head-best.ckpt": "2395cd52ab5bd20510fa0e9b4d31714a1344aa747905394514088fb1fe94c418",
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-pretrain-best.ckpt": "38a62d4a798d4f48c4517ec771ba24afa6200df86cb66e911d67c9f092138d3e",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-finetune-best.ckpt": "47e47c076c7524fdf84bd1376a9ba02ae200f51d406fa5d3c2fb03280c2640ae",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-head-best.ckpt": "1393d86fb092b001eccee13f117d81ab7bc21c4762864f79bd5f5891ce39ba57",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-pretrain-best.ckpt": "8788f229cd5d40866efb201255471d787250527b3e77d231456bfafe8fd4e034",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-finetune-best.ckpt": "3ec4bdd700e2113b4628ad168816a556b07e1c1818d69ec9a17d89c860f2b0b6",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-head-best.ckpt": "e61bc6ca751fdfeb54ba43f8119c19b4bff9e5e868f034b5c50e1b71a2d19858",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-pretrain-best.ckpt": "7c90fb211bb196a54358276c43073a90b7555cc92fc5de8b7ff2b401c273328c",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-finetune-best.ckpt": "f52425c9ba33352caa06df77f82e5d67845a6f1d43162cfdc692c9ef05e67698",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-head-best.ckpt": "c6657a6ee9e0099cd543a9f40c937b1c164325cd6b405cf2a1d190882a7d57a1",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-pretrain-best.ckpt": "aa5356cf0a108bb37ae1ceabee70c0fcf59e43f547137574668b1d61675a476a",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-finetune-best.ckpt": "631365bd0dfc364320a0787d17d2776199a3e7ac4f73f68514fd188d767f584c",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-head-best.ckpt": "fc58e0ec44c0702b15e207ff06b521b3546eda4cdab4e6523fe3700c3295896c",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-pretrain-best.ckpt": "fba31de5fb44da6f0f5cba9748cbc193b4c999d6a90a5047bf3d74bcbc4d2942",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-finetune-best.ckpt": "8353b571d259e54280bff1fecc6ae9581471b522e7c14aec36771f2ce24f5d75",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-head-best.ckpt": "49d99d17018d636f2a94965dbf299d0c2b633d8739c2ad91908f1eb50c5695be",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-pretrain-best.ckpt": "2317be4454528625c2d8fe82dd994475cdfcd76344a0f2161c6f615793bcea6d",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-finetune-best.ckpt": "574b917904f12d68b914854a9e66759c7cb5b2ae7f5b8d8f6b80087f337a5920",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-head-best.ckpt": "f2362d27d61f79fab35eb9fd832548bc19d37b35e0a1c04f0080e0845a1f19e0",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-pretrain-best.ckpt": "e104369d2e724635c4d6005a6a559d8501f0b36f985f41c1d92aa4506653c247",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-finetune-best.ckpt": "33a9bc83833faa7ee5b8752f1e0a555ac79f5366385d2ae74dd49725595efa6b",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-head-best.ckpt": "018a4240dfd43d80c37cc97236b30cb1cda377e19cf6ef19d67cbf047f985624",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-pretrain-best.ckpt": "d6f17c7d61b3016142b2225c619a4d372fe701c0c1e9593a6901f8603b69eacf",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-finetune-best.ckpt": "91f013152174bc097d62ccbca907b12a646ffccdd7db099360eafa28fdea61be",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-head-best.ckpt": "04250a6245016ca6a9907d9f335134598c75990f769b080200e409db13ee1456",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-pretrain-best.ckpt": "4804e41cbc917f573e423e5b85a846b9340703ef15130c721525b57fe883ed27",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-finetune-best.ckpt": "b654b88fbc0b6f949f1c52a6979ae6d70b8fc527c8a50d5b5e48ad5fb1819f95",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-head-best.ckpt": "810cd2973aa40510a48c40b7ad235e91e4ff3d45f0b79001d4d41bd85faffadd",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-pretrain-best.ckpt": "d28c56713404cd90dc2bb06d808ec9a0626931d74fbf7170d24b2dbde556821b",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-finetune-best.ckpt": "39f90d1d1f19c445557d6825ec9fa65e9a04b4326b8e52dc0a55ba3f5a7c35c7",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-head-best.ckpt": "db05d967b586e70c92907b0c287e68bafa2ee8d2c7897e66949eaa399aea001a",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-pretrain-best.ckpt": "7a3956b39eac4a15834048ae1871a320f097b725c63c6a7e7f3f35c624d322af",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-finetune-best.ckpt": "5219db4ba552898368cd1c3ebd095631f68c976c5aafa9d4f69d5070af088714",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-head-best.ckpt": "ad10b07d0ea098f01eb4e0490f0c5d602cc84000557e87382f69d33a5bd7b468",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-pretrain-best.ckpt": "3fbd1b239fe30c935864ca920d72b0f6d2bcdb8abdf0ac134a67146db74305ba",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-finetune-best.ckpt": "1c526623d6b39bbd5603719cfc69c3b812040f8486ba907c7324a320509c8933",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-head-best.ckpt": "20e8698ef86fd6829649ab79376622c36cd00f6e8181132ecaf98e9796a82860",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-pretrain-best.ckpt": "c68ca6d99e5cbbb9c771ef5245906751d58c140d18401995c69ff845f2e14020",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-finetune-best.ckpt": "2166d5a77e53e966b4182274e1ed5a88fef004c49e5adf8ae1d59483dcb78c7d",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-head-best.ckpt": "07aa787d7fd1f4ba7392dce05a521dbc27675cf2673716c1ead68c4ee741b513",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-pretrain-best.ckpt": "51482b1f0de39a6350c890c0f23a4366747a8afd2df5e28d3a8e271dd15bd548",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-finetune-best.ckpt": "28c9f17fcbc6306adfe4dc88dbb3f5e34b7a0d15e1ef61baf4e90e2bd379a66c",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-head-best.ckpt": "d301e6309e2db4cce374aa5fa20ce59dcdb40a0022d0bf0c032a33331fe440f4",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-pretrain-best.ckpt": "ee142ffc894f3bfcd497b5799f58264a9f045912d7a5b9899490140dee146204",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-finetune-best.ckpt": "43ac2b4aa8e66fb6946b1fecd47da31f3b78f1c7cbfd2ba294c2d732afd03982",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-head-best.ckpt": "aea29a366bdff7055b2c3223fa474a78c39964542af9c3d68a4d315473f8546a",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-pretrain-best.ckpt": "75fc348ddcc5feba40ab0207410d0aa7f4187d0c16aeec62449ebc981f97fa02",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-finetune-best.ckpt": "1429f100f5ffc3f739880c9766a9d943b5cfa18ea7cf429e0b250071a9f218ad",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-head-best.ckpt": "6511686fe7963502e9614fadb916d29e79ea0871664a2a26cba44a912022854c",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-pretrain-best.ckpt": "9c74f63b07e873821820a51960d99cffb5358a52b2ed6e2ffa2e1fe17c4c591b",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-finetune-best.ckpt": "ef35b79905bff998061844bd8e608a4be3f4df923734519f1ce5c7e72a591270",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-head-best.ckpt": "b8009810ace191e623131c1f4107f854ab40599cd92d6a4dbae143afee98e2d8",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-pretrain-best.ckpt": "04ec48d6852f337b4efdf42141a17183e44b7e5aad1ac96dec5f69cb48bae896",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-finetune-best.ckpt": "6b747ab3ab844b6cddda99898095e1472277a127915a8ff485d26fca04bf798b",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-head-best.ckpt": "ef1cc18c275ed0609e40c9f598bfcde81d7b96934d14934ebaa026b8e7e7d7e3",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-pretrain-best.ckpt": "9b935faf13bd4473e4e79573b828c60d28bb11540a81de7a84750e7c21c41c5a",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-finetune-best.ckpt": "38df5643a093b0147398883e76e9333c2d7d5ae2f71442855f23d36d8c1cc8cc",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-head-best.ckpt": "c2d3f9e0f3219bc80bc325c1b1a6de5589f6c44052ed748d3ac627fba51e1d92",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-pretrain-best.ckpt": "ca4fdf9fa8a077ea4d3ee90e298a5d46c0ca1d51b4492bfc9ddb6a26d00b4677",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-finetune-best.ckpt": "fd7f460b16abd2196701ea4905bc8c2f412836bda400c6d959d6d9ff0b780259",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-head-best.ckpt": "61cbeeb54cffe69abf956ed04e7d190c3ec0f714fbf01e47f15e4c114b167ec7",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-pretrain-best.ckpt": "1c4123342e3307e2e3f12d9b488154f211a490b4699077817a86bc5d117a147a",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-finetune-best.ckpt": "6508da62d8db4ac44d197d15fc8ff610499e3a03630faec5b1209c5d6f0fab78",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-head-best.ckpt": "186cd3d7a5b386e9d9a1020b6be7ca0e0afc02b4b9cdc95e008a64e1c49f302a",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-pretrain-best.ckpt": "63b9e9e075f1671cbb6c8dc74a6836a08abd7f66d77488249c7977e60de83965",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-finetune-best.ckpt": "2036b7828a7301553837d912b34f7e280f02de8bfd065277ea5025eccbdb285c",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-head-best.ckpt": "e9771820da5af8ea79ebfc80dd78ddc3d980267b8e784c950d9fa21b0656a629",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-pretrain-best.ckpt": "af52831963050adda201a5baecf803fce7f238955371ecd7c13e792d82b82822",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-finetune-best.ckpt": "37393c1bc2e2772f19f4aad6df84669a7f49956502d8ac751680ee3a47269b6a",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-head-best.ckpt": "6a8651ca3fb9835dc35bb953dbc46e3d326c8df72696e0d8e6ae43e8cad8764b",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-pretrain-best.ckpt": "6987fc793dd941d1611c3ed4367dda4fb1d7f97d30e54be87808b37dbdced3d3",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-finetune-best.ckpt": "c7fd8531966dc8064a08aa6fa58ad0e87e09be0bfad4967f9f3ed4825995e0de",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-head-best.ckpt": "6c3e824d59df7636ddd1b8de2375963d465e70d2b6116adddbaef1e4cfe812f2",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-pretrain-best.ckpt": "7a17e666612cf3cffd29db44465f85691cadf98ea1032ea8c657821318c194fd",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-finetune-best.ckpt": "bb00ded447e02c52832e304a3186fe58916848877dd1aef6107167c8a030d269",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-head-best.ckpt": "a5628e68eb5d8415bcdf1cd13bce4acfa95579919f0818369d0b5b9d32ac2cba",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-pretrain-best.ckpt": "b7c36455d0bc6e6d4403fb0fdb6aa77bfd0f2b34ed64ebb2f24ccf3f89749ab5",
 }
 
 # (repr(mse), repr(mae)) of every record the flow writes

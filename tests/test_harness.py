@@ -1,5 +1,6 @@
 """Run configs, variant mapping, ablation/sweep runners, CLI behavior."""
 
+import ctypes
 import json
 import os
 import struct
@@ -653,6 +654,42 @@ def test_cli_bad_list_flag_is_a_config_error(tmp_path, capsys, command, flag, va
     assert not (tmp_path / "runs").exists()
 
 
+class _FakeLibc:
+    """A C library whose `mallopt` records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param: int, value: int) -> int:
+        self.calls.append((param, value))
+        return 1
+
+
+def test_cli_sets_both_malloc_thresholds(tmp_path, monkeypatch, capsys):
+    # M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB:
+    # setting only one would leave the other fixed at glibc's default
+    libc = _FakeLibc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert cli_main(["baseline", "--config", _write_cfg(tmp_path)]) == 0
+    assert sorted(libc.calls) == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc],
+                         ids=["libc-without-mallopt", "no-libc"])
+def test_cli_exit_codes_hold_without_mallopt(tmp_path, monkeypatch, capsys, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cfg_path = _write_cfg(tmp_path)
+    assert cli_main(["baseline", "--config", cfg_path]) == 0
+    assert cli_main(["evaluate", "--config", cfg_path,
+                     "--checkpoint", str(tmp_path / "absent.ckpt")]) == 1
+    assert cli_main(["pretrain", "--config", cfg_path, "--variant", "bogus"]) == 2
+    assert cli_main([]) == 2
+
+
 def test_cli_baseline_rejects_unknown_variant(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     assert cli_main(["baseline", "--config", cfg_path, "--variant", "bogus"]) == 2
@@ -863,7 +900,8 @@ def test_cli_pretrain_without_epochs_creates_no_run_directory(tmp_path, capsys):
 def test_cli_evaluate_creates_no_run_directory(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     ckpt = str(tmp_path / "given.ckpt")
-    save_checkpoint(init_params(model_config(RunConfig(**FAST), 2), 3), ckpt)
+    cfg = model_config(RunConfig(**FAST), 2)
+    save_checkpoint(init_params(cfg, 3), ckpt, cfg)
     assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 0
     # the results file is all it writes: no run directory, no train_log.ndjson
     assert os.listdir(str(tmp_path / "runs")) == ["results.ndjson"]
@@ -889,10 +927,22 @@ def test_cli_csv_table_scores_as_its_synthetic_spec(tmp_path, capsys):
 def test_cli_evaluate_rejects_a_checkpoint_of_another_horizon(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, T=16)
     ckpt = str(tmp_path / "t8.ckpt")
-    save_checkpoint(init_params(model_config(RunConfig(**{**FAST, "T": 8}), 2), 3), ckpt)
+    cfg = model_config(RunConfig(**{**FAST, "T": 8}), 2)
+    save_checkpoint(init_params(cfg, 3), ckpt, cfg)
     assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 1
     err = capsys.readouterr().err
-    assert "CheckpointError" in err and "forecast_head" in err
+    assert "CheckpointError" in err and "differs from this run's in T (checkpoint 8, run 16)" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_evaluate_rejects_a_checkpoint_that_records_no_architecture(tmp_path, capsys):
+    # its names and shapes fit, but nothing says which model wrote it
+    cfg_path = _write_cfg(tmp_path)
+    ckpt = str(tmp_path / "bare.ckpt")
+    save_checkpoint(init_params(model_config(RunConfig(**FAST), 2), 3), ckpt)
+    assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "records no architecture" in err
     assert not (tmp_path / "runs").exists()
 
 
@@ -939,15 +989,15 @@ def test_cli_evaluate_rejects_a_checkpoint_of_another_variant(tmp_path, capsys):
 
 
 # Names and shapes do not pin down the architecture: each of these loads
-# succeeds and silently scores another model until checkpoints record it
-_ANOTHER_ARCHITECTURE = [({}, {"variant": "pat-rc"}), ({}, {"heads": 2}),
-                         ({"PL": 24}, {"variant": "cat"})]
+# would succeed and silently score another model, so the checkpoint's
+# architecture record refuses it, naming the field that differs
+_ANOTHER_ARCHITECTURE = [({}, {"variant": "pat-rc"}, "sca_residual"), ({}, {"heads": 2}, "heads"),
+                         ({"PL": 24}, {"variant": "cat"}, "mix_mode")]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-@pytest.mark.parametrize("settings,change", _ANOTHER_ARCHITECTURE,
+@pytest.mark.parametrize("settings,change,field", _ANOTHER_ARCHITECTURE,
                          ids=["pat-as-pat-rc", "heads-4-as-2", "pat-as-cat-L=M*PL"])
-def test_a_checkpoint_of_another_architecture_is_refused(tmp_path, settings, change):
+def test_a_checkpoint_of_another_architecture_is_refused(tmp_path, settings, change, field):
     # a desk pat run (the README demo config), trained for one head epoch
     rc = RunConfig(data_path="synthetic:lead-lag:rows=900,lag=6,seed=7", L=48, T=8, D=32,
                    ci_layers=1, batch_size=32, out=str(tmp_path), profile="desk",
@@ -957,8 +1007,11 @@ def test_a_checkpoint_of_another_architecture_is_refused(tmp_path, settings, cha
     if other.variant == "cat":
         # the cat mixer's projection then has the rows of the pat mixer's
         assert other.L == 2 * other.PL
-    with pytest.raises(CheckpointError):
-        harness.train_run(other, stages=(), checkpoint=path)
+    with pytest.raises(CheckpointError, match=rf"differs from this run's in {field} \("):
+        harness.train_run(other, stages=("head",), checkpoint=path)
+    assert not os.path.exists(harness.run_dir(other))     # refused before the stage trains
+    # the same checkpoint loads into the model that wrote it
+    harness.train_run(rc, stages=(), checkpoint=path)
 
 
 @pytest.mark.parametrize("command", ["finetune", "evaluate"])

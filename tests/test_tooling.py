@@ -2,11 +2,13 @@
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
 import re
 import shlex
+import subprocess
 import sys
 from typing import Iterator
 
@@ -78,6 +80,38 @@ def test_every_workload_sets_up_and_counts_its_windows(tmp_path):
         state = workload.setup(0, str(tmp_path), checks)
         workloads.check_window_counts(workload.splits(state), state, checks)
         assert checks.results and not checks.failed, (workload.name, checks.failed)
+
+
+# The modules perfbench's set-up imports, and the stdlib modules that serve
+# only functions no set-up calls (a config digest, a JSON line, a CSV file,
+# a checkpoint's record): those are imported inside the functions that use them
+_SETUP_MODULES = ("checkpoint", "data", "harness", "model", "numerics", "synthetic", "training")
+_DEFERRED = ("json", "hashlib", "_hashlib", "csv", "concurrent.futures")
+
+
+def test_importing_the_package_loads_no_module_only_a_run_uses():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            f"import {', '.join(f'injecttst.{m}' for m in _SETUP_MODULES)}\n"
+            f"print(sorted(set({_DEFERRED!r}) & (set(sys.modules) - before)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n", out
+
+
+def test_every_dataclass_has_a_docstring():
+    # without one, `dataclasses` builds `__doc__` from `inspect.signature`
+    # when the module is imported
+    found = [cls for name in _SETUP_MODULES
+             for cls in vars(importlib.import_module(f"injecttst.{name}")).values()
+             if dataclasses.is_dataclass(cls) and cls.__module__ == f"injecttst.{name}"]
+    assert len(found) > 5
+    missing = [cls.__qualname__ for cls in found
+               if not cls.__doc__ or cls.__doc__.startswith(f"{cls.__name__}(")]
+    assert missing == []
 
 
 def test_every_python_file_parses_at_the_python_floor():
