@@ -5,8 +5,8 @@ Layout, format version 2 (all integers little-endian):
     u32    format version
     u32    architecture record byte length, then the record: a UTF-8 JSON
            object of the writer's model config fields (`ModelConfig`: its
-           nine `model.*` settings, M and the four variant flags) and its
-           config digest, or {} when the writer gave no config
+           nine `model.*` settings, M and the four variant flags), or {}
+           when the writer gave no config
     u32    tensor count
     per tensor:
         u32    name byte length, then UTF-8 name
@@ -15,8 +15,8 @@ Layout, format version 2 (all integers little-endian):
         f32    row-major data
     u32    CRC-32 of all preceding bytes
 
-Version 1 is the same without the architecture record; it still loads, with
-an empty record.
+Any other version, version 1 (the same without the record) included, is
+refused.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ MAGIC = b"ITST"
 FORMAT_VERSION = 2
 
 
-def save_checkpoint(params: dict, path: str, config=None, digest: str = "") -> None:
+def save_checkpoint(params: dict, path: str, config=None) -> None:
     """Write tensors sorted by name; values accept Tensor or ndarray. The
     architecture record holds the fields of `config`, a model config
-    dataclass, and `digest`; without a config it is empty.
+    dataclass; without a config it is empty.
 
     The bytes go to a temporary file beside `path` that is then renamed over
     it, so a reader never sees a partly written checkpoint. A tensor holding a
@@ -47,7 +47,7 @@ def save_checkpoint(params: dict, path: str, config=None, digest: str = "") -> N
     """
     import json
 
-    record = {} if config is None else {**dataclasses.asdict(config), "digest": digest}
+    record = {} if config is None else dataclasses.asdict(config)
     meta = json.dumps(record, sort_keys=True).encode("utf-8")
     chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(meta)), meta,
               struct.pack("<I", len(params))]
@@ -97,7 +97,7 @@ def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     if body[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {body[:4]!r}")
     (version,) = struct.unpack_from("<I", body, 4)
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     offset = 8
 
@@ -109,19 +109,17 @@ def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         start, offset = offset, offset + nbytes
         return start
 
-    record: dict = {}
-    if version > 1:
-        (size,) = struct.unpack_from("<I", body, take(4, "architecture record length"))
-        raw = body[take(size, "architecture record"):offset]
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (ValueError, RecursionError):
-            raise CheckpointError(f"{path}: architecture record is not UTF-8 JSON: "
-                                  f"{raw[:32]!r}") from None
-        if not (isinstance(record, dict) and all(isinstance(v, (bool, int, float, str))
-                                                 for v in record.values())):
-            raise CheckpointError(f"{path}: architecture record is not a JSON object of "
-                                  f"scalars: {raw[:32]!r}")
+    (size,) = struct.unpack_from("<I", body, take(4, "architecture record length"))
+    raw = body[take(size, "architecture record"):offset]
+    try:
+        record = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError):
+        raise CheckpointError(f"{path}: architecture record is not UTF-8 JSON: "
+                              f"{raw[:32]!r}") from None
+    if not (isinstance(record, dict) and all(isinstance(v, (bool, int, float, str))
+                                             for v in record.values())):
+        raise CheckpointError(f"{path}: architecture record is not a JSON object of "
+                              f"scalars: {raw[:32]!r}")
     (count,) = struct.unpack_from("<I", body, take(4, "tensor count"))
     # every tensor record holds at least its name length and its rank
     if count > (len(body) - offset) // 8:
@@ -158,16 +156,17 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
 def check_architecture(record: dict, config, path: str) -> None:
     """Raise CheckpointError unless architecture `record`, read from `path`,
     holds exactly the fields of model config `config`; the error names the
-    fields that differ."""
-    stored = {k: v for k, v in record.items() if k != "digest"}
-    if not stored:
+    fields that differ. `dropout` is not compared: it acts only in training
+    and changes no tensor."""
+    if not record:
         raise CheckpointError(f"{path}: the checkpoint records no architecture "
-                              "(format version 1, or saved without a model config)")
+                              "(saved without a model config)")
     built = dataclasses.asdict(config)
-    differ = sorted(k for k in stored.keys() | built.keys() if stored.get(k) != built.get(k))
+    differ = sorted(k for k in record.keys() | built.keys()
+                    if k != "dropout" and record.get(k) != built.get(k))
     if differ:
         raise CheckpointError(f"{path}: the checkpoint's model differs from this run's in "
-                              + ", ".join(f"{k} (checkpoint {stored.get(k)!r}, "
+                              + ", ".join(f"{k} (checkpoint {record.get(k)!r}, "
                                           f"run {built.get(k)!r})" for k in differ))
 
 

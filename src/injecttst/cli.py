@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config errors.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 from dataclasses import replace
@@ -109,22 +108,7 @@ def _run(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _keep_freed_memory() -> None:
-    """Make glibc serve the multi-MB activation arrays from its heap and keep
-    them when freed, so that the next pass reuses them instead of faulting
-    fresh pages in. Both thresholds are set, since setting either one turns
-    off glibc's adjustment of the other. A libc without `mallopt` is left
-    as it is."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD: 32 MiB, its largest value on 64-bit
-    mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD: 64 MiB, above it
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

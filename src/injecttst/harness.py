@@ -310,7 +310,7 @@ def train_run(rc: RunConfig, data: Optional[DataSplits] = None,
     # a stage left out runs for 0 epochs: it logs nothing and writes no checkpoint
     sched = replace(schedule(rc), **{f"{s}_epochs": 0 for s in STAGES if s not in stages})
     out_dir = run_dir(rc)
-    log = train_pipeline(params, cfg, data, sched, out_dir, config_digest(rc))
+    log = train_pipeline(params, cfg, data, sched, out_dir)
     final = stage_checkpoint(out_dir, log[-1]["stage"]) if log else checkpoint
     return cfg, params, data, log, final or ""
 

@@ -230,12 +230,10 @@ def _graph_free(forward: Callable, x, chunks: list[slice]) -> Tensor:
 def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
               data: DataSplits, sched: StageSchedule,
               out_dir: Optional[str] = None,
-              log_sink: Optional[Callable[[dict], None]] = None,
-              digest: str = "") -> list[dict]:
+              log_sink: Optional[Callable[[dict], None]] = None) -> list[dict]:
     """Train one stage in place and leave `params` at the best-validation
     epoch. Returns the per-epoch log records. Given an output directory, the
-    weights go to the stage's checkpoint, recording `cfg` and the run's
-    config `digest`.
+    weights go to the stage's checkpoint, which records `cfg`.
 
     A step runs forward and backward chunk by chunk (`_chunks`), each
     chunk's loss weighted by its share of the batch, and then one Adam
@@ -330,7 +328,7 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
             p.data = best_snapshot[k]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(params, stage_checkpoint(out_dir, stage), cfg, digest)
+        save_checkpoint(params, stage_checkpoint(out_dir, stage), cfg)
     return log
 
 
@@ -340,11 +338,10 @@ def stage_checkpoint(out_dir: str, stage: str) -> str:
 
 
 def train_pipeline(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits,
-                   sched: StageSchedule, out_dir: Optional[str] = None,
-                   digest: str = "") -> list[dict]:
+                   sched: StageSchedule, out_dir: Optional[str] = None) -> list[dict]:
     """Run pretrain -> head -> finetune. Given an output directory, each
     epoch's record is appended to its train_log.ndjson; the directory is
-    made when the first record is written. `digest` goes to the checkpoints."""
+    made when the first record is written."""
     import json
 
     def sink(record: dict) -> None:
@@ -355,7 +352,7 @@ def train_pipeline(params: dict[str, Tensor], cfg: ModelConfig, data: DataSplits
     log: list[dict] = []
     for stage in STAGES:
         log.extend(run_stage(stage, params, cfg, data, sched, out_dir,
-                             None if out_dir is None else sink, digest))
+                             None if out_dir is None else sink))
     return log
 
 

@@ -32,14 +32,14 @@ _CFG = ModelConfig(L=24, T=4, M=3, PL=8, D=8, heads=2, ci_layers=1, mix_layers=1
 
 def test_layout_details(tmp_path):
     path = str(tmp_path / "x.ckpt")
-    save_checkpoint({"w": np.array([[1.0, 2.0]], dtype=np.float32)}, path, _CFG, "ab12")
+    save_checkpoint({"w": np.array([[1.0, 2.0]], dtype=np.float32)}, path, _CFG)
     blob = open(path, "rb").read()
     assert blob[:4] == MAGIC
     version, size = struct.unpack_from("<II", blob, 4)
     assert version == FORMAT_VERSION == 2
     record = json.loads(blob[12:12 + size].decode("utf-8"))
-    assert record == {**dataclasses.asdict(_CFG), "digest": "ab12"}
-    assert len(record) == 15         # nine model.* settings, M, four variant flags, digest
+    assert record == dataclasses.asdict(_CFG)
+    assert len(record) == 14         # nine model.* settings, M, four variant flags
     at = 12 + size
     (count,) = struct.unpack_from("<I", blob, at)
     assert count == 1
@@ -62,21 +62,12 @@ def test_a_checkpoint_saved_without_a_config_has_an_empty_record(tmp_path):
     assert read_checkpoint(path)[1] == {}
 
 
-def test_a_version_1_checkpoint_loads_with_an_empty_record(tmp_path, rng):
-    # version 1 has no architecture record: magic, version, count, tensors, CRC
-    w = rng.normal(size=(2, 3)).astype(np.float32)
-    body = (MAGIC + struct.pack("<III", 1, 1, 1) + b"w" + struct.pack("<I2Q", 2, 2, 3)
-            + w.tobytes())
-    tensors, record = _read_resealed(tmp_path, body)
-    assert record == {} and list(tensors) == ["w"] and np.array_equal(tensors["w"], w)
-    with pytest.raises(CheckpointError, match="records no architecture"):
-        check_architecture(record, _CFG, "v1.ckpt")
-
-
 def test_check_architecture_names_every_field_that_differs():
-    record = {**dataclasses.asdict(_CFG), "digest": "any"}
+    record = dataclasses.asdict(_CFG)
     check_architecture(record, _CFG, "x.ckpt")
-    check_architecture({**record, "digest": "another run"}, _CFG, "x.ckpt")
+    # dropout acts only in training, so another rate is the same model
+    check_architecture({**record, "dropout": 0.3}, _CFG, "x.ckpt")
+    check_architecture(record, replace(_CFG, dropout=0.3), "x.ckpt")
     other = replace(_CFG, heads=4, mix_mode="cat")
     with pytest.raises(CheckpointError, match=r"x\.ckpt: the checkpoint's model differs from "
                        r"this run's in heads \(checkpoint 2, run 4\), mix_mode "
@@ -155,7 +146,7 @@ def _sample_body(tmp_path) -> bytes:
     rng = np.random.default_rng(0)
     save_checkpoint({"a": rng.normal(size=(3, 4)).astype(np.float32),
                      "b.weight": rng.normal(size=(7,)).astype(np.float32),
-                     "s": np.float32(2.5)}, path, _CFG, "0123456789abcdef")
+                     "s": np.float32(2.5)}, path, _CFG)
     return open(path, "rb").read()[:-4]
 
 
@@ -213,6 +204,7 @@ _CRAFTED = {
                    "'a' holds a non-finite"),
     "version 3": (lambda b, t: _patched(b, 4, "<I", 3), "unsupported format version 3"),
     "version 0": (lambda b, t: _patched(b, 4, "<I", 0), "unsupported format version 0"),
+    "version 1": (lambda b, t: _patched(b, 4, "<I", 1), "unsupported format version 1"),
     # the architecture record
     "record cut": (lambda b, t: b[:20], "architecture record runs past"),
     "record length cut": (lambda b, t: b[:10], "truncated checkpoint"),
@@ -249,47 +241,64 @@ def test_crafted_body_raises_checkpoint_error(tmp_path, case):
 def test_a_crafted_record_that_parses_is_refused_by_the_architecture_check(tmp_path):
     # a well-formed record of another model loads, and fits only that model
     body = _sample_body(tmp_path)
-    raw = json.dumps({**dataclasses.asdict(_CFG), "heads": 4, "digest": ""}).encode()
+    raw = json.dumps({**dataclasses.asdict(_CFG), "heads": 4}).encode()
     tensors, record = _read_resealed(tmp_path, _with_record(body, raw))
     assert sorted(tensors) == ["a", "b.weight", "s"] and record["heads"] == 4
     with pytest.raises(CheckpointError, match=r"in heads \(checkpoint 4, run 2\)$"):
         check_architecture(record, _CFG, "crafted.ckpt")
 
 
+def _mutated(rng, body: bytes, kind: int, lo: int, hi: int) -> bytes:
+    """`body` cut short, with a 1-, 4- or 8-byte field overwritten, or with
+    bytes inserted (`kind` 0, 1, 2), at an offset in [lo, hi]."""
+    if kind == 0:
+        return body[:int(rng.integers(lo, hi))]
+    if kind == 1:
+        width = int(rng.choice([1, 4, 8]))
+        at = int(rng.integers(lo, hi - width + 1))
+        value = rng.integers(0, 256, size=width, dtype=np.uint8).tobytes()
+        return body[:at] + value + body[at + width:]
+    at = int(rng.integers(lo, hi + 1))
+    return body[:at] + rng.integers(0, 256, size=int(rng.integers(1, 9)),
+                                    dtype=np.uint8).tobytes() + body[at:]
+
+
+def _loads_or_refuses(tmp_path, crafted: bytes, case: int) -> None:
+    try:
+        loaded, record = _read_resealed(tmp_path, crafted)
+    except CheckpointError:
+        return
+    except Exception as exc:  # anything else is a loader fault
+        pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")
+    assert all(arr.dtype == np.float32 for arr in loaded.values())
+    assert isinstance(record, dict)
+    assert all(isinstance(v, (bool, int, float, str)) for v in record.values())
+
+
 def test_fuzzed_bodies_load_or_raise_checkpoint_error(tmp_path):
+    # every mutation lands in the tensor records, from the count on
     body = _sample_body(tmp_path)
-    record_end = _first_tensor(body) - 4
+    count_at = _first_tensor(body) - 4
     rng = np.random.default_rng(20240)
-    for case in range(500):
-        kind = case % 5
-        if kind == 0:        # truncation
-            crafted = body[:int(rng.integers(0, len(body)))]
-        elif kind == 1:      # a 1-, 4- or 8-byte field overwritten
-            width = int(rng.choice([1, 4, 8]))
-            at = int(rng.integers(0, len(body) - width + 1))
-            value = rng.integers(0, 256, size=width, dtype=np.uint8).tobytes()
-            crafted = body[:at] + value + body[at + width:]
-        elif kind == 2:      # bytes inserted
-            at = int(rng.integers(0, len(body) + 1))
-            crafted = body[:at] + rng.integers(0, 256, size=int(rng.integers(1, 9)),
-                                               dtype=np.uint8).tobytes() + body[at:]
-        elif kind == 3:      # a byte of the architecture record overwritten
-            at = int(rng.integers(12, record_end))
-            crafted = _patched(body, at, "<B", int(rng.integers(0, 256)))
-        else:                # the record cut short or run on, its length kept right
-            raw = body[12:record_end]
-            cut = int(rng.integers(0, len(raw) + 1))
+    for case in range(400):
+        _loads_or_refuses(tmp_path, _mutated(rng, body, case % 3, count_at, len(body)), case)
+
+
+def test_fuzzed_architecture_records_load_or_raise_checkpoint_error(tmp_path):
+    # mutations of the record and its length field, or the record cut short
+    # or run on with its length kept right
+    body = _sample_body(tmp_path)
+    count_at = _first_tensor(body) - 4
+    raw = body[12:count_at]
+    rng = np.random.default_rng(20241)
+    for case in range(200):
+        kind = case % 4
+        if kind < 3:
+            crafted = _mutated(rng, body, kind, 8, count_at)
+        else:
             tail = rng.integers(0, 256, size=int(rng.integers(0, 5)), dtype=np.uint8).tobytes()
-            crafted = _with_record(body, raw[:cut] + tail)
-        try:
-            loaded, record = _read_resealed(tmp_path, crafted)
-        except CheckpointError:
-            continue
-        except Exception as exc:  # anything else is a loader fault
-            pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")
-        assert all(arr.dtype == np.float32 for arr in loaded.values())
-        assert isinstance(record, dict)
-        assert all(isinstance(v, (bool, int, float, str)) for v in record.values())
+            crafted = _with_record(body, raw[:int(rng.integers(0, len(raw) + 1))] + tail)
+        _loads_or_refuses(tmp_path, crafted, case)
 
 
 def test_non_finite_tensor_is_named_in_file_order(tmp_path):

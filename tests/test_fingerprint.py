@@ -36,45 +36,45 @@ HOST = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64 Intel(R) Xeon(R) Proces
 
 # sha256 of every checkpoint the flow writes, by path under the work directory
 CHECKPOINTS = {
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-finetune-best.ckpt": "2166d5a77e53e966b4182274e1ed5a88fef004c49e5adf8ae1d59483dcb78c7d",
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-head-best.ckpt": "07aa787d7fd1f4ba7392dce05a521dbc27675cf2673716c1ead68c4ee741b513",
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-pretrain-best.ckpt": "51482b1f0de39a6350c890c0f23a4366747a8afd2df5e28d3a8e271dd15bd548",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-finetune-best.ckpt": "28c9f17fcbc6306adfe4dc88dbb3f5e34b7a0d15e1ef61baf4e90e2bd379a66c",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-head-best.ckpt": "d301e6309e2db4cce374aa5fa20ce59dcdb40a0022d0bf0c032a33331fe440f4",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-pretrain-best.ckpt": "ee142ffc894f3bfcd497b5799f58264a9f045912d7a5b9899490140dee146204",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-finetune-best.ckpt": "43ac2b4aa8e66fb6946b1fecd47da31f3b78f1c7cbfd2ba294c2d732afd03982",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-head-best.ckpt": "aea29a366bdff7055b2c3223fa474a78c39964542af9c3d68a4d315473f8546a",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-pretrain-best.ckpt": "75fc348ddcc5feba40ab0207410d0aa7f4187d0c16aeec62449ebc981f97fa02",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-finetune-best.ckpt": "1429f100f5ffc3f739880c9766a9d943b5cfa18ea7cf429e0b250071a9f218ad",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-head-best.ckpt": "6511686fe7963502e9614fadb916d29e79ea0871664a2a26cba44a912022854c",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-pretrain-best.ckpt": "9c74f63b07e873821820a51960d99cffb5358a52b2ed6e2ffa2e1fe17c4c591b",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-finetune-best.ckpt": "ef35b79905bff998061844bd8e608a4be3f4df923734519f1ce5c7e72a591270",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-head-best.ckpt": "b8009810ace191e623131c1f4107f854ab40599cd92d6a4dbae143afee98e2d8",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-pretrain-best.ckpt": "04ec48d6852f337b4efdf42141a17183e44b7e5aad1ac96dec5f69cb48bae896",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-finetune-best.ckpt": "6b747ab3ab844b6cddda99898095e1472277a127915a8ff485d26fca04bf798b",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-head-best.ckpt": "ef1cc18c275ed0609e40c9f598bfcde81d7b96934d14934ebaa026b8e7e7d7e3",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-pretrain-best.ckpt": "9b935faf13bd4473e4e79573b828c60d28bb11540a81de7a84750e7c21c41c5a",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-finetune-best.ckpt": "38df5643a093b0147398883e76e9333c2d7d5ae2f71442855f23d36d8c1cc8cc",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-head-best.ckpt": "c2d3f9e0f3219bc80bc325c1b1a6de5589f6c44052ed748d3ac627fba51e1d92",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-pretrain-best.ckpt": "ca4fdf9fa8a077ea4d3ee90e298a5d46c0ca1d51b4492bfc9ddb6a26d00b4677",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-finetune-best.ckpt": "fd7f460b16abd2196701ea4905bc8c2f412836bda400c6d959d6d9ff0b780259",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-head-best.ckpt": "61cbeeb54cffe69abf956ed04e7d190c3ec0f714fbf01e47f15e4c114b167ec7",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-pretrain-best.ckpt": "1c4123342e3307e2e3f12d9b488154f211a490b4699077817a86bc5d117a147a",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-finetune-best.ckpt": "6508da62d8db4ac44d197d15fc8ff610499e3a03630faec5b1209c5d6f0fab78",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-head-best.ckpt": "186cd3d7a5b386e9d9a1020b6be7ca0e0afc02b4b9cdc95e008a64e1c49f302a",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-pretrain-best.ckpt": "63b9e9e075f1671cbb6c8dc74a6836a08abd7f66d77488249c7977e60de83965",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-finetune-best.ckpt": "2036b7828a7301553837d912b34f7e280f02de8bfd065277ea5025eccbdb285c",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-head-best.ckpt": "e9771820da5af8ea79ebfc80dd78ddc3d980267b8e784c950d9fa21b0656a629",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-pretrain-best.ckpt": "af52831963050adda201a5baecf803fce7f238955371ecd7c13e792d82b82822",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-finetune-best.ckpt": "37393c1bc2e2772f19f4aad6df84669a7f49956502d8ac751680ee3a47269b6a",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-head-best.ckpt": "6a8651ca3fb9835dc35bb953dbc46e3d326c8df72696e0d8e6ae43e8cad8764b",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-pretrain-best.ckpt": "6987fc793dd941d1611c3ed4367dda4fb1d7f97d30e54be87808b37dbdced3d3",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-finetune-best.ckpt": "c7fd8531966dc8064a08aa6fa58ad0e87e09be0bfad4967f9f3ed4825995e0de",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-head-best.ckpt": "6c3e824d59df7636ddd1b8de2375963d465e70d2b6116adddbaef1e4cfe812f2",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-pretrain-best.ckpt": "7a17e666612cf3cffd29db44465f85691cadf98ea1032ea8c657821318c194fd",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-finetune-best.ckpt": "bb00ded447e02c52832e304a3186fe58916848877dd1aef6107167c8a030d269",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-head-best.ckpt": "a5628e68eb5d8415bcdf1cd13bce4acfa95579919f0818369d0b5b9d32ac2cba",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-pretrain-best.ckpt": "b7c36455d0bc6e6d4403fb0fdb6aa77bfd0f2b34ed64ebb2f24ccf3f89749ab5",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-finetune-best.ckpt": "485da1c498be06ef1c152766d7bf25e084587bb9e1acaf6e012982236608eae2",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-head-best.ckpt": "d0886406bdc605896b8c4daa94a60e0404a70b6e2746f833f056829323eef500",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-pretrain-best.ckpt": "dc361fb8c0d96f9af5ee6bbc5b576441d1d352ae8a8423b9f4e2b13427e00cd2",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-finetune-best.ckpt": "431e25f6582e4c049c6357c9dccbfc2910d4eb99b16c65c31433eb4606e81c9c",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-head-best.ckpt": "2972f729d960b0e88202aeee92d31c114290ab84eb45b0a7542e131508bc9885",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-pretrain-best.ckpt": "64399beb5bd18d8da845b1576277c88d74dcecff57843942e6d0fa261761196d",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-finetune-best.ckpt": "6978fc75be7718521c0d46f6a32593a0e24113c7fad34cda704ecad2a944f7bd",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-head-best.ckpt": "0cef103ddfc916ee964688a9278b0e68a59b0f7bbf171c7b15c7df87c6c0dbbd",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-pretrain-best.ckpt": "0a964eb60fc6a864599fdb17eed7c3eae2e1d2831a2419a0cd806cd88296e4d6",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-finetune-best.ckpt": "35cbbc637b8b2c4c4370e672d4a4eac03d0869af6a60ee64a685634ec03b704c",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-head-best.ckpt": "a90300759f56395c2cc95010a03f679cc309c6390937bcd5193651a0bdfeebe5",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-pretrain-best.ckpt": "28aa7d21afdd5c1ea92e14a143d795d4b0e9166a0ad6ae40e7deb616b4816a44",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-finetune-best.ckpt": "a5577dd6a0015667b0edf774847ca20fb0e55f24bdc252cd4e95d0681df835b2",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-head-best.ckpt": "4d6e00c6c3ae901231d51fe09d1e802212a3c6e71d5ea6aea7317e2c1565dfbf",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-pretrain-best.ckpt": "3a468d69035feac979e189e94fea69621f304174d598c1c7eb9145239e069641",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-finetune-best.ckpt": "0bce2f9a5997f5d392707ef8180205df48e9a4fceb8497cb3705e6c40838c95a",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-head-best.ckpt": "4c9ebe10b709295f517789879155b0b353e32182a5083e76b796e88eb766e27b",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-pretrain-best.ckpt": "97cf441ea48ec1eab00db934ac7fa6d8c63c59caa7e5c6729687db54151af7c9",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-finetune-best.ckpt": "b5b43e1829e4655126a03f227b4a92faf8cde0627435a6074fe28ab31ee1f00a",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-head-best.ckpt": "0a441d68bee4073221d7809bb0c0f724638cbfc884aa32f773f3e5a48d451971",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-pretrain-best.ckpt": "f52d487523d93adf0643c0a11029aad1d707e8d77ae9ef2a037469a9e879d2d4",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-finetune-best.ckpt": "85cca080837f825cd4c6eac703f4832692f1c7376dc3c37834a7a4e2aaf5c417",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-head-best.ckpt": "b37767c8eb9735dda16aebbe9982ea91de7324c54c962c28bdda2bd082082a61",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-pretrain-best.ckpt": "bc67173880c1f4142727f949aacc59b09b3875eb154ff270556b6cdbb14ec80a",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-finetune-best.ckpt": "8b63da3ef9f7feef7e438cccc927797a3dbfa91ef53cb8407d0fc1cac1aee011",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-head-best.ckpt": "54306229dae02b764f9dd220b8f984b732708c23431247265b69f85a7a33778d",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-pretrain-best.ckpt": "933d9a5c4c5c7e8bd72e1b6b8c76992121117017e6aa073f8264293739a85103",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-finetune-best.ckpt": "730ff9e194988b1208dba12da4ff6af5fd2a300002a3d948380402018725d558",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-head-best.ckpt": "86e73431f08eceab954b9c0274ac23d43fcd0a679b1868a02f6a128f3ee8f1d0",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-pretrain-best.ckpt": "cf90763e5b75b136de961c2347890ce8c95abbfa02aa474cbbb77d1f5101cbc4",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-finetune-best.ckpt": "bf20f2d9dbb1af99a8f1662a2bb155c2761c9c161f2d6ea453e45a57847fc51b",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-head-best.ckpt": "7bde7fc2d098457418a26989e33a810a2611828f4904a0a259f91218168ff088",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-pretrain-best.ckpt": "46b9805c912c7b077e44a39a3238af9e8647cf3267d3a46479ef61ade1c8cf8c",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-finetune-best.ckpt": "357bd85c83914d09be4c9b39a76d3cd51e79921f68adef949c0639ce76801833",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-head-best.ckpt": "2cae213862875d56fe769aacbb83a0e13e845de0a0208b34ad8bc2db79f60f96",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-pretrain-best.ckpt": "81d021f2a33b22bb831ff3946a7ebace81ddfad4c7b23ca73e36fd777b1c8ab0",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-finetune-best.ckpt": "10ea6880e74303737544253f906ca8a5d8871d606394554ba84b2b3ecac28e5b",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-head-best.ckpt": "28c90d16ba16eb90427afe59163d803b2593c19ad7c210a754d4fab06b521d0c",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-pretrain-best.ckpt": "638719d265babaac68e1e288cc1357d30a563327259a0f9d1a4391ca0482e8a6",
 }
 
 # (repr(mse), repr(mae)) of every record the flow writes
