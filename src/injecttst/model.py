@@ -311,16 +311,16 @@ def forward_pretrain(masked: PatchSet, params: dict, cfg: ModelConfig,
                      trace: Optional[dict] = None, rng=None) -> Tensor:
     """Reconstruction pass over a masked PatchSet (already last-value
     normalized). The global branch consumes the same masked inputs; the cat
-    mixer reads the masked sequence as a view of the patches. The loss reads
-    only the masked patches, so from the last `ci` layer's queries on the
+    mixer reads the masked sequence as a view of the patches. Only the
+    masked patches are scored, so from the last `ci` layer's queries on the
     pass runs on the K masked patches of each (window, channel), which must
-    all mask K; the output's unmasked patches are 0."""
-    B, M, PN = masked.mask.shape
+    all mask K, and returns their (B, M, K, PL) reconstruction in patch
+    order: `original[mask]` lists the same patches in the same order."""
+    B, M, _ = masked.mask.shape
     counts = np.count_nonzero(masked.mask, axis=-1)
     K = counts.max(initial=0)
     if counts.min(initial=K) != K:
         raise ShapeError(f"every (window, channel) must mask as many patches, got "
                          f"masked-patch counts {sorted(set(counts.ravel().tolist()))}")
     keep = np.nonzero(masked.mask)[-1].reshape(B, M, K)                # (B, M, K), sorted
-    z_out = _trunk(masked, params, cfg, trace, rng, keep)
-    return nm.put(pretrain_head(z_out, params, cfg), keep, PN)          # (B, M, PN, PL)
+    return pretrain_head(_trunk(masked, params, cfg, trace, rng, keep), params, cfg)

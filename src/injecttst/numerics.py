@@ -61,11 +61,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise TypeError("Tensor division only supports scalar divisors")
-        return mul(self, 1.0 / other)
-
 
 def constant(data, dtype=None) -> Tensor:
     """Wrap raw data as a non-differentiable leaf."""
@@ -230,25 +225,17 @@ def _rows(index) -> np.ndarray:
     return index[..., None]
 
 
-def _scatter(x: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros((*x.shape[:-2], size, x.shape[-1]), x.dtype)
-    np.put_along_axis(out, rows, x, axis=-2)
-    return out
-
-
 def take(x: Tensor, index) -> Tensor:
-    """The (..., K, D) token rows `index` of (..., S, D) tokens; the vjp of `put`."""
-    rows, size = _rows(index), x.data.shape[-2]
-    return _node(np.take_along_axis(x.data, rows, axis=-2), "take", (x,),
-                 lambda g: (_scatter(g, rows, size),))
-
-
-def put(x: Tensor, index, size: int) -> Tensor:
-    """(..., K, D) tokens scattered to rows `index` of zero (..., size, D)
-    tokens; the vjp of `take`."""
+    """The (..., K, D) token rows `index` of (..., S, D) tokens. The vjp
+    writes the gradient rows back to their places among zero rows."""
     rows = _rows(index)
-    return _node(_scatter(x.data, rows, size), "put", (x,),
-                 lambda g: (np.take_along_axis(g, rows, axis=-2),))
+
+    def vjp(g):
+        out = np.zeros(x.data.shape, g.dtype)
+        np.put_along_axis(out, rows, g, axis=-2)
+        return (out,)
+
+    return _node(np.take_along_axis(x.data, rows, axis=-2), "take", (x,), vjp)
 
 
 def sum_(x: Tensor) -> Tensor:

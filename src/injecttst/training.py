@@ -32,21 +32,20 @@ _STAGE_CODE = {name: i + 1 for i, name in enumerate(STAGES)}
 # losses
 
 def masked_mse(reconstruction: Tensor, original: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean squared error restricted to masked patch elements."""
-    if reconstruction.shape != original.shape:
-        raise ContractError(f"shape mismatch: {reconstruction.shape} vs {original.shape}")
-    total = int(mask.sum())
+    """Mean squared error of the masked patches' (B, M, K, PL) reconstruction
+    against the (B, M, PN, PL) originals at `mask`, taken in patch order."""
+    total = int(np.count_nonzero(mask))
     if total == 0:
         raise ContractError("masked_mse requires at least one masked patch")
-    dtype = reconstruction.data.dtype
-    weights = mask[..., None].astype(dtype)
-    diff = reconstruction - nm.constant(original.astype(dtype, copy=False))
-    masked_sq = diff * diff * nm.constant(weights)
-    return nm.sum_(masked_sq) / float(total * original.shape[-1])
+    if reconstruction.data.size != total * original.shape[-1]:
+        raise ContractError(f"reconstruction {reconstruction.shape} does not hold the "
+                            f"{total} masked patches of {original.shape}")
+    return forecast_loss(reconstruction, original[mask].reshape(reconstruction.shape))
 
 
 def forecast_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error over all elements; target is (B, M, T)."""
+    """Mean squared error over all elements of a target of the prediction's
+    shape: the (B, M, T) horizon, or the masked patches (`masked_mse`)."""
     if prediction.shape != target.shape:
         raise ContractError(f"shape mismatch: {prediction.shape} vs {target.shape}")
     diff = prediction - nm.constant(target.astype(prediction.data.dtype, copy=False))

@@ -189,10 +189,14 @@ def test_criterion_5_masked_loss_locality():
     rng = np.random.default_rng(0)
     ps = patchify(rng.normal(size=(3, 48, 4)).astype(np.float32).transpose(0, 2, 1), 12)
     masked = mask_patches(ps, 0.5, seed=5)
+    B, M, PN, PL = ps.patches.shape
+    # a perfect reconstruction of the masked patches, scored against
+    # originals whose every unmasked patch is corrupted
+    rec = nm.constant(ps.patches[masked.mask].reshape(B, M, -1, PL))
     corrupted = ps.patches.copy()
     corrupted[~masked.mask] += rng.normal(scale=10.0,
                                           size=corrupted[~masked.mask].shape).astype(np.float32)
-    loss = float(masked_mse(nm.constant(corrupted), ps.patches, masked.mask).data)
+    loss = float(masked_mse(rec, corrupted, masked.mask).data)
     _report(5, "masked loss ignores unmasked corruption exactly", loss == 0.0,
             f"loss {loss}")
 

@@ -527,7 +527,7 @@ def test_pretrain_output_shape(mix_mode, rng):
     ps = patchify(hist, cfg.PL)
     masked = mask_patches(ps, 0.5, seed=0)
     rec = forward_pretrain(masked, params, cfg)
-    assert rec.shape == ps.patches.shape
+    assert rec.shape == (2, cfg.M, mask_count(0.5, cfg.PN), cfg.PL)
 
 
 def test_masked_values_reach_neither_the_patches_nor_the_cat_mixer(rng, monkeypatch):
@@ -552,7 +552,7 @@ def test_pretrain_runs_without_mask(rng):
     params = _params()
     ps = patchify(rng.normal(size=(1, CFG.L, CFG.M)).astype(np.float32).transpose(0, 2, 1), CFG.PL)
     rec = forward_pretrain(ps, params, CFG)     # nothing masked, still well-defined
-    assert rec.shape == ps.patches.shape
+    assert rec.shape == (1, CFG.M, 0, CFG.PL)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -561,7 +561,7 @@ def test_pretrain_runs_without_mask(rng):
 def test_pretraining_runs_only_the_masked_patches_with_the_bits_of_a_full_pass(
         tag, ci_layers, dtype, monkeypatch):
     # every op after the last ci attention works on one token at a time, and
-    # the loss weights an unmasked patch by zero, so leaving those out of the
+    # the loss reads only the masked patches, so leaving the others out of the
     # last ci layer's queries and on changes no bit of the loss or gradients
     cfg = replace(CFG, ci_layers=ci_layers, **VARIANT_FLAGS[tag])
     history = _batch(cfg, B=3).history.astype(dtype)
@@ -569,7 +569,9 @@ def test_pretraining_runs_only_the_masked_patches_with_the_bits_of_a_full_pass(
     masked = mask_patches(ps, 0.5, seed=4)
     K = mask_count(0.5, cfg.PN)
     full, part = init_params(cfg, 0, dtype), init_params(cfg, 0, dtype)
-    want = pretrain_head(_trunk(masked, full, cfg, None, None), full, cfg)
+    # the full pass over all PN patches; its loss reads its rows at the mask
+    whole = pretrain_head(_trunk(masked, full, cfg, None, None), full, cfg)
+    want = nm.take(whole, np.nonzero(masked.mask)[-1].reshape(3, cfg.M, K))
     want_loss = masked_mse(want, ps.patches, masked.mask)
     want_grads = nm.grad_table(want_loss, full)
 
@@ -584,9 +586,8 @@ def test_pretraining_runs_only_the_masked_patches_with_the_bits_of_a_full_pass(
     injected = [ctx] * cfg.mix_layers + [K] if cfg.use_global_injection else []
     assert rows == [cfg.PN] * (ci_layers - 1) + [K] * (ci_layers > 0) + injected
 
-    assert got.data.dtype == dtype and got.shape == ps.patches.shape
-    np.testing.assert_array_equal(got.data[masked.mask], want.data[masked.mask])
-    assert not got.data[~masked.mask].any()
+    assert got.data.dtype == dtype and got.shape == (3, cfg.M, K, cfg.PL)
+    np.testing.assert_array_equal(got.data, whole.data[masked.mask].reshape(got.shape))
     loss = masked_mse(got, ps.patches, masked.mask)
     np.testing.assert_array_equal(loss.data, want_loss.data)
     grads = nm.grad_table(loss, part)
@@ -622,7 +623,7 @@ def test_injection_contributes_after_brief_pretrain(rng):
     z_ci = ci_encode(embed_patches(masked, params, cfg), params, cfg)
     zeros = nm.constant(np.zeros((8, cfg.PN, cfg.D), dtype=np.float32))
     without_gi = pretrain_head(sca_inject(z_ci, zeros, params, cfg), params, cfg).data
-    changed = np.abs(with_gi - without_gi)[masked.mask]
+    changed = np.abs(with_gi - without_gi[masked.mask].reshape(with_gi.shape))
     assert changed.max() > 1e-4
 
 

@@ -1,5 +1,7 @@
 """Numeric core: op semantics vs naive oracles, backward pass, grad checking."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -814,29 +816,25 @@ def test_grad_check_quadratic_form(rng):
     assert grad_check(f, {"x": x}, h=1e-3) < 1e-8
 
 
-def test_take_gathers_token_rows_and_put_scatters_them_into_zeros(rng):
+def test_take_gathers_token_rows_and_its_vjp_is_one_at_the_kept_rows(rng):
     x = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
     index = np.sort(rng.random((2, 3, 5)).argsort(axis=-1)[..., :2], axis=-1)
     leaf = t(x, req=True)
     taken = nm.take(leaf, index)
-    placed = nm.put(taken, index, 5)
+    assert taken.shape == (2, 3, 2, 4)
     for b, m in np.ndindex(2, 3):
         np.testing.assert_array_equal(taken.data[b, m], x[b, m, index[b, m]])
-        np.testing.assert_array_equal(placed.data[b, m, index[b, m]], x[b, m, index[b, m]])
     kept = np.zeros((2, 3, 5), dtype=bool)
     np.put_along_axis(kept, index, True, axis=-1)
-    assert not placed.data[~kept].any()
-    # each is the other's vjp: the gradient of the round trip is 1 at the kept rows
-    backward(nm.sum_(placed))
+    backward(nm.sum_(taken))
+    assert leaf.grad.dtype == x.dtype
     np.testing.assert_array_equal(leaf.grad, np.broadcast_to(kept[..., None], x.shape))
 
 
 @pytest.mark.parametrize("index", [[1, 1], [3, 2]])
-def test_take_and_put_refuse_an_index_that_does_not_increase(index):
+def test_take_refuses_an_index_that_does_not_increase(index):
     with pytest.raises(ContractError, match="increase"):
         nm.take(t(np.ones((4, 2), dtype=np.float32)), np.array(index))
-    with pytest.raises(ContractError, match="increase"):
-        nm.put(t(np.ones((2, 2), dtype=np.float32)), np.array(index), 4)
 
 
 def test_grad_check_cross_attention_composition(rng):
@@ -892,13 +890,13 @@ _PRIMITIVES = {
     "attention": lambda p: nm.sum_(nm.scaled_dot_attention(p["a"], p["b"], p["c2"])),
     "linear": lambda p: nm.sum_(nm.linear(p["a"], p["c"], p["bias5"]) * nm.linear(p["a"], p["c"], p["bias5"])),
     "take": lambda p: nm.sum_(nm.take(p["a"], np.array([0, 2, 3])) * nm.take(p["b"], np.array([1, 2, 3]))),
-    "put": lambda p: nm.sum_(nm.put(p["a"], np.array([0, 2, 3, 5]), 6) * nm.put(p["b"], np.array([1, 2, 3, 5]), 6)),
+    # a fresh generator per call draws the same mask at every evaluation
+    "dropout": lambda p: nm.sum_(nm.dropout(p["a"], 0.5, np.random.default_rng(0)) * p["b"]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_PRIMITIVES))
-def test_every_primitive_passes_grad_check(name, rng):
-    params = {
+def _primitive_params(rng):
+    return {
         "a": Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True),
         "b": Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True),
         "c": Tensor(rng.normal(size=(3, 5)).astype(np.float32), requires_grad=True),
@@ -908,7 +906,27 @@ def test_every_primitive_passes_grad_check(name, rng):
         "bias": Tensor(np.zeros(3, dtype=np.float32), requires_grad=True),
         "bias5": Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True),
     }
-    assert grad_check(_PRIMITIVES[name], params, h=1e-3) < 1e-4
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVES))
+def test_every_primitive_passes_grad_check(name, rng):
+    assert grad_check(_PRIMITIVES[name], _primitive_params(rng), h=1e-3) < 1e-4
+
+
+def test_the_primitive_table_reaches_every_graph_op(rng, monkeypatch):
+    # every op name numerics builds a node under, read from its source
+    calls = [c for c in ast.walk(ast.parse(inspect.getsource(nm)))
+             if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_node"]
+    assert all(isinstance(c.args[1], ast.Constant) for c in calls)
+    ops = {c.args[1].value for c in calls}
+    assert {"take", "dropout", "attention", "sum"} <= ops
+    reached = set()
+    node = nm._node
+    monkeypatch.setattr(nm, "_node", lambda data, op, *args: reached.add(op) or node(data, op, *args))
+    params = _primitive_params(rng)
+    for f in _PRIMITIVES.values():
+        f(params)
+    assert ops - reached == set()
 
 
 def test_dropout_zero_rate_is_identity(rng):

@@ -27,36 +27,45 @@ def _splits(rows=260, channels=2, seed=3, L=24):
 # ---------------------------------------------------------------------------
 # losses
 
+def _masked_rows(ps, masked):
+    """The masked originals as a (B, M, K, PL) reconstruction, in patch order."""
+    B, M, PN, PL = ps.patches.shape
+    return ps.patches[masked.mask].reshape(B, M, -1, PL)
+
+
 def test_masked_mse_exact_recovery(rng):
     ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32).transpose(0, 2, 1), 8)
     masked = mask_patches(ps, 0.5, seed=0)
-    loss = masked_mse(nm.constant(ps.patches), ps.patches, masked.mask)
+    loss = masked_mse(nm.constant(_masked_rows(ps, masked)), ps.patches, masked.mask)
     assert float(loss.data) == 0.0
 
 
-def test_masked_mse_ignores_unmasked_positions(rng):
+def test_masked_mse_reads_only_the_masked_originals(rng):
     ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32).transpose(0, 2, 1), 8)
     masked = mask_patches(ps, 0.5, seed=0)
+    rec = _masked_rows(ps, masked)
     corrupted = ps.patches.copy()
     corrupted[~masked.mask] += 100.0          # wrong only where unmasked
-    loss = masked_mse(nm.constant(corrupted), ps.patches, masked.mask)
+    loss = masked_mse(nm.constant(rec), corrupted, masked.mask)
     assert float(loss.data) == 0.0
 
 
 def test_masked_mse_vs_loop_oracle(rng):
     ps = patchify(rng.normal(size=(2, 24, 3)).astype(np.float32).transpose(0, 2, 1), 8)
     masked = mask_patches(ps, 0.5, seed=1)
-    rec = rng.normal(size=ps.patches.shape).astype(np.float32)
+    B, M, PN, PL = ps.patches.shape
+    K = int(masked.mask[0, 0].sum())
+    rec = rng.normal(size=(B, M, K, PL)).astype(np.float32)
     got = float(masked_mse(nm.constant(rec), ps.patches, masked.mask).data)
     total, count = 0.0, 0
-    B, M, PN, PL = ps.patches.shape
     for b in range(B):
         for m in range(M):
-            for p in range(PN):
-                if masked.mask[b, m, p]:
-                    for i in range(PL):
-                        total += (float(rec[b, m, p, i]) - float(ps.patches[b, m, p, i])) ** 2
-                        count += 1
+            # the k-th row of the reconstruction is the k-th masked patch
+            for k, p in enumerate(np.flatnonzero(masked.mask[b, m])):
+                for i in range(PL):
+                    total += (float(rec[b, m, k, i]) - float(ps.patches[b, m, p, i])) ** 2
+                    count += 1
+    assert count == rec.size
     assert abs(got - total / count) < 1e-6
 
 
@@ -64,6 +73,18 @@ def test_masked_mse_empty_mask_rejected(rng):
     ps = patchify(rng.normal(size=(1, 24, 1)).astype(np.float32).transpose(0, 2, 1), 8)
     with pytest.raises(ContractError):
         masked_mse(nm.constant(ps.patches), ps.patches, ps.mask)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4])
+def test_masked_mse_refuses_a_reconstruction_of_another_size(rows, rng):
+    # 2 of the 4 patches of each (window, channel) are masked; a reconstruction
+    # of all 4, the zero-padded layout, is refused too
+    ps = patchify(rng.normal(size=(2, 24, 2)).astype(np.float32).transpose(0, 2, 1), 8)
+    masked = mask_patches(ps, 0.5, seed=0)
+    assert masked.mask.sum(axis=-1).tolist() == [[2, 2], [2, 2]]
+    rec = nm.constant(np.zeros((2, 2, rows, 8), dtype=np.float32))
+    with pytest.raises(ContractError, match="masked patches"):
+        masked_mse(rec, ps.patches, masked.mask)
 
 
 def test_forecast_loss_basics(rng):
