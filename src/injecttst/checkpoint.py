@@ -1,22 +1,18 @@
 """Binary checkpoint format for named float32 tensors and the model they fit.
 
-Layout, format version 2 (all integers little-endian):
+Layout, format version 3 (all integers little-endian):
     magic  "ITST"
     u32    format version
-    u32    architecture record byte length, then the record: a UTF-8 JSON
-           object of the writer's model config fields (`ModelConfig`: its
-           nine `model.*` settings, M and the four variant flags), or {}
-           when the writer gave no config
-    u32    tensor count
-    per tensor:
-        u32    name byte length, then UTF-8 name
-        u32    rank
-        u64    each dimension
-        f32    row-major data
+    u32    header byte length, then the header: a UTF-8 JSON object with
+           sorted keys and exactly these three
+             "channels"  the table's channel names in column order, or []
+             "model"     the writer's `ModelConfig` fields (the nine
+                         `model.*` settings, M, four variant flags), or {}
+             "tensors"   [name, shape] per tensor, sorted by name
+    f32    each tensor's row-major data, in the header's order
     u32    CRC-32 of all preceding bytes
 
-Any other version, version 1 (the same without the record) included, is
-refused.
+Any other version, 1 and 2 (binary per-tensor records) included, is refused.
 """
 
 from __future__ import annotations
@@ -33,119 +29,95 @@ from .errors import CheckpointError
 from .numerics import Tensor
 
 MAGIC = b"ITST"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
-def save_checkpoint(params: dict, path: str, config=None) -> None:
-    """Write tensors sorted by name; values accept Tensor or ndarray. The
-    architecture record holds the fields of `config`, a model config
-    dataclass; without a config it is empty.
-
-    The bytes go to a temporary file beside `path` that is then renamed over
-    it, so a reader never sees a partly written checkpoint. A tensor holding a
-    NaN or an infinity raises CheckpointError before either file exists.
-    """
+def save_checkpoint(params: dict, path: str, config=None, channels=()) -> None:
+    """Write tensors (Tensor or ndarray values) sorted by name, and record the
+    fields of model config `config` and the channel names `channels`, each
+    empty when not given. A temporary file beside `path` is renamed over it,
+    so a reader never sees a partly written checkpoint; a NaN or an infinity
+    raises CheckpointError before either file exists."""
     import json
 
-    record = {} if config is None else dataclasses.asdict(config)
-    meta = json.dumps(record, sort_keys=True).encode("utf-8")
-    chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(meta)), meta,
-              struct.pack("<I", len(params))]
-    for name in sorted(params):
-        value = params[name]
-        arr = np.ascontiguousarray(
-            (value.data if isinstance(value, Tensor) else value), dtype="<f4")
+    arrays = {name: np.asarray(value.data if isinstance(value, Tensor) else value, dtype="<f4")
+              for name, value in sorted(params.items())}
+    for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.tobytes(order="C"))
-    blob = b"".join(chunks)
+    header = {"channels": list(channels),
+              "model": {} if config is None else dataclasses.asdict(config),
+              "tensors": [[name, list(arr.shape)] for name, arr in arrays.items()]}
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = b"".join([MAGIC, struct.pack("<II", FORMAT_VERSION, len(raw)), raw,
+                     *(arr.tobytes() for arr in arrays.values())])
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+            fh.writelines([blob, struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)])
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """A checkpoint's tensors and its architecture record (empty when the
-    file records none); verifies magic, version and the trailing CRC.
-
-    Every field is bounds-checked against the body, so a truncated or crafted
-    file raises CheckpointError even when its CRC matches. So does a record
-    that is not a JSON object of scalars, and a tensor that holds a NaN or an
-    infinity; the error names the first such tensor.
-    """
+def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict, list[str]]:
+    """A checkpoint's tensors, model record and channel names (each empty
+    when the file records none). Magic, version, CRC, the header's keys and
+    types, and a data length of exactly 4 bytes per value its shapes hold
+    are checked, so a truncated or crafted file raises CheckpointError even
+    when its CRC matches. So does a NaN or an infinity, naming its tensor."""
     import json
 
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 12:
         raise CheckpointError(f"{path}: truncated checkpoint")
-    body, crc_bytes = blob[:-4], blob[-4:]
-    (stored_crc,) = struct.unpack("<I", crc_bytes)
+    body, (stored_crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"{path}: CRC mismatch, file is corrupt")
     if body[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {body[:4]!r}")
-    (version,) = struct.unpack_from("<I", body, 4)
+    version, size = struct.unpack_from("<II", body, 4)
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    offset = 8
-
-    def take(nbytes: int, what: str) -> int:
-        nonlocal offset
-        if nbytes > len(body) - offset:
-            raise CheckpointError(f"{path}: {what} runs past the end of the file "
-                                  f"({nbytes} bytes at offset {offset})")
-        start, offset = offset, offset + nbytes
-        return start
-
-    (size,) = struct.unpack_from("<I", body, take(4, "architecture record length"))
-    raw = body[take(size, "architecture record"):offset]
+    if size > len(body) - 12:
+        raise CheckpointError(f"{path}: header of {size} bytes runs past the end of the file")
+    raw = body[12:12 + size]
     try:
-        record = json.loads(raw.decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError):
-        raise CheckpointError(f"{path}: architecture record is not UTF-8 JSON: "
-                              f"{raw[:32]!r}") from None
-    if not (isinstance(record, dict) and all(isinstance(v, (bool, int, float, str))
-                                             for v in record.values())):
-        raise CheckpointError(f"{path}: architecture record is not a JSON object of "
-                              f"scalars: {raw[:32]!r}")
-    (count,) = struct.unpack_from("<I", body, take(4, "tensor count"))
-    # every tensor record holds at least its name length and its rank
-    if count > (len(body) - offset) // 8:
-        raise CheckpointError(f"{path}: tensor count {count} does not fit the file")
+        raise CheckpointError(f"{path}: header is not UTF-8 JSON: {raw[:32]!r}") from None
+    if not (isinstance(header, dict) and header.keys() == {"channels", "model", "tensors"}):
+        raise CheckpointError(f"{path}: header is not an object of exactly the keys "
+                              f"channels, model and tensors: {raw[:32]!r}")
+    model, channels, entries = header["model"], header["channels"], header["tensors"]
+    if not (isinstance(model, dict) and all(isinstance(v, (bool, int, float, str))
+                                            for v in model.values())):
+        raise CheckpointError(f"{path}: model record is not an object of scalars")
+    if not (isinstance(channels, list) and all(isinstance(c, str) for c in channels)):
+        raise CheckpointError(f"{path}: channels are not a list of names")
+    if not (isinstance(entries, list) and all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+            and isinstance(e[1], list) and all(type(d) is int and d >= 0 for d in e[1])
+            for e in entries)):
+        raise CheckpointError(f"{path}: tensors are not a list of [name, shape] pairs")
+    counts = [math.prod(shape) for _, shape in entries]
+    if 4 * sum(counts) != len(body) - 12 - size:
+        raise CheckpointError(f"{path}: the header's tensors hold {4 * sum(counts)} bytes "
+                              f"of data, the file {len(body) - 12 - size}")
+    flat = np.frombuffer(body, dtype="<f4", offset=12 + size).astype(np.float32)
+    ends = np.cumsum(counts, dtype=np.int64)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        name = entries[int(np.searchsorted(ends, bad[0], side="right"))][0]
+        raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", body, take(4, "name length"))
-        start = take(name_len, "tensor name")
-        raw_name = body[start:offset]
-        try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: tensor name is not UTF-8: {raw_name[:32]!r}") from exc
+    for (name, shape), n, end in zip(entries, counts, ends.tolist()):
         if name in tensors:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-        (rank,) = struct.unpack_from("<I", body, take(4, f"rank of {name!r}"))
-        shape = struct.unpack_from(f"<{rank}Q", body, take(8 * rank, f"shape of {name!r}"))
-        n = math.prod(shape)
-        start = take(4 * n, f"data of {name!r} {shape}")
-        arr = np.frombuffer(body, dtype="<f4", count=n, offset=start).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
-        tensors[name] = arr.astype(np.float32)
-    if offset != len(body):
-        raise CheckpointError(f"{path}: trailing bytes after tensor data")
-    return tensors, record
+        tensors[name] = flat[end - n:end].reshape(shape)
+    return tensors, model, channels
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
@@ -168,6 +140,20 @@ def check_architecture(record: dict, config, path: str) -> None:
         raise CheckpointError(f"{path}: the checkpoint's model differs from this run's in "
                               + ", ".join(f"{k} (checkpoint {record.get(k)!r}, "
                                           f"run {built.get(k)!r})" for k in differ))
+
+
+def check_channels(recorded: list[str], names: list[str], path: str) -> None:
+    """Raise CheckpointError unless the checkpoint at `path` recorded the
+    table's channel names `names` in their order, since its identifier and
+    `pat` mixer rows belong to channel positions; the error names both
+    lengths, or the first position that differs."""
+    if len(recorded) != len(names):
+        raise CheckpointError(f"{path}: the checkpoint records {len(recorded) or 'no'} "
+                              f"channel names, the table has {len(names)}")
+    for c, (saved, given) in enumerate(zip(recorded, names)):
+        if saved != given:
+            raise CheckpointError(f"{path}: channel {c} is {saved!r} in the checkpoint "
+                                  f"but {given!r} in the table")
 
 
 def apply_checkpoint(params: dict, loaded: dict[str, np.ndarray]) -> None:

@@ -2,7 +2,8 @@
 
 The CSV contract: a header row whose first column is named ``date`` (its
 cells are checked for count only and then dropped), remaining columns are
-numeric channels, comma separated, ``.`` decimal.
+numeric channels with non-empty, unique names, comma separated, ``.``
+decimal.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ def load_csv(path: str) -> SeriesTable:
         if header[0].strip() != "date":
             raise DataError(f"{path}: first column must be named 'date', got {header[0]!r}")
         names = [h.strip() for h in header[1:]]
+        for c, name in enumerate(names):
+            if not name or name in names[:c]:
+                raise DataError(f"{path}: column {c + 2} {name!r} needs a name of its own "
+                                "(channel names must be non-empty and unique)")
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):

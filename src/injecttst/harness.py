@@ -10,12 +10,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .checkpoint import apply_checkpoint, check_architecture, read_checkpoint
+from .checkpoint import apply_checkpoint, check_architecture, check_channels, read_checkpoint
 from .data import SPLITS, SeriesTable, load_csv, mask_count, window_count
 from .errors import ConfigError, ContractError, SizingError
 from .model import ModelConfig, ModelSettings, init_params
@@ -128,7 +129,8 @@ def _parse_fields(text: str) -> dict[str, object]:
     values: dict[str, object] = {}
     line_of: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        # a comment starts at a "#" that opens the line or follows whitespace
+        line = re.sub(r"(^|\s)#.*", "", raw_line).strip()
         if not line:
             continue
         key, sep, raw = line.partition("=")
@@ -304,8 +306,9 @@ def train_run(rc: RunConfig, data: Optional[DataSplits] = None,
     cfg = model_config(rc, data.train.channels)
     params = init_params(cfg, rc.seed)
     if checkpoint is not None:
-        tensors, record = read_checkpoint(checkpoint)
+        tensors, record, channels = read_checkpoint(checkpoint)
         check_architecture(record, cfg, checkpoint)
+        check_channels(channels, data.train.channel_names, checkpoint)
         apply_checkpoint(params, tensors)
     # a stage left out runs for 0 epochs: it logs nothing and writes no checkpoint
     sched = replace(schedule(rc), **{f"{s}_epochs": 0 for s in STAGES if s not in stages})

@@ -232,7 +232,8 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
               log_sink: Optional[Callable[[dict], None]] = None) -> list[dict]:
     """Train one stage in place and leave `params` at the best-validation
     epoch. Returns the per-epoch log records. Given an output directory, the
-    weights go to the stage's checkpoint, which records `cfg`.
+    weights go to the stage's checkpoint, which records `cfg` and the train
+    table's channel names.
 
     A step runs forward and backward chunk by chunk (`_chunks`), each
     chunk's loss weighted by its share of the batch, and then one Adam
@@ -327,7 +328,7 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
             p.data = best_snapshot[k]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(params, stage_checkpoint(out_dir, stage), cfg)
+        save_checkpoint(params, stage_checkpoint(out_dir, stage), cfg, data.train.channel_names)
     return log
 
 

@@ -92,6 +92,18 @@ def test_load_csv_requires_date_column(tmp_path):
         load_csv(str(p))
 
 
+@pytest.mark.parametrize("header,column", [("date,a,a", "column 3 'a'"),
+                                           ("date,,b", "column 2 ''"),
+                                           ("date,a, ,b", "column 3 ''"),
+                                           ("date,a,b, a", "column 4 'a'")])
+def test_load_csv_refuses_an_empty_or_repeated_channel_name(tmp_path, header, column):
+    # a check of the names could not tell two same-named columns apart
+    p = tmp_path / "d.csv"
+    p.write_text(f"{header}\n1{',1.0' * header.count(',')}\n")
+    with pytest.raises(DataError, match=f"{column} needs a name of its own"):
+        load_csv(str(p))
+
+
 def test_csv_roundtrip_bitwise(tmp_path, rng):
     table = _table(rng.normal(size=(1000, 7)).astype(np.float32))
     path = str(tmp_path / "rt.csv")

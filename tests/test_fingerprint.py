@@ -39,45 +39,45 @@ HOST = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64 Intel(R) Xeon(R) Proces
 
 # sha256 of every checkpoint the flow writes, by path under the work directory
 CHECKPOINTS = {
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-finetune-best.ckpt": "485da1c498be06ef1c152766d7bf25e084587bb9e1acaf6e012982236608eae2",
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-head-best.ckpt": "d0886406bdc605896b8c4daa94a60e0404a70b6e2746f833f056829323eef500",
-    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-pretrain-best.ckpt": "dc361fb8c0d96f9af5ee6bbc5b576441d1d352ae8a8423b9f4e2b13427e00cd2",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-finetune-best.ckpt": "431e25f6582e4c049c6357c9dccbfc2910d4eb99b16c65c31433eb4606e81c9c",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-head-best.ckpt": "2972f729d960b0e88202aeee92d31c114290ab84eb45b0a7542e131508bc9885",
-    "matrix/cat-T4-s0-abebad2efd18db31/stage-pretrain-best.ckpt": "64399beb5bd18d8da845b1576277c88d74dcecff57843942e6d0fa261761196d",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-finetune-best.ckpt": "6978fc75be7718521c0d46f6a32593a0e24113c7fad34cda704ecad2a944f7bd",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-head-best.ckpt": "0cef103ddfc916ee964688a9278b0e68a59b0f7bbf171c7b15c7df87c6c0dbbd",
-    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-pretrain-best.ckpt": "0a964eb60fc6a864599fdb17eed7c3eae2e1d2831a2419a0cd806cd88296e4d6",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-finetune-best.ckpt": "35cbbc637b8b2c4c4370e672d4a4eac03d0869af6a60ee64a685634ec03b704c",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-head-best.ckpt": "a90300759f56395c2cc95010a03f679cc309c6390937bcd5193651a0bdfeebe5",
-    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-pretrain-best.ckpt": "28aa7d21afdd5c1ea92e14a143d795d4b0e9166a0ad6ae40e7deb616b4816a44",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-finetune-best.ckpt": "a5577dd6a0015667b0edf774847ca20fb0e55f24bdc252cd4e95d0681df835b2",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-head-best.ckpt": "4d6e00c6c3ae901231d51fe09d1e802212a3c6e71d5ea6aea7317e2c1565dfbf",
-    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-pretrain-best.ckpt": "3a468d69035feac979e189e94fea69621f304174d598c1c7eb9145239e069641",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-finetune-best.ckpt": "0bce2f9a5997f5d392707ef8180205df48e9a4fceb8497cb3705e6c40838c95a",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-head-best.ckpt": "4c9ebe10b709295f517789879155b0b353e32182a5083e76b796e88eb766e27b",
-    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-pretrain-best.ckpt": "97cf441ea48ec1eab00db934ac7fa6d8c63c59caa7e5c6729687db54151af7c9",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-finetune-best.ckpt": "b5b43e1829e4655126a03f227b4a92faf8cde0627435a6074fe28ab31ee1f00a",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-head-best.ckpt": "0a441d68bee4073221d7809bb0c0f724638cbfc884aa32f773f3e5a48d451971",
-    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-pretrain-best.ckpt": "f52d487523d93adf0643c0a11029aad1d707e8d77ae9ef2a037469a9e879d2d4",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-finetune-best.ckpt": "85cca080837f825cd4c6eac703f4832692f1c7376dc3c37834a7a4e2aaf5c417",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-head-best.ckpt": "b37767c8eb9735dda16aebbe9982ea91de7324c54c962c28bdda2bd082082a61",
-    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-pretrain-best.ckpt": "bc67173880c1f4142727f949aacc59b09b3875eb154ff270556b6cdbb14ec80a",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-finetune-best.ckpt": "8b63da3ef9f7feef7e438cccc927797a3dbfa91ef53cb8407d0fc1cac1aee011",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-head-best.ckpt": "54306229dae02b764f9dd220b8f984b732708c23431247265b69f85a7a33778d",
-    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-pretrain-best.ckpt": "933d9a5c4c5c7e8bd72e1b6b8c76992121117017e6aa073f8264293739a85103",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-finetune-best.ckpt": "730ff9e194988b1208dba12da4ff6af5fd2a300002a3d948380402018725d558",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-head-best.ckpt": "86e73431f08eceab954b9c0274ac23d43fcd0a679b1868a02f6a128f3ee8f1d0",
-    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-pretrain-best.ckpt": "cf90763e5b75b136de961c2347890ce8c95abbfa02aa474cbbb77d1f5101cbc4",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-finetune-best.ckpt": "bf20f2d9dbb1af99a8f1662a2bb155c2761c9c161f2d6ea453e45a57847fc51b",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-head-best.ckpt": "7bde7fc2d098457418a26989e33a810a2611828f4904a0a259f91218168ff088",
-    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-pretrain-best.ckpt": "46b9805c912c7b077e44a39a3238af9e8647cf3267d3a46479ef61ade1c8cf8c",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-finetune-best.ckpt": "357bd85c83914d09be4c9b39a76d3cd51e79921f68adef949c0639ce76801833",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-head-best.ckpt": "2cae213862875d56fe769aacbb83a0e13e845de0a0208b34ad8bc2db79f60f96",
-    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-pretrain-best.ckpt": "81d021f2a33b22bb831ff3946a7ebace81ddfad4c7b23ca73e36fd777b1c8ab0",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-finetune-best.ckpt": "10ea6880e74303737544253f906ca8a5d8871d606394554ba84b2b3ecac28e5b",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-head-best.ckpt": "28c90d16ba16eb90427afe59163d803b2593c19ad7c210a754d4fab06b521d0c",
-    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-pretrain-best.ckpt": "638719d265babaac68e1e288cc1357d30a563327259a0f9d1a4391ca0482e8a6",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-finetune-best.ckpt": "18b1a541e823a65d3f50756348a46300753f2c519ed034b63ad7357d519cad6b",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-head-best.ckpt": "34fcedd7ecc329630af812d1e76dd116effcdeb2aa69bea483bd3c1d8ab045bd",
+    "cli/cat-rc-T4-s0-97f45c0681eba634/stage-pretrain-best.ckpt": "d5d02183465a4edaaf7d77f863b0a5a3d9da5c6c28c307247884f16aa606f959",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-finetune-best.ckpt": "ee578aaa476336ad7850c805ccb24314266cdeadcae128d0fd76fdcf8ffc059e",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-head-best.ckpt": "a926e5ed605a8b22656f197e33956aa14fe8b2dc00483cfdd8ca45d323b2afcc",
+    "matrix/cat-T4-s0-abebad2efd18db31/stage-pretrain-best.ckpt": "01b83e3198824018557b01b91629325cdb2c628114a43877daed60de993e82af",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-finetune-best.ckpt": "f3a3ee5d08268cb38f94ddd754d644f0595b7069114ae06eac80daf7e4dae0f3",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-head-best.ckpt": "c20adcf93b253faf6305879f42b13d16d1a7751e9d2c9157781d2e66eb3c45fb",
+    "matrix/cat-T8-s0-63df846dc0d89bcb/stage-pretrain-best.ckpt": "42706e8db453c99edb2de65bbe554fc49ad23fe3831acd85d03a906c45ad6232",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-finetune-best.ckpt": "2f0da85b6a2f70b49d1a3221d70996c6734a25499f484ce9b2278c60e9ddc78b",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-head-best.ckpt": "3cfe28d9492ec6b27f2ccb8ca8d4f261bbe96f7b29503725f889e84b1bb6a856",
+    "matrix/cat-rc-T4-s0-44da2b4011d6ded9/stage-pretrain-best.ckpt": "589f3f91114ee682ec2f0aba17056a56c3b4f491017dcd8da030a59e492d770c",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-finetune-best.ckpt": "7e74d00282cf8f3c20a15f6f9a79487dcac6c25c36df4a287fde4e7c6f3bfee4",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-head-best.ckpt": "4c6a0ceafb1e0f10fb6a72f030cf31408736dbf7cbf65cf22fe597a3b2e2fc2f",
+    "matrix/cat-rc-T8-s0-f082ff598431d047/stage-pretrain-best.ckpt": "f01df0a4364096d2d9b8d47f29e98c5fa5a35960812cbc46039ab7322a304c58",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-finetune-best.ckpt": "4ce8d7f6a94a87f38d41a65a64fb1a0414e184acbf1a653d40d42f5b7ad5e239",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-head-best.ckpt": "eb4f855e0e2e67d4c03e92aed0c42940f9dbecd23b8e8bb0f2d7522abe28f042",
+    "matrix/no-cid-T4-s0-4e4d3bc8bbeb7e0f/stage-pretrain-best.ckpt": "6792838236e6069cfc84b917b2587a55a0f37c05547ab92a9f220714273659e3",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-finetune-best.ckpt": "2dbb5803d795f2b1d4d52081a30e32bfe682034bc6098106d85b45ff4d19d20e",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-head-best.ckpt": "86e7de22805e74f02f23bc741ebfb8d2593c7dcfc079805584445077a6291dcb",
+    "matrix/no-cid-T8-s0-cdc3d7d3bf136b7c/stage-pretrain-best.ckpt": "e42803c9587876d2d478399ccbc300ea436971e95ef529f06735e74ade9358c3",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-finetune-best.ckpt": "081343b7acb640f0a188aff76c5658e529b712318c0d78ce718c603180803953",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-head-best.ckpt": "d725a9e4b039f7f548c9915bd2e8cf10b49b825cc4b989e0fdbc6a9b3028ea10",
+    "matrix/no-gi-T4-s0-dedcee6d0581812a/stage-pretrain-best.ckpt": "2271a21652d879d4739dc6d573add705162a01f3d198e61671b35603c110d193",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-finetune-best.ckpt": "655c6cf5a4cd8e72b9a2e249a68b3250271c126021dc3f969d633ac7d69ee4c8",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-head-best.ckpt": "4d9dafc6427db9b5d91f9f8775b2015e74f710c2578fc3f36f3d2e30b1d2f201",
+    "matrix/no-gi-T8-s0-60861e9ecaa81678/stage-pretrain-best.ckpt": "8dfdd1bcfe79fe15a260e821476d9d492e6f5afa4bbbdbddf23379bad1bde162",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-finetune-best.ckpt": "f26d46ba852c1c59e64ef2ddb94d61c36162d2d368530ca9b7c955156f014e40",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-head-best.ckpt": "f1242e4e52e6848bb1a40a669bf9b494f85c47793324baca22ce24c547fece43",
+    "matrix/pat-T4-s0-02e3c5378b3d8c88/stage-pretrain-best.ckpt": "1c73253a2a865ab7d1f4aa94983d12e77442be4cb98226bbc6caae2e7bc2d9d8",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-finetune-best.ckpt": "38550f1d89aa526da2f64dedff10fe8d1b8e31b85d8c0cd4b8bda9df3961a52b",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-head-best.ckpt": "55de9b03ad3323266e16d03d2bffa82460984b791db82811c93b040b2736f320",
+    "matrix/pat-T8-s0-48bc6cef9bba5af4/stage-pretrain-best.ckpt": "cdb4d398baa322e9177bd24f2c965050b65e114bad1d103a6c5d8eb66a51ccbe",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-finetune-best.ckpt": "41cf7c9de2ad55f14d73e189927b23e212e516ac5a823b047277df982b6d0392",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-head-best.ckpt": "9325e2b6aaf613548566e2518acefda419979f1d4add0b82ce6e0c8170e0b51b",
+    "matrix/pat-rc-T4-s0-b71aeb470c05d1f3/stage-pretrain-best.ckpt": "db02e6ef6cdc40ccd1ca780a3304d8a3ce5724ddd59ebd0a2fdb020da2125a5c",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-finetune-best.ckpt": "44d736059d7e61749fc3d240a1b8c53c24b9c8f2358edf4f5ea283f08e8fe19e",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-head-best.ckpt": "20e993da2fbc2fd396b0e67e13246b1d91eddb33a24f8bfd4f76f718cf15a2aa",
+    "matrix/pat-rc-T8-s0-896e116f442cb22e/stage-pretrain-best.ckpt": "7edddf02794e1b5ed4574d582ab4ad1ea6104e688c1ad0b424ef6a34107d089d",
 }
 
 # (repr(mse), repr(mae)) of every record the flow writes

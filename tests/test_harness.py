@@ -28,6 +28,8 @@ FAST = dict(data_path="synthetic:sines:rows=260,channels=2,seed=4",
             L=24, T=4, PL=8, D=8, heads=2, ci_layers=1, mix_layers=1,
             pretrain_epochs=0, head_epochs=1, finetune_epochs=1,
             batch_size=64, out="")
+# the channel names of FAST's table, which a checkpoint must record to load on it
+_FAST_NAMES = ["ch0", "ch1"]
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +145,13 @@ def test_config_file_reads_false_booleans(tmp_path):
 def test_config_comments_and_blanks():
     rc = parse_config("# a comment\n\nmodel.L = 96  # trailing\nrun.seed = 2\n")
     assert rc.L == 96 and rc.seed == 2
+
+
+def test_config_keeps_a_hash_inside_a_value():
+    # a comment starts only at a "#" that opens the line or follows whitespace
+    rc = parse_config("data.path = /d/a#b.csv\nrun.out = runs/#2\t# after a tab\n"
+                      "   # indented\nmodel.L = 96 #no space after\n")
+    assert (rc.data_path, rc.out, rc.L) == ("/d/a#b.csv", "runs/#2", 96)
 
 
 def test_load_config_profile_layering(tmp_path):
@@ -864,7 +873,7 @@ def test_cli_evaluate_creates_no_run_directory(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     ckpt = str(tmp_path / "given.ckpt")
     cfg = model_config(RunConfig(**FAST), 2)
-    save_checkpoint(init_params(cfg, 3), ckpt, cfg)
+    save_checkpoint(init_params(cfg, 3), ckpt, cfg, _FAST_NAMES)
     assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 0
     # the results file is all it writes: no run directory, no train_log.ndjson
     assert os.listdir(str(tmp_path / "runs")) == ["results.ndjson"]
@@ -909,12 +918,43 @@ def test_cli_evaluate_rejects_a_checkpoint_that_records_no_architecture(tmp_path
     assert not (tmp_path / "runs").exists()
 
 
+def test_cli_evaluate_refuses_a_table_whose_columns_come_in_another_order(tmp_path, capsys):
+    # chan_embed rows and the pat mixer's rows belong to channel positions, so
+    # a checkpoint fits only the column order it was trained on
+    table = lead_lag(300, lag=3, seed=5)
+    original, swapped = str(tmp_path / "original.csv"), str(tmp_path / "swapped.csv")
+    save_csv(table, original)
+    save_csv(SeriesTable(values=table.values[:, ::-1], channel_names=table.channel_names[::-1]),
+             swapped)
+    cfg_path = _write_cfg(tmp_path, data_path=original)
+    assert cli_main(["ablate", "--config", cfg_path, "--variants", "pat"]) == 0
+    trained = _last_record(tmp_path)
+    assert os.path.basename(trained["checkpoint"]) == "stage-finetune-best.ckpt"
+    capsys.readouterr()
+    results = os.path.join(str(tmp_path / "runs"), "results.ndjson")
+    _set_key(cfg_path, "data.path", swapped)
+    for command in ("evaluate", "finetune"):
+        argv = [command, "--config", cfg_path, "--checkpoint", trained["checkpoint"]]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert "CheckpointError" in err
+        assert "channel 0 is 'driver' in the checkpoint but 'follower' in the table" in err
+        assert len(open(results).readlines()) == 1
+    # refused before any stage trains: the swapped table's run directory is not made
+    assert not os.path.exists(harness.run_dir(load_config(cfg_path)))
+    _set_key(cfg_path, "data.path", original)
+    assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint",
+                     trained["checkpoint"]]) == 0
+    assert (_last_record(tmp_path)["status"], _last_record(tmp_path)["mse"]) == (
+        "ok", trained["mse"])
+
+
 def test_cli_evaluate_loads_a_checkpoint_under_another_dropout(tmp_path, capsys):
     # dropout acts only in training, so the checkpoint is the same model and
     # scores the same under any rate
     ckpt = str(tmp_path / "given.ckpt")
     cfg = model_config(RunConfig(**FAST), 2)
-    save_checkpoint(init_params(cfg, 3), ckpt, cfg)
+    save_checkpoint(init_params(cfg, 3), ckpt, cfg, _FAST_NAMES)
     for dropout in (0.0, 0.3):
         cfg_path = _write_cfg(tmp_path, dropout=dropout)
         assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 0
