@@ -3,7 +3,9 @@
 Values are numpy arrays (float32 by default, float64 for verification runs).
 Every differentiable operation returns a ``Tensor`` node holding its inputs
 and a vector-Jacobian closure; the graph is rebuilt on every forward pass and
-``backward`` walks it once in reverse topological order.
+``backward`` walks it once in reverse topological order, consuming it: each
+node gives up its closure and its parent links as soon as its vjp has run, so
+the arrays the forward saved are freed during the pass.
 """
 
 from __future__ import annotations
@@ -438,13 +440,14 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     qd, kd, vd = q.data, k.data, v.data
     _check_attention(qd, kd, vd, heads)
     flat = (*kd.shape[:-2], -1, qd.shape[-1])
-    # scaling q costs one pass over nq*d values instead of nq*nk scores
+    # scaling q costs one pass over nq*d values instead of nq*nk scores; the
+    # vjp scales q again where dk needs it, so the graph keeps no scaled copy
     scale = np.asarray(1.0 / math.sqrt(qd.shape[-1] // heads), dtype=qd.dtype)
     qs = qd.reshape(flat) * scale
-    qh, kh, vh = _heads(qs, heads), _heads(kd, heads), _heads(vd, heads)
+    kh, vh = _heads(kd, heads), _heads(vd, heads)
     # the module binding, so that a wrapped softmax sees every call; the
     # transposed key heads are copied compact (the product rule)
-    attn = softmax(np.matmul(qh, np.ascontiguousarray(kh.swapaxes(-1, -2))))
+    attn = softmax(np.matmul(_heads(qs, heads), np.ascontiguousarray(kh.swapaxes(-1, -2))))
     if capture is not None:
         # a shared context's (B, H, M*Sq, Sk) weights are shown as (B, M, H, Sq, Sk)
         lead = attn.shape[:-3]
@@ -458,7 +461,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
         gh = _heads(g, heads)
         # dS = (dP - rowsum(dP * P)) * P with rowsum(dP * P) = dO . O per
         # head (Dao et al., arXiv 2205.14135): a sum over dh values, not Sk
-        split = (*qs.shape[:-1], heads, -1)
+        split = (*out.shape[:-1], heads, -1)
         dot = np.einsum("...shd,...shd->...hs", g.reshape(split), out.reshape(split))
         # compact transposed value heads, as for the keys; the transposes of
         # dS and of the weights below stay views, whose copies cost more
@@ -467,15 +470,16 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
         ds *= attn
         dq = dk = dv = None
         if q.requires_grad:
-            dq = np.empty_like(qs)
+            dq = np.empty_like(out)
             np.matmul(ds, kh, out=_heads(dq, heads))
             dq *= scale
             dq = dq.reshape(qd.shape)
         if k.requires_grad:
-            dk = np.empty(kd.shape, qs.dtype)
+            dk = np.empty(kd.shape, out.dtype)
+            qh = _heads(qd.reshape(flat) * scale, heads)
             np.matmul(ds.swapaxes(-1, -2), qh, out=_heads(dk, heads))
         if v.requires_grad:
-            dv = np.empty(vd.shape, qs.dtype)
+            dv = np.empty(vd.shape, out.dtype)
             np.matmul(attn.swapaxes(-1, -2), gh, out=_heads(dv, heads))
         return dq, dk, dv
 
@@ -493,6 +497,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node.requires_grad and node._vjp is None and node.op != "leaf":
+            raise ContractError(f"backward through a consumed '{node.op}' node; run the forward again")
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
@@ -515,11 +521,15 @@ def _as_grad(g: np.ndarray, like: np.ndarray) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Reverse-mode pass from a scalar loss; fills ``grad`` on reachable leaves.
 
-    A parent's first gradient is kept as the vjp returned it, copied only
-    when its layout or dtype differs from the parent's value; later ones are
-    summed into a new array, never in place, since a stored gradient may be a
-    view shared with another node. Interior gradients are dropped once their
-    vjp has run, so after the pass only leaves hold ``grad``.
+    The pass consumes the graph: it pops the nodes off their topological
+    order, and each interior node gives up its vjp closure, its parent links
+    and its gradient as soon as its vjp has run, so the arrays the forward
+    saved are freed during the pass. After it only leaves hold ``grad``, and
+    a second pass through a consumed node raises `ContractError` rather than
+    return the first pass's gradients. A parent's first gradient is kept as
+    the vjp returned it, copied only when its layout or dtype differs from
+    the parent's value; later ones are summed into a new array, never in
+    place, since a stored gradient may be a view shared with another node.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -527,12 +537,17 @@ def backward(loss: Tensor) -> None:
     for node in topo:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        vjp, g, parents = node._vjp, node.grad, node.parents
+        if vjp is None:
+            continue                    # a leaf keeps its gradient
+        node._vjp, node.parents, node.grad = None, (), None
+        if g is None:
             continue
-        grads = node._vjp(node.grad)
-        node.grad = None
-        for parent, g in zip(node.parents, grads):
+        # `g` is rebound before the next vjp runs, so no stale gradient
+        # outlives its node
+        for parent, g in zip(parents, vjp(g)):
             if not parent.requires_grad or g is None:
                 continue
             if parent.grad is None:

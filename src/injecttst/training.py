@@ -65,9 +65,9 @@ class OptimState:
     """Adam's learning rate and state. The first step lays every parameter
     out in one flat array: `layout` maps each name to its shape, in order,
     and `bounds` holds each parameter's (start, stop) in it. `m` and
-    `v` are the flat moments; `grad` and `work` are scratch arrays of the
-    same size, reused so that no step allocates (and page-faults in) fresh
-    ones."""
+    `v` are the flat moments; `grad` holds a step's gradients in that layout
+    and `work` is scratch of the same size, both reused so that no step
+    allocates (and page-faults in) fresh ones."""
     lr: float
     step: int = 0
     m: Optional[np.ndarray] = None
@@ -78,39 +78,69 @@ class OptimState:
     bounds: list[tuple[int, int]] = field(default_factory=list)
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              opt: OptimState) -> None:
-    """One bias-corrected Adam update over the names in `grads`.
+def _lay_out(params: dict[str, Tensor], names: list[str], opt: OptimState) -> None:
+    """Adam's first-step state: the flat layout of the parameters `names`, in
+    order, and its zero arrays, in the first one's dtype."""
+    if not names:
+        raise ContractError("adam_step needs at least one gradient")
+    opt.layout = {name: params[name].data.shape for name in names}
+    ends = np.cumsum([0] + [math.prod(shape) for shape in opt.layout.values()])
+    opt.bounds = [(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
+    dtype = params[names[0]].data.dtype
+    opt.m, opt.v, opt.grad, opt.work = (np.zeros(int(ends[-1]), dtype) for _ in range(4))
 
-    The update is elementwise, so it runs once over all gradients
-    concatenated into one flat array, in the parameters' dtype. Each
-    parameter's ``data`` is then rebound to its slice of one new flat weight
-    array; nothing a caller holds is written in place. A non-finite gradient
-    raises `TrainingDiverged` naming the first such parameter before any
-    state changes. Every call must pass the names, shapes and dtype the
-    first one did.
-    """
+
+def _load_grads(params: dict[str, Tensor], grads: dict[str, np.ndarray],
+                opt: OptimState, add: bool = False) -> None:
+    """Write `grads` into ``opt.grad`` in Adam's flat layout, or with `add`
+    add them to it in place: a step's chunks, loaded in order, give the bits
+    of ``(g1 + g2) + g3``. The first call lays out the parameters named in
+    `grads`; later ones must pass the same names, shapes and dtype."""
     if opt.m is None:
-        if not grads:
-            raise ContractError("adam_step needs at least one gradient")
-        opt.layout = {name: params[name].data.shape for name in grads}
-        ends = np.cumsum([0] + [math.prod(shape) for shape in opt.layout.values()])
-        opt.bounds = [(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
-        dtype = params[next(iter(grads))].data.dtype
-        opt.m, opt.v, opt.grad, opt.work = (np.zeros(int(ends[-1]), dtype) for _ in range(4))
+        _lay_out(params, list(grads), opt)
     elif grads.keys() != opt.layout.keys():
         raise ContractError(f"adam_step got parameters {sorted(grads)}, "
                             f"its state holds {sorted(opt.layout)}")
+    gs = [grads[name] for name in opt.layout]
+    if [g.shape for g in gs] != list(opt.layout.values()):
+        raise ContractError("gradient shapes differ from the first adam_step")
+    try:
+        if add:
+            for g, (a, b) in zip(gs, opt.bounds):
+                np.add(opt.grad[a:b], g.reshape(-1), out=opt.grad[a:b], casting="no")
+        else:
+            np.concatenate(gs, axis=None, out=opt.grad, casting="no")
+    except TypeError:
+        raise ContractError(f"adam_step needs every parameter and gradient in {opt.m.dtype}") from None
+
+
+def adam_step(params: dict[str, Tensor], grads: Optional[dict[str, np.ndarray]],
+              opt: OptimState) -> None:
+    """One bias-corrected Adam update over the names in `grads`, or, with
+    `grads` None, over the gradients already summed into ``opt.grad`` by
+    `_load_grads` (`run_stage`'s steps).
+
+    The update is elementwise, so it runs once over all gradients in one
+    flat array, in the parameters' dtype. Each parameter's ``data`` is then
+    rebound to its slice of one new flat weight array; nothing a caller
+    holds is written in place. A non-finite gradient raises
+    `TrainingDiverged` naming the first such parameter before any state
+    changes. Every call must pass the names, shapes and dtype the first one
+    did.
+    """
+    if grads is not None:
+        _load_grads(params, grads, opt)
+    elif opt.m is None:
+        raise ContractError("adam_step needs at least one gradient")
     shapes = list(opt.layout.values())
     ps = [params[name] for name in opt.layout]
-    gs = [grads[name] for name in opt.layout]
-    if [p.data.shape for p in ps] != shapes or [g.shape for g in gs] != shapes:
-        raise ContractError("parameter or gradient shapes differ from the first adam_step")
+    if [p.data.shape for p in ps] != shapes:
+        raise ContractError("parameter shapes differ from the first adam_step")
     try:
-        g = np.concatenate(gs, axis=None, out=opt.grad, casting="no")
         w = np.concatenate([p.data for p in ps], axis=None, dtype=opt.m.dtype, casting="no")
     except TypeError:
         raise ContractError(f"adam_step needs every parameter and gradient in {opt.m.dtype}") from None
+    g = opt.grad
     if not np.isfinite(g).all():
         bad = next(name for name, (a, b) in zip(opt.layout, opt.bounds)
                    if not np.isfinite(g[a:b]).all())
@@ -236,8 +266,9 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
     table's channel names.
 
     A step runs forward and backward chunk by chunk (`_chunks`), each
-    chunk's loss weighted by its share of the batch, and then one Adam
-    update on the summed gradients."""
+    chunk's loss weighted by its share of the batch. The chunks' gradients
+    are summed in chunk order straight into Adam's flat gradient array, and
+    one Adam update follows."""
     if stage not in STAGES:
         raise ContractError(f"unknown stage {stage!r}")
     epochs = getattr(sched, f"{stage}_epochs")
@@ -276,6 +307,20 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
             raise TrainingDiverged(f"{what} diverged in stage {stage}, epoch {epoch}")
         return value
 
+    def descend(loss: Tensor, add: bool) -> float:
+        """A chunk loss's value; its gradients go into ``opt.grad``, with
+        `add` summed onto those of the step's earlier chunks."""
+        value = finite(loss, "loss")
+        if opt.m is None:
+            # while the first graph is alive, so that Adam's arrays sit above
+            # the heap region every later graph reuses. Laid out after it was
+            # freed, they left that region at the heap's top, which glibc
+            # hands back to the system once free, and each step faulted it in
+            # again (desk-ablation: 276K minor page faults against 73K).
+            _lay_out(params, list(trainable), opt)
+        _load_grads(params, nm.grad_table(loss, trainable), opt, add)
+        return value
+
     log: list[dict] = []
     best_val = np.inf
     best_snapshot: Optional[dict[str, np.ndarray]] = None
@@ -287,22 +332,14 @@ def run_stage(stage: str, params: dict[str, Tensor], cfg: ModelConfig,
         for b, batch in enumerate(make_windows(data.train, cfg.L, cfg.T,
                                                sched.batch_size, shuffle_rng)):
             x, loss_of = inputs(batch, [sched.seed, code, epoch, b])
-            step_loss, grads = 0.0, None
-            for s in _chunks(batch.size, cfg, dtype):
+            step_loss = 0.0
+            for i, s in enumerate(_chunks(batch.size, cfg, dtype)):
                 # masked_mse too: every window holds the same number of masked
                 # patches, so a chunk's share of them is its share of windows
-                loss = loss_of(forward(_windows(x, s), view, cfg, rng=train_rng), s) * (
-                    (s.stop - s.start) / batch.size)
-                step_loss += finite(loss, "loss")
-                part_grads = nm.grad_table(loss, trainable)
-                grads = part_grads if grads is None else {
-                    k: grads[k] + g for k, g in part_grads.items()}
-                if s.stop < batch.size:
-                    del loss        # free this chunk's graph before the next forward
+                step_loss += descend(loss_of(forward(_windows(x, s), view, cfg, rng=train_rng), s)
+                                     * ((s.stop - s.start) / batch.size), add=i > 0)
             train_losses.append(step_loss)
-            adam_step(params, grads, opt)
-            # free this step's graph before the next forward builds its own
-            del loss, grads
+            adam_step(params, None, opt)
 
         # after the steps, so that the constants hold this epoch's weights
         consts = nm.constants(params)

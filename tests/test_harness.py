@@ -737,6 +737,10 @@ def test_cli_baseline_and_evaluate_happy_path(tmp_path, capsys):
     assert cli_main(["evaluate", "--config", cfg_path, "--checkpoint", ckpt]) == 0
     lines = open(results).read().splitlines()
     assert len(lines) == 3
+    # the saved weights score exactly what the run scored
+    finetuned, evaluated = (json.loads(line) for line in lines[1:])
+    for key in ("mse", "mae", "per_horizon_mse", "per_channel_mse"):
+        assert evaluated[key] == finetuned[key], key
 
 
 def test_cli_evaluate_empty_checkpoint_fails(tmp_path, capsys):

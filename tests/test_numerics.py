@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -634,20 +635,20 @@ def test_attention_backward_keeps_captured_map_and_gradients(dtype, rng):
     q, k, v = (Tensor(rng.normal(size=(2, 3, 4, 6)).astype(dtype), requires_grad=True)
                for _ in range(3))
     c = Tensor(rng.normal(size=(2, 3, 4, 6)).astype(dtype))
-    cap = []
-    out = nm.scaled_dot_attention(q, k, v, capture=cap)
-    attn, data = cap[0].copy(), out.data.copy()
-    loss = nm.sum_(out * c)
     grads = []
+    # a backward consumes its graph, so each pass runs its own forward
     for _ in range(2):
-        backward(loss)
+        cap = []
+        out = nm.scaled_dot_attention(q, k, v, capture=cap)
+        attn, data = cap[0].copy(), out.data.copy()
+        backward(nm.sum_(out * c))
         grads.append([p.grad for p in (q, k, v)])
-    assert out.data.dtype == dtype and cap[0].dtype == dtype
+        assert out.data.dtype == dtype and cap[0].dtype == dtype
+        np.testing.assert_array_equal(cap[0], attn)
+        np.testing.assert_array_equal(out.data, data)
     for a, b in zip(*grads):
         assert a.dtype == dtype
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(cap[0], attn)
-    np.testing.assert_array_equal(out.data, data)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -738,6 +739,33 @@ def test_backward_frees_interior_gradients(rng):
     backward(loss)
     assert h.grad is None and y.grad is None and loss.grad is None
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_backward_consumes_its_graph(rng):
+    x = t(rng.normal(size=(3, 4)), req=True)
+    w = t(rng.normal(size=(4, 2)), req=True)
+    y = nm.gelu(nm.matmul(x, w))
+    activation = weakref.ref(y.data)
+    loss = nm.sum_(y * y)
+    del y
+    assert activation() is not None         # only the graph holds it now
+    backward(loss)
+    # with loss still bound, the arrays the forward saved are gone
+    assert activation() is None
+    assert loss.parents == () and x.grad is not None and w.grad is not None
+    # a second pass would return the first one's leaf gradients
+    for again in (backward, lambda loss: grad_table(loss, {"x": x})):
+        with pytest.raises(ContractError, match="consumed 'sum' node"):
+            again(loss)
+
+
+def test_backward_refuses_a_graph_that_shares_a_consumed_node(rng):
+    x = t(rng.normal(size=(3, 4)), req=True)
+    h = nm.gelu(x)
+    first, second = nm.sum_(h), nm.sum_(h * h)
+    backward(first)
+    with pytest.raises(ContractError, match="consumed 'gelu' node"):
+        backward(second)
 
 
 @pytest.mark.parametrize("op", [nm.matmul, nm.add, nm.mul])

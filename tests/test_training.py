@@ -1,6 +1,7 @@
 """Losses, optimizer, stage runner, evaluation."""
 
 import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -597,13 +598,20 @@ def test_chunked_evaluate_is_bitwise_the_whole_batch(monkeypatch, variant, batch
 def _recorded_epoch(monkeypatch, stage, data, sched, dtype=np.float32, chunk=None):
     """One epoch of `stage` with Adam replaced by a recorder, so the weights
     never move and every step's gradients compare across runs; with `chunk`,
-    passes run on chunks of that many windows, else on whole batches."""
+    passes run on chunks of that many windows, else on whole batches. The
+    recorder keeps, by name, the flat gradient Adam would read (`run_stage`
+    sums a step's chunks into ``opt.grad`` and passes no dict)."""
     monkeypatch.setattr(training, "_CHUNK_BYTES", 1 << 62)
     if chunk is not None:
         _chunk_windows(monkeypatch, TINY, chunk, dtype)
     steps = []
-    monkeypatch.setattr(training, "adam_step", lambda params, grads, opt: steps.append(
-        {k: g.copy() for k, g in grads.items()}))
+
+    def recorder(params, grads, opt):
+        assert grads is None
+        steps.append({name: opt.grad[a:b].reshape(shape).copy()
+                      for (name, shape), (a, b) in zip(opt.layout.items(), opt.bounds)})
+
+    monkeypatch.setattr(training, "adam_step", recorder)
     (record,) = run_stage(stage, init_params(TINY, seed=0, dtype=dtype), TINY, data,
                           replace(sched, **{f"{stage}_epochs": 1}))
     return steps, record
@@ -637,6 +645,52 @@ def test_chunked_step_sums_the_whole_batch_gradient(monkeypatch, stage, dtype, t
             assert got[name].dtype == g.dtype
             assert np.max(np.abs(got[name] - g)) <= tol * np.max(np.abs(g)), name
     assert chunked["train_loss"] == pytest.approx(whole["train_loss"], rel=tol / 10, abs=0.0)
+
+
+@pytest.mark.parametrize("stage", training.STAGES)
+def test_a_chunked_step_hands_adam_the_chunk_order_sum_bitwise(monkeypatch, stage):
+    tables = []
+    grad_table = nm.grad_table
+
+    def spy(loss, wanted):
+        table = grad_table(loss, wanted)
+        tables.append({k: g.copy() for k, g in table.items()})
+        return table
+
+    monkeypatch.setattr(nm, "grad_table", spy)
+    # 85 windows in batches of 7: twelve steps of chunks of 3, 3 and 1
+    # windows, then a step of one window
+    steps, _ = _recorded_epoch(monkeypatch, stage, _splits(rows=160),
+                               StageSchedule(batch_size=7, seed=0), chunk=3)
+    assert len(steps) == 13 and len(tables) == 12 * 3 + 1
+    sums = [{k: (g1[k] + g2[k]) + g3[k] for k in g1}
+            for g1, g2, g3 in zip(tables[0:36:3], tables[1:36:3], tables[2:36:3])]
+    for got, want in zip(steps, sums + tables[36:]):
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            assert got[name].dtype == g.dtype and got[name].shape == g.shape, name
+            assert got[name].tobytes() == g.tobytes(), name
+
+
+def test_a_paper_shape_chunk_holds_only_its_leaf_gradients_after_backward():
+    # one 6-window finetune chunk of the paper-train shape
+    params = init_params(_PAPER, seed=0)
+    trainable = {k: p for k, p in params.items() if k != "pretrain_head"}
+    batch = next(make_windows(sine_mixture(800, _PAPER.M, seed=3), _PAPER.L, _PAPER.T, 6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = forecast_loss(forward_forecast(batch, params, _PAPER), batch.target)
+        forward_held = tracemalloc.get_traced_memory()[0] - before
+        grads = nm.grad_table(loss, trainable)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    leaf_bytes = sum(g.nbytes for g in grads.values())
+    # the graph held about 30 MB before the pass (measured); after it, with
+    # loss still bound, what remains is the gradient table
+    assert forward_held > 20 * 2 ** 20
+    assert leaf_bytes <= held <= leaf_bytes + 2 ** 17, (held, leaf_bytes)
 
 
 def _input_batch_sizes(loss) -> set:
